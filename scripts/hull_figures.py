@@ -24,7 +24,7 @@ def main():
         out = outdir / f"{name}.svg"
         code = cli_main(["boundary", "--curve", name, "-k", "2..3",
                          "-n", str(n), "--format", "svg",
-                         "--out", str(out), "--jobs", "2"])
+                         "--out", str(out)])
         print(f"{name}: {'ok' if code == 0 else f'exit {code}'} -> {out}")
 
 

@@ -6,7 +6,6 @@ from .poly import (
     ProjPoint,
     SupportLine,
     parse_poly,
-    parse_homog,
     format_poly,
 )
 

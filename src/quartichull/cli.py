@@ -9,7 +9,6 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import sys
@@ -20,7 +19,8 @@ from . import curves as curves_mod
 from . import exactness as exactness_mod
 from . import rational as rational_mod
 from . import relaxation as relaxation_mod
-from .poly import BivarPoly, SupportLine, comparison_quartic, format_poly, parse_poly
+from .poly import SupportLine, format_poly, parse_poly
+from .relaxation import _fmt
 from .sos import FEAS_MARGIN, IndeterminateResult, certify_in_fk
 
 __all__ = ["main"]
@@ -38,15 +38,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-def _fmt(v):
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
 
 
 def _round12(obj):
@@ -117,20 +108,23 @@ def _parse_orders(text):
     return orders
 
 
-def _common_flags(sub, orders=True):
+def _add_flags(sub, order=False, samples=False, tol=False, formats=()):
+    """The curve source and --out, plus the flags the command reads."""
     sub.add_argument("--curve", help="registry curve name")
     sub.add_argument("--poly", help="curve polynomial text, e.g. '1 - x1^4 - x2^4'")
     sub.add_argument("--poly-file", help="file containing the curve polynomial")
-    if orders:
+    if order:
         sub.add_argument("-k", "--order", default="2",
                          help="relaxation order, single ('3') or range ('2..5')")
-    sub.add_argument("-n", "--samples", type=int, default=360,
-                     help="sweep resolution (angles)")
-    sub.add_argument("--tol", type=float, default=FEAS_MARGIN,
-                     help="feasibility tolerance")
-    sub.add_argument("--format", choices=("csv", "json", "svg"), default="csv")
+    if samples:
+        sub.add_argument("-n", "--samples", type=int, default=360,
+                         help="sweep resolution (angles)")
+    if tol:
+        sub.add_argument("--tol", type=float, default=FEAS_MARGIN,
+                         help="feasibility tolerance")
+    if formats:
+        sub.add_argument("--format", choices=formats, default="csv")
     sub.add_argument("--out", help="output path (default stdout)")
-    sub.add_argument("--jobs", type=int, default=1, help="parallel workers")
 
 
 def _build_parser():
@@ -140,25 +134,25 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("check", help="decide exactness of the first relaxation")
-    _common_flags(s)
+    _add_flags(s, samples=True, tol=True, formats=("csv", "json"))
 
     s = subs.add_parser("boundary", help="boundary sweep of the relaxed hulls")
-    _common_flags(s)
+    _add_flags(s, order=True, samples=True, formats=("csv", "json", "svg"))
 
     s = subs.add_parser("minimize", help="lower bounds on a linear objective")
     s.add_argument("objective", help="linear objective, e.g. 'x1' or 'x1 + 2*x2'")
-    _common_flags(s)
+    _add_flags(s, order=True, formats=("csv", "json"))
 
     s = subs.add_parser("rational", help="two-lifting Hankel representation")
-    _common_flags(s, orders=False)
+    _add_flags(s, formats=("csv", "json"))
 
     s = subs.add_parser("sos", help="SOS membership certificate for a line")
     s.add_argument("--line", required=True,
                    help="line coefficients f0,f1,f2 (e.g. '2,0,-2')")
-    _common_flags(s)
+    _add_flags(s, order=True)
 
     s = subs.add_parser("singularities", help="real singular points of the curve")
-    _common_flags(s, orders=False)
+    _add_flags(s)
     return parser
 
 
@@ -230,15 +224,7 @@ def _svg_document(layers, curve_pts, width=640):
 def cmd_boundary(args):
     p, record = _load_poly(args)
     orders = _parse_orders(args.order)
-
-    def one(k):
-        return k, relaxation_mod.boundary_points(p, k, args.samples)
-
-    if args.jobs > 1 and len(orders) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
-            results = dict(ex.map(one, orders))
-    else:
-        results = dict(one(k) for k in orders)
+    results = {k: relaxation_mod.boundary_points(p, k, args.samples) for k in orders}
 
     if args.format == "csv":
         chunks = []
@@ -340,6 +326,8 @@ def cmd_rational(args):
 def cmd_sos(args):
     p, record = _load_poly(args)
     orders = _parse_orders(args.order)
+    if len(orders) != 1:
+        raise UsageError("sos takes a single relaxation order, not a range")
     try:
         coeffs = tuple(float(v) for v in args.line.split(","))
         line = SupportLine(coeffs)
@@ -384,8 +372,6 @@ def main(argv=None):
             raise UsageError("tolerance must be positive")
         if getattr(args, "samples", 8) < 8:
             raise UsageError("need at least 8 sample angles")
-        if getattr(args, "jobs", 1) < 1:
-            raise UsageError("jobs must be at least 1")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,7 +7,7 @@ reports; nothing here recomputes them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .poly import BivarPoly, ProjPoint, format_poly, parse_poly
 from .rational import RationalParam

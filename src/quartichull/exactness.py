@@ -168,21 +168,30 @@ def _merge_points(points, tol=1e-7):
     return out
 
 
+def _on_curves(eqs, pt):
+    """Whether pt solves every equation in eqs to the residual tolerance."""
+    return all(abs(q(pt[0], pt[1])) <= _RESIDUAL_TOL * max(1.0, q.coeff_norm())
+               for q in eqs)
+
+
+def _complex_slice_roots(q, axis, v):
+    """All complex roots of q in the variable `axis` with value v substituted
+    for the other variable (none when the slice is constant)."""
+    c = np.asarray(q.univariate_in(axis, v), dtype=float)
+    nz = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.max(np.abs(c))))[0]
+    if len(nz) == 0 or nz[-1] == 0:
+        return []
+    return np.roots(c[: nz[-1] + 1][::-1])
+
+
 def _slice_roots(q, axis, v, box):
     """Root seeds of q with value v substituted for the other variable.
     Double roots of the elimination resultant shift v by the square root of
     the interpolation noise, which can push exact real roots of the slice
     well off the real axis; real parts of all slice roots are kept as seeds
     and the two-variable polish plus residual filter sorts them out."""
-    c = np.asarray(q.univariate_in(axis, v), dtype=float)
-    nz = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.max(np.abs(c))))[0]
-    if len(nz) == 0 or nz[-1] == 0:
-        return []
-    out = []
-    for z in np.roots(c[: nz[-1] + 1][::-1]):
-        if abs(z.real) <= box:
-            out.append(float(z.real))
-    return out
+    return [float(z.real) for z in _complex_slice_roots(q, axis, v)
+            if abs(z.real) <= box]
 
 
 def _solve_pair(q1, q2, extra=None, box=50.0):
@@ -204,8 +213,7 @@ def _solve_pair(q1, q2, extra=None, box=50.0):
             for w in ws:
                 pt = (v, w) if other == 1 else (w, v)
                 pt = tuple(_newton_polish([q1, q2], pt))
-                if all(abs(q(pt[0], pt[1])) <= _RESIDUAL_TOL * max(1.0, q.coeff_norm())
-                       for q in eqs):
+                if _on_curves(eqs, pt):
                     sols.append(pt)
         return _merge_points(sols), True
     # non-generic pencil: grid search fallback, flagged non-certified
@@ -214,8 +222,7 @@ def _solve_pair(q1, q2, extra=None, box=50.0):
     for a in grid:
         for b in grid:
             pt = tuple(_newton_polish([q1, q2], (a, b)))
-            if all(abs(q(pt[0], pt[1])) <= _RESIDUAL_TOL * max(1.0, q.coeff_norm())
-                   for q in eqs) and max(map(abs, pt)) < box:
+            if _on_curves(eqs, pt) and max(map(abs, pt)) < box:
                 sols.append(pt)
     return _merge_points(sols), False
 
@@ -301,11 +308,7 @@ def _curve_cloud(p, box=50.0):
     pts = []
     for axis, other in ((1, 2), (2, 1)):
         for v in levels:
-            c = np.asarray(p.univariate_in(axis, v), dtype=float)
-            nz = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.max(np.abs(c))))[0]
-            if len(nz) == 0 or nz[-1] == 0:
-                continue
-            for z in np.roots(c[: nz[-1] + 1][::-1]):
+            for z in _complex_slice_roots(p, axis, v):
                 if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= box:
                     w = float(z.real)
                     pts.append((w, v) if axis == 1 else (v, w))
@@ -337,8 +340,7 @@ def tangent_support(p, f, box=50.0, bounded=None):
         proj = cloud @ np.asarray(u)
         seed = cloud[int(np.argmax(proj))]
         pt = tuple(_newton_polish([p, tangency], seed))
-        if all(abs(q(pt[0], pt[1])) <= _RESIDUAL_TOL * max(1.0, q.coeff_norm())
-               for q in (p, tangency)) and max(map(abs, pt)) <= box:
+        if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= box:
             sols.append(pt)
         else:
             # the raw curve point still bounds the support from below
@@ -493,7 +495,7 @@ def curve_points(p, box=50.0):
     return _curve_cloud(p, box).copy()
 
 
-def sweep_exactness(p, n=360, settings=None, feas_tol=FEAS_MARGIN):
+def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     """Full decision procedure: concavity fast path, boundary smoothness,
     then a supporting-line sweep testing p_f >= 0 at every sampled angle,
     with local refinement around near-zero margin minima (bitangents)."""
@@ -529,7 +531,7 @@ def sweep_exactness(p, n=360, settings=None, feas_tol=FEAS_MARGIN):
             if line is None:
                 return None, None, None
             pf = comparison_quartic(line, p)
-            return sos_margin(pf, 2, settings=settings), line, pt
+            return sos_margin(pf, 2), line, pt
 
         def _far(a, b):
             return a is None or b is None or \

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import BivarPoly, monomials_upto
+from .poly import monomials_upto
 
 __all__ = [
     "MomentIndex",

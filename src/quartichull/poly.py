@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +27,6 @@ __all__ = [
     "resultant",
     "real_roots",
     "parse_poly",
-    "parse_homog",
     "monomials_upto",
 ]
 
@@ -151,14 +150,6 @@ class BivarPoly:
     def coeff_norm(self):
         return max((abs(c) for c in self.terms.values()), default=0.0)
 
-    def restrict_x2(self, x2_poly_coeffs=None):
-        """Coefficients in x2 as univariate polys in x1 (list indexed by x2 power)."""
-        degb = max((b for _, b in self.terms), default=0)
-        out = [dict() for _ in range(degb + 1)]
-        for (a, b), c in self.terms.items():
-            out[b][a] = c
-        return out
-
     def univariate_in(self, axis, value):
         """Substitute a numeric value for the *other* variable; return coeff array
         (low-to-high) of the resulting univariate polynomial in `axis`."""
@@ -172,11 +163,6 @@ class BivarPoly:
             else:
                 coeffs[b] += c * value**a
         return coeffs
-
-    def leading_form(self):
-        """Terms of top total degree, as a BivarPoly."""
-        d = self.degree
-        return BivarPoly({e: c for e, c in self.terms.items() if sum(e) == d})
 
     def graded_part(self, d):
         return BivarPoly({e: c for e, c in self.terms.items() if sum(e) == d})
@@ -240,10 +226,6 @@ class HomogForm3:
             t[(a1, a2)] = t.get((a1, a2), 0.0) + c
         return BivarPoly(t)
 
-    def restrict_infinity(self):
-        """Restriction to the line x0 = 0, as a BivarPoly in (x1, x2)."""
-        return BivarPoly({(a1, a2): c for (a0, a1, a2), c in self.terms.items() if a0 == 0})
-
     def __eq__(self, other):
         return isinstance(other, HomogForm3) and self.terms == other.terms
 
@@ -285,10 +267,6 @@ class ProjPoint:
         if len(c) != 3 or all(abs(v) < _ZERO_TOL for v in c):
             raise ValueError("projective point needs a nonzero real triple")
         object.__setattr__(self, "coords", c)
-
-    @staticmethod
-    def affine(x1, x2):
-        return ProjPoint((1.0, x1, x2))
 
     def normalized(self):
         """Scale the first nonzero coordinate to 1."""
@@ -643,17 +621,8 @@ def parse_poly(text):
     """Parse polynomial text in x1, x2 into a BivarPoly."""
     t = _Parser(_tokenize(text)).parse()
     if any(e[0] > 0 for e, c in t.items() if abs(c) > _ZERO_TOL):
-        raise PolyParseError("x0 is only allowed in homogeneous forms")
+        raise PolyParseError("polynomials are in x1 and x2; x0 is not allowed")
     return BivarPoly({(e[1], e[2]): c for e, c in t.items()})
-
-
-def parse_homog(text):
-    """Parse homogeneous polynomial text in x0, x1, x2 into a HomogForm3."""
-    t = _Parser(_tokenize(text)).parse()
-    t = {e: c for e, c in t.items() if abs(c) > _ZERO_TOL}
-    if not t:
-        raise PolyParseError("empty polynomial")
-    return HomogForm3(t)
 
 
 def _fmt_num(c):

@@ -9,15 +9,14 @@ Hankel matrix whose positive semidefiniteness cuts out the convex hull.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .poly import BivarPoly, homogenize
-from .sdp import SdpBlock, SdpProblem, SdpSettings, min_eig, solve
+from .poly import homogenize
+from .sdp import SdpBlock, SdpProblem, min_eig, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
@@ -180,9 +179,6 @@ class HankelRepresentation:
                        for row in self.scaled_entries],
         }
 
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
-
 
 def hankel_representation(param):
     """Eliminate three moments from x_i = sum_a c_{i,a} y_a against the point
@@ -266,7 +262,7 @@ def hankel_representation(param):
     )
 
 
-def rational_membership(rep, point, settings=None):
+def rational_membership(rep, point):
     """Inside/outside test against the two-lifting Hankel representation,
     margin through the max-min-eigenvalue program over the liftings."""
     x1, x2 = float(point[0]), float(point[1])
@@ -287,7 +283,7 @@ def rational_membership(rep, point, settings=None):
     c[-1] = -1.0
     prob = SdpProblem(c=c, blocks=[SdpBlock(F0=F0, F=F)],
                       eq_A=np.zeros((0, nvars)), eq_b=np.zeros(0))
-    sol = solve(prob, settings or SdpSettings())
+    sol = solve(prob)
     if sol.status == "Unbounded":
         # the margin program is bounded above whenever the Hankel form is
         # nondegenerate; treat runaway as inside with an infinite margin

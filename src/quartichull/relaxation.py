@@ -21,7 +21,7 @@ import scipy.sparse
 
 from .moments import MomentIndex, build_moment_matrix, localizing_constraints
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpBlock, SdpProblem, SdpSettings, equality_multipliers, solve
+from .sdp import SdpBlock, SdpProblem, equality_multipliers, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
@@ -60,10 +60,6 @@ class RelaxationProblem:
         object.__setattr__(self, "_kept_rows", kept)
         object.__setattr__(self, "_basis", basis)
         object.__setattr__(self, "_fixed", fixed)
-
-    @property
-    def index(self):
-        return self._index
 
     @property
     def nmoments(self):
@@ -311,8 +307,9 @@ class BoundaryRow:
     status: str
 
 
-def membership(p, k, point, settings=None):
-    """Inside/outside test of a point against the order-k relaxed hull."""
+def _margin_solve(p, k, point):
+    """The membership margin program at point: (SdpProblem, result).
+    Any status but Optimal raises IndeterminateResult."""
     prob = RelaxationProblem(p, k)
     x1, x2 = float(point[0]), float(point[1])
     pins = [(0, 1.0), (1, x1), (2, x2)]
@@ -321,43 +318,30 @@ def membership(p, k, point, settings=None):
     c = np.zeros(prob.nmoments + 1)
     c[-1] = -1.0
     sdp = SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b)
-    sol = solve(sdp, settings or SdpSettings())
-    if sol.status in ("Numerical", "MaxIter"):
-        raise IndeterminateResult(f"membership solve returned {sol.status}: {sol.message}")
+    sol = solve(sdp)
     if sol.status != "Optimal":
-        raise IndeterminateResult(f"unexpected solver status {sol.status}")
+        raise IndeterminateResult(f"membership solve returned {sol.status}: {sol.message}")
     t = float(sol.z[-1])
-    return MembershipResult(
-        inside=t >= -FEAS_MARGIN,
-        margin=t,
-        moments=sol.z[:-1].copy(),
-        solution=sol,
-    )
+    return sdp, MembershipResult(inside=t >= -FEAS_MARGIN, margin=t,
+                                 moments=sol.z[:-1].copy(), solution=sol)
 
 
-def separating_line(p, k, point, settings=None):
+def membership(p, k, point):
+    """Inside/outside test of a point against the order-k relaxed hull."""
+    return _margin_solve(p, k, point)[1]
+
+
+def separating_line(p, k, point):
     """Supporting line separating an exterior point from the relaxed hull,
     read off the equality multipliers of the membership solve.
 
     Returns (line, result). line is None when the point is inside.
     """
-    prob = RelaxationProblem(p, k)
-    x1, x2 = float(point[0]), float(point[1])
-    pins = [(0, 1.0), (1, x1), (2, x2)]
-    block = prob.moment_block(with_margin=True)
-    A, b = prob.equality_system(pins, with_margin=True)
-    c = np.zeros(prob.nmoments + 1)
-    c[-1] = -1.0
-    sdp = SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b)
-    sol = solve(sdp, settings or SdpSettings())
-    if sol.status != "Optimal":
-        raise IndeterminateResult(f"membership solve returned {sol.status}: {sol.message}")
-    t = float(sol.z[-1])
-    res = MembershipResult(inside=t >= -FEAS_MARGIN, margin=t,
-                           moments=sol.z[:-1].copy(), solution=sol)
+    sdp, res = _margin_solve(p, k, point)
     if res.inside:
         return None, res
-    lam = equality_multipliers(sdp, sol)
+    x1, x2 = float(point[0]), float(point[1])
+    lam = equality_multipliers(sdp, res.solution)
     f = np.array(lam[:3], dtype=float)  # pin rows come first
     if f[0] + f[1] * x1 + f[2] * x2 > 0:
         f = -f
@@ -365,6 +349,41 @@ def separating_line(p, k, point, settings=None):
     if norm < 1e-14:
         return None, res
     return SupportLine(tuple(f / norm)), res
+
+
+def _support_sweep(p, k, directions, settings=None):
+    """One support solve per direction (f1, f2) over the order-k block,
+    compiled once: a SupportResult per direction, with the statuses of
+    support(). A failed solve keeps the solver's status, with value nan."""
+    prob = RelaxationProblem(p, k)
+    block = prob.moment_block(with_margin=False)
+    A, b = prob.equality_system([(0, 1.0)], with_margin=False)
+    out = []
+    for f1, f2 in directions:
+        c = np.zeros(prob.nmoments)
+        c[1] = -f1
+        c[2] = -f2
+        sol = solve(SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b), settings)
+        message = f"{sol.status}: {sol.message}"
+        # High orders are barely strictly feasible (the moment body of a
+        # 1-dimensional curve thins out exponentially with the degree) and
+        # the solver can stall with the certificate side adrift. The moment
+        # iterate itself is still feasible, so its value is still a valid
+        # inner estimate of the support: "Inaccurate".
+        if sol.status == "Unbounded":
+            out.append(SupportResult(value=math.inf, maximizer=None, status="Unbounded"))
+        elif sol.status != "Optimal" and (sol.z is None or sol.violation > 1e-6):
+            out.append(SupportResult(value=math.nan, maximizer=None,
+                                     status=sol.status, message=message))
+        else:
+            optimal = sol.status == "Optimal"
+            out.append(SupportResult(
+                value=f1 * sol.z[1] + f2 * sol.z[2],
+                maximizer=(float(sol.z[1]), float(sol.z[2])),
+                status="Optimal" if optimal else "Inaccurate",
+                message="" if optimal else message,
+            ))
+    return out
 
 
 def support(p, k, direction, settings=None):
@@ -376,34 +395,11 @@ def support(p, k, direction, settings=None):
     estimate of the maximum, not the maximum. "Unbounded" comes with
     value +inf. Any other outcome raises IndeterminateResult.
     """
-    f1, f2 = float(direction[0]), float(direction[1])
-    prob = RelaxationProblem(p, k)
-    block = prob.moment_block(with_margin=False)
-    A, b = prob.equality_system([(0, 1.0)], with_margin=False)
-    c = np.zeros(prob.nmoments)
-    c[1] = -f1
-    c[2] = -f2
-    sdp = SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b)
-    sol = solve(sdp, settings or SdpSettings())
-    if sol.status == "Unbounded":
-        return SupportResult(value=math.inf, maximizer=None, status="Unbounded")
-    status = "Optimal"
-    if sol.status != "Optimal":
-        # High orders are barely strictly feasible (the moment body of a
-        # 1-dimensional curve thins out exponentially with the degree) and
-        # the solver can stall with the certificate side adrift. The moment
-        # iterate itself is still feasible, so its value is still a valid
-        # inner estimate of the support; report it as inexact.
-        if sol.z is None or sol.violation > 1e-6:
-            raise IndeterminateResult(
-                f"support solve returned {sol.status}: {sol.message}")
-        status = "Inaccurate"
-    return SupportResult(
-        value=f1 * sol.z[1] + f2 * sol.z[2],
-        maximizer=(float(sol.z[1]), float(sol.z[2])),
-        status=status,
-        message="" if status == "Optimal" else f"{sol.status}: {sol.message}",
-    )
+    direction = (float(direction[0]), float(direction[1]))
+    [res] = _support_sweep(p, k, [direction], settings)
+    if res.status not in ("Optimal", "Inaccurate", "Unbounded"):
+        raise IndeterminateResult(f"support solve returned {res.message}")
+    return res
 
 
 def minimize_linear(p, objective, orders, settings=None):
@@ -419,8 +415,6 @@ def minimize_linear(p, objective, orders, settings=None):
     f1, f2 = float(objective[0]), float(objective[1])
     out = []
     for k in orders:
-        if k < 2:
-            raise ValueError("order must be >= 2")
         try:
             res = support(p, k, (-f1, -f2), settings=settings)
         except IndeterminateResult as exc:
@@ -435,47 +429,30 @@ def minimize_linear(p, objective, orders, settings=None):
     return out
 
 
-def boundary_points(p, k, n, settings=None):
+def boundary_points(p, k, n):
     """Support sweep at n equally spaced angles.
 
     Rows double as a supporting-line envelope (angle, support) and as a
-    maximizer point cloud (x1, x2). Unbounded directions are flagged.
+    maximizer point cloud (x1, x2). Row status is "ok", "inaccurate" or
+    "unbounded" for the statuses of support(), else the failed solve's
+    status in lower case, with nan values.
     """
     if n < 3:
         raise ValueError("need at least 3 sample angles")
+    angles = [2 * math.pi * j / n for j in range(n)]
+    directions = [(math.cos(th), math.sin(th)) for th in angles]
     rows = []
-    prob = RelaxationProblem(p, k)
-    block = prob.moment_block(with_margin=False)
-    A, b = prob.equality_system([(0, 1.0)], with_margin=False)
-    for j in range(n):
-        theta = 2 * math.pi * j / n
-        f1, f2 = math.cos(theta), math.sin(theta)
-        c = np.zeros(prob.nmoments)
-        c[1] = -f1
-        c[2] = -f2
-        sdp = SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b)
-        sol = solve(sdp, settings or SdpSettings())
-        if sol.status == "Unbounded":
-            rows.append(BoundaryRow(theta, f1, f2, math.inf, math.nan, math.nan,
-                                    "unbounded"))
-        elif sol.status == "Optimal":
-            rows.append(BoundaryRow(theta, f1, f2,
-                                    f1 * sol.z[1] + f2 * sol.z[2],
-                                    float(sol.z[1]), float(sol.z[2]), "ok"))
-        elif sol.z is not None and sol.violation <= 1e-6:
-            # stalled but with a feasible moment iterate: still a valid
-            # inner estimate of the support (see support())
-            rows.append(BoundaryRow(theta, f1, f2,
-                                    f1 * sol.z[1] + f2 * sol.z[2],
-                                    float(sol.z[1]), float(sol.z[2]),
-                                    "inaccurate"))
-        else:
-            rows.append(BoundaryRow(theta, f1, f2, math.nan, math.nan, math.nan,
-                                    sol.status.lower()))
+    for th, (f1, f2), res in zip(angles, directions,
+                                  _support_sweep(p, k, directions)):
+        x1, x2 = res.maximizer or (math.nan, math.nan)
+        status = "ok" if res.status == "Optimal" else res.status.lower()
+        rows.append(BoundaryRow(th, f1, f2, res.value, x1, x2, status))
     return rows
 
 
 def _fmt(v):
+    """12 significant digits, so identical runs print identical bytes."""
+    v = float(v)
     if math.isnan(v):
         return "nan"
     if math.isinf(v):

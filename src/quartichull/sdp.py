@@ -15,11 +15,14 @@ Internally the LMI is treated as the dual side of a standard-form pair
     (D) max b' y    s.t.  C - sum_i y_i A_i = S >= 0
 
 with C = F0, A_i = -F_i, b = -c, y = z.
+
+SdpSettings has two fields: gap_tol, which Gram solves tighten, and
+max_iter. The other tolerances are module constants, each with the reason
+for its value.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +36,6 @@ __all__ = [
     "solve",
     "min_eig",
     "psd_truncate",
-    "dump_problem",
     "NotPsdError",
 ]
 
@@ -86,19 +88,35 @@ class SdpProblem:
         return len(self.c)
 
 
+# Relative primal and dual residual at which an iterate counts as feasible,
+# and the equality residual above which E z = d is inconsistent: about the
+# square root of machine precision, what a double-precision interior-point
+# solve reaches reliably.
+_FEAS_TOL = 1e-8
+# Fraction of the step to the cone boundary that is taken: the iterates stay
+# strictly interior, so the Cholesky factors of X and S exist next iteration.
+_STEP_FRAC = 0.98
+# An improving ray is declared once the objective grows this many times
+# faster than the ray's residual, far above what a converging iterate shows.
+_RAY_THRESHOLD = 1e6
+# Fallback accuracy. Moment problems often have degenerate optimal faces on
+# which the strict tolerances are out of reach; if some iterate reaches this
+# merit it is returned as Optimal, and the message names the fallback.
+_ACCEPT_TOL = 1e-6
+# Stagnation is declared when mu fails to halve over this many iterations;
+# a shorter window stops solves that are slow but still converging.
+_STALL_WINDOW = 80
+
+
 @dataclass
 class SdpSettings:
+    """The two settable knobs. gap_tol is the relative duality gap at which
+    a feasible iterate is Optimal; Gram solves tighten it so that low-rank
+    refinement starts close to the exact certificate. max_iter caps the
+    interior-point iterations; tests lower it to force an unfinished solve."""
+
     gap_tol: float = 1e-8
-    feas_tol: float = 1e-8
     max_iter: int = 200
-    step_frac: float = 0.98
-    ray_threshold: float = 1e6
-    # fallback accuracy: if the strict tolerances are never met but some
-    # iterate reaches this merit, that iterate is returned as Optimal
-    accept_tol: float = 1e-6
-    # declare stagnation when mu fails to halve over this many iterations
-    stall_window: int = 80
-    verbose: bool = False
 
 
 @dataclass
@@ -135,7 +153,7 @@ def psd_truncate(M, tol=1e-8):
 # ---------------------------------------------------------------------------
 
 
-def _eliminate_equalities(prob, settings):
+def _eliminate_equalities(prob):
     """Reduce E z = d by QR: z = z0 + N w. Returns (z0, N) or an infeasibility
     certificate (None, y) with E' y = 0, d' y != 0."""
     E, d = prob.eq_A, prob.eq_b
@@ -146,7 +164,7 @@ def _eliminate_equalities(prob, settings):
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > max(E.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)))
     z0, res, *_ = np.linalg.lstsq(E, d, rcond=None)
-    if np.linalg.norm(E @ z0 - d) > settings.feas_tol * (1 + np.linalg.norm(d)):
+    if np.linalg.norm(E @ z0 - d) > _FEAS_TOL * (1 + np.linalg.norm(d)):
         # certificate: y in the left null space with d'y != 0
         y = Q[:, rank:] @ (Q[:, rank:].T @ d)
         return None, None, y
@@ -218,9 +236,6 @@ def _ipm(C_blocks, A_blocks, b, settings):
             dict(iter=it, pobj=float(pobj), dobj=dobj, gap=float(gap), mu=float(mu),
                  rp=float(rp_norm), rd=float(rd_norm))
         )
-        if settings.verbose:
-            print(f"  it {it:3d}  pobj {pobj: .6e}  dobj {dobj: .6e}  gap {gap:.2e} "
-                  f" rp {rp_norm:.2e}  rd {rd_norm:.2e}")
 
         gap_rel = gap / (1 + abs(pobj) + abs(dobj))
         merit = max(rp_norm / bnorm, rd_norm / Cnorm, gap_rel)
@@ -233,8 +248,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
             best_lmi = (merit_lmi, [Xb.copy() for Xb in X], y.copy(),
                         [Sb.copy() for Sb in S])
 
-        if (rp_norm / bnorm < settings.feas_tol
-                and rd_norm / Cnorm < settings.feas_tol
+        if (rp_norm / bnorm < _FEAS_TOL
+                and rd_norm / Cnorm < _FEAS_TOL
                 and gap / (1 + abs(pobj) + abs(dobj)) < settings.gap_tol):
             status = "Optimal"
             break
@@ -245,7 +260,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
         if xnorm > 0 and pobj < 0:
             # X/|X| tends to a ray proving LMI infeasibility
             ray_res = np.linalg.norm(a_of_x(X) ) / xnorm
-            if -pobj / xnorm > settings.ray_threshold * max(ray_res, 1e-16):
+            if -pobj / xnorm > _RAY_THRESHOLD * max(ray_res, 1e-16):
                 status = "Infeasible"
                 message = "primal improving ray found"
                 break
@@ -253,13 +268,13 @@ def _ipm(C_blocks, A_blocks, b, settings):
             res = np.sqrt(sum(
                 np.sum((np.tensordot(y, A, axes=(0, 0)) + Sb) ** 2) if A.size else np.sum(Sb**2)
                 for A, Sb in zip(A_blocks, S))) / ynorm
-            if dobj / ynorm > settings.ray_threshold * max(res, 1e-16):
+            if dobj / ynorm > _RAY_THRESHOLD * max(res, 1e-16):
                 status = "Unbounded"
                 message = "dual improving ray found"
                 break
 
         mu_history.append(mu)
-        w = settings.stall_window
+        w = _STALL_WINDOW
         if len(mu_history) > w and mu > 0.5 * mu_history[-w] and rp_norm / bnorm < 1e2:
             status = "Numerical"
             message = "no progress on the barrier parameter"
@@ -342,8 +357,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
         # predictor: target X S -> 0; scaled rhs is -lam^2 (gives Rc = -X)
         Rc_aff = [-Xb for Xb in X]
         dXa, dya, dSa = solve_direction(Rc_aff)
-        ap = min(_max_step(Lxb, dXb, settings.step_frac) for Lxb, dXb in zip(Lx, dXa))
-        ad = min(_max_step(Lsb, dSb, settings.step_frac) for Lsb, dSb in zip(Ls, dSa))
+        ap = min(_max_step(Lxb, dXb, _STEP_FRAC) for Lxb, dXb in zip(Lx, dXa))
+        ad = min(_max_step(Lsb, dSb, _STEP_FRAC) for Lsb, dSb in zip(Ls, dSa))
         gap_aff = sum(np.sum((Xb + ap * dXb) * (Sb + ad * dSb))
                       for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa))
         sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.0
@@ -357,8 +372,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
             rhs_blocks.append(sigma * mu * np.eye(len(lam)) - np.diag(lam**2) - corr)
         Rc = scaled_rhs_to_rc(rhs_blocks)
         dX, dy, dS = solve_direction(Rc)
-        ap = min(_max_step(Lxb, dXb, settings.step_frac) for Lxb, dXb in zip(Lx, dX))
-        ad = min(_max_step(Lsb, dSb, settings.step_frac) for Lsb, dSb in zip(Ls, dS))
+        ap = min(_max_step(Lxb, dXb, _STEP_FRAC) for Lxb, dXb in zip(Lx, dX))
+        ad = min(_max_step(Lsb, dSb, _STEP_FRAC) for Lsb, dSb in zip(Ls, dS))
         if min(ap, ad) < 1e-10:
             status = "Numerical"
             message = "step length collapsed"
@@ -371,11 +386,11 @@ def _ipm(C_blocks, A_blocks, b, settings):
     if status in ("Numerical", "MaxIter"):
         # strict tolerances unreachable (degenerate optimal face is common
         # for moment problems) but an iterate of acceptable merit exists
-        if best is not None and best[0] < settings.accept_tol:
+        if best is not None and best[0] < _ACCEPT_TOL:
             status = "Optimal"
             message = f"converged to reduced accuracy (merit {best[0]:.2e})"
             _, X, y, S = best
-        elif best_lmi is not None and best_lmi[0] < settings.accept_tol:
+        elif best_lmi is not None and best_lmi[0] < _ACCEPT_TOL:
             status = "Optimal"
             message = ("converged on the feasible side only "
                        f"(merit {best_lmi[0]:.2e})")
@@ -389,7 +404,7 @@ def solve(prob, settings=None):
     settings = settings or SdpSettings()
     m = prob.nvars
 
-    z0, N, cert = _eliminate_equalities(prob, settings)
+    z0, N, cert = _eliminate_equalities(prob)
     if z0 is None:
         return SdpSolution(
             status="Infeasible", z=None, duals=None, objective=None,
@@ -412,7 +427,7 @@ def solve(prob, settings=None):
 
     if mr == 0:
         lam = min(min_eig(C) for C in C_blocks)
-        ok = lam >= -settings.feas_tol
+        ok = lam >= -_FEAS_TOL
         return SdpSolution(
             status="Optimal" if ok else "Infeasible",
             z=z0 if ok else None,
@@ -460,24 +475,3 @@ def equality_multipliers(prob, sol):
     lam, *_ = np.linalg.lstsq(prob.eq_A.T, -g, rcond=None)
     return lam
 
-
-def dump_problem(prob, fh=None):
-    """Text interchange dump: variable count, block sizes, equality system and
-    sparse symmetric coefficient triples (see README for the format)."""
-    out = fh or io.StringIO()
-    out.write(f"nvars {prob.nvars}\n")
-    out.write("blocks " + " ".join(str(b.size) for b in prob.blocks) + "\n")
-    for bi, blk in enumerate(prob.blocks):
-        mats = [("F0", blk.F0)] + [(f"F{i+1}", blk.F[i]) for i in range(prob.nvars)]
-        for name, M in mats:
-            idx = np.argwhere(np.triu(np.abs(M)) > 0)
-            for i, j in idx:
-                out.write(f"{bi} {name} {i} {j} {M[i, j]:.17g}\n")
-    out.write("objective " + " ".join(f"{v:.17g}" for v in prob.c) + "\n")
-    if prob.eq_A is not None:
-        for r in range(prob.eq_A.shape[0]):
-            row = " ".join(f"{v:.17g}" for v in prob.eq_A[r])
-            out.write(f"eq {row} = {prob.eq_b[r]:.17g}\n")
-    if fh is None:
-        return out.getvalue()
-    return None

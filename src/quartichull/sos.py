@@ -9,7 +9,7 @@ runs return the same certificate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,17 +32,6 @@ FEAS_MARGIN = 1e-7
 _GRAM_SETTINGS = SdpSettings(gap_tol=1e-11)
 
 
-def _solve_gram(prob, settings):
-    """Solve at the tight Gram tolerance, falling back to the generic
-    tolerance when the extra digits are not numerically reachable."""
-    if settings is not None:
-        return solve(prob, settings)
-    sol = solve(prob, _GRAM_SETTINGS)
-    if sol.status in ("Numerical", "MaxIter"):
-        sol = solve(prob, SdpSettings())
-    return sol
-
-
 class IndeterminateResult(RuntimeError):
     """The underlying SDP solve ended with a Numerical status."""
 
@@ -56,12 +45,6 @@ class SosCertificate:
     squares: list  # list of BivarPoly, s0 = sum of squares
     residual: float
     margin: float  # optimal min-eigenvalue value of the Gram search
-
-    def s0(self):
-        out = BivarPoly()
-        for s in self.squares:
-            out = out + s * s
-        return out
 
     def to_json(self):
         def poly_map(p):
@@ -80,41 +63,18 @@ class SosCertificate:
         )
 
 
-def _gram_blocks(nb):
-    """Upper-triangle parametrization of a symmetric nb x nb matrix.
-
-    Returns (pairs, F) with F[i] the symmetric indicator matrix of variable i.
-    """
-    pairs = [(i, j) for i in range(nb) for j in range(i, nb)]
-    F = np.zeros((len(pairs), nb, nb))
-    for idx, (i, j) in enumerate(pairs):
-        F[idx, i, j] = 1.0
-        F[idx, j, i] = 1.0
-    return pairs, F
-
-
-def _gram_to_squares(G, tol=1e-6):
-    eigpairs = psd_truncate(G, tol=tol)
-    return eigpairs
-
-
-def _refine_lowrank(G, s1_coeffs, s1_basis, p, target, basis, k, rank_cut=1e-3):
+def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, basis, k, rank_cut=1e-3):
     """Snap an interior-point Gram onto the nearest exact low-rank certificate.
 
     The interior-point iterate carries O(sqrt(gap)) noise in the zero
     eigenvalues; Gauss-Newton on the factorized coefficients removes it.
+    p_shift and target_vec are the s1 columns and the right-hand side of the
+    coefficient-matching rows of _gram_problem.
     Returns (G, s1_coeffs) -- refined on success, the inputs otherwise.
     """
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     wmax = max(w[-1], 1e-12)
     mons = monomials_upto(2 * k)
-    target_vec = np.array([target.coeff(*s) for s in mons])
-    p_shift = np.zeros((len(s1_basis), len(mons)))
-    for gi, g in enumerate(s1_basis):
-        for si, s in enumerate(mons):
-            d = (s[0] - g[0], s[1] - g[1])
-            if d[0] >= 0 and d[1] >= 0:
-                p_shift[gi, si] = p.coeff(*d)
 
     # lookup: which (i, j) basis products hit each monomial
     prod_pos = {}
@@ -163,123 +123,27 @@ def _refine_lowrank(G, s1_coeffs, s1_basis, p, target, basis, k, rank_cut=1e-3):
     return G, s1_coeffs
 
 
-def _squares_from_eigpairs(eigpairs, basis):
-    squares = []
-    for lam, v in eigpairs:
-        w = np.sqrt(lam) * v
-        squares.append(BivarPoly({e: w[i] for i, e in enumerate(basis)}))
-    return squares
+def _gram_problem(target, k, p=None, s1_basis=()):
+    """max t s.t. target = s0 + s1*p with Gram(s0) - t*I PSD, as an SdpProblem.
 
-
-def _reconstruction(squares, multiplier, p):
-    out = BivarPoly()
-    for s in squares:
-        out = out + s * s
-    if p is not None and not multiplier.is_zero():
-        out = out + multiplier * p
-    return out
-
-
-def _gram_problem(q, k):
-    """max t s.t. the Gram of q minus t*I is PSD, as an SdpProblem.
-
-    Variables: upper-triangle Gram entries then t. The optimal t is >= 0
-    exactly when q is SOS and is a continuous infeasibility margin otherwise.
+    Variables: upper-triangle Gram entries of s0 over the monomials of degree
+    <= k, then the coefficients of s1 over s1_basis, then t. With no s1 basis
+    this is the plain SOS search for target. The optimal t is >= 0 exactly
+    when such a certificate exists and is a continuous infeasibility margin
+    otherwise.
     """
     basis = monomials_upto(k)
     nb = len(basis)
-    pairs, Fg = _gram_blocks(nb)
-    m = len(pairs) + 1  # gram entries + t
+    pairs = [(i, j) for i in range(nb) for j in range(i, nb)]
+    ng = len(pairs)
+    m = ng + len(s1_basis) + 1  # gram entries, s1 coefficients, t
     F = np.zeros((m, nb, nb))
-    F[: len(pairs)] = Fg
-    F[-1] = -np.eye(nb)
-
-    # coefficient matching: sum_{u+v=s} G_uv = q_s for every monomial s
-    rows, rhs = [], []
-    for s in monomials_upto(2 * k):
-        row = np.zeros(m)
-        for idx, (i, j) in enumerate(pairs):
-            u, v = basis[i], basis[j]
-            if (u[0] + v[0], u[1] + v[1]) == s:
-                row[idx] = 1.0 if i == j else 2.0
-        rows.append(row)
-        rhs.append(q.coeff(*s))
-
-    c = np.zeros(m)
-    c[-1] = -1.0  # maximize t
-    prob = SdpProblem(c=c, blocks=[SdpBlock(F0=np.zeros((nb, nb)), F=F)],
-                      eq_A=np.array(rows), eq_b=np.array(rhs))
-    return prob, pairs, basis
-
-
-def sos_margin(q, k=2, settings=None):
-    """Max-min-eigenvalue margin of the Gram search for q: nonnegative iff
-    q is SOS at order k, continuously negative with the depth of failure."""
-    if q.degree > 2 * k:
-        raise ValueError("degree of q exceeds 2k")
-    prob, _, _ = _gram_problem(q, k)
-    sol = solve(prob, settings or SdpSettings())
-    if sol.status != "Optimal":
-        raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
-    return float(sol.z[-1])
-
-
-def sos_decompose(q, k, settings=None):
-    """SOS decomposition of q over monomials of degree <= k.
-
-    Returns an SosCertificate, or None when q is not a sum of squares.
-    Raises IndeterminateResult if the SDP solve fails numerically.
-    """
-    if q.degree > 2 * k:
-        raise ValueError("degree of q exceeds 2k")
-    prob, pairs, basis = _gram_problem(q, k)
-    nb = len(basis)
-    sol = _solve_gram(prob, settings)
-    if sol.status in ("Numerical", "MaxIter"):
-        raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
-    if sol.status != "Optimal":
-        return None
-    t = sol.z[-1]
-    if t < -FEAS_MARGIN:
-        return None
-    G = np.zeros((nb, nb))
     for idx, (i, j) in enumerate(pairs):
-        G[i, j] = G[j, i] = sol.z[idx]
-    G, _ = _refine_lowrank(G, np.zeros(0), [], q, q, basis, k)
-    eig = _gram_to_squares(G, tol=max(1e-7, 2 * abs(min(t, 0.0))))
-    squares = _squares_from_eigpairs(eig, basis)
-    zero = BivarPoly()
-    recon = _reconstruction(squares, zero, None)
-    residual = max(
-        abs(recon.coeff(*s) - q.coeff(*s)) for s in monomials_upto(2 * k)
-    )
-    return SosCertificate(
-        target=q, basis=basis, gram=G, multiplier=zero,
-        squares=squares, residual=residual, margin=float(t),
-    )
-
-
-def certify_in_fk(f, p, k, settings=None):
-    """Certificate that the affine function f lies in the order-k dual cone:
-    f = s0 + s1*p with s0 SOS of degree <= 2k and deg s1 <= 2(k-2).
-
-    Returns an SosCertificate (multiplier = s1) or None when infeasible.
-    """
-    if k < 2:
-        raise ValueError("order must be >= 2")
-    if not isinstance(f, SupportLine):
-        f = SupportLine(tuple(f))
-    target = f.affine_poly()
-    basis = monomials_upto(k)
-    nb = len(basis)
-    s1_basis = monomials_upto(2 * (k - 2))
-    pairs, Fg = _gram_blocks(nb)
-    ng, ns = len(pairs), len(s1_basis)
-    m = ng + ns + 1  # gram, s1 coefficients, t
-    F = np.zeros((m, nb, nb))
-    F[:ng] = Fg
+        F[idx, i, j] = F[idx, j, i] = 1.0
     F[-1] = -np.eye(nb)
 
+    # coefficient matching: sum_{u+v=s} G_uv + (s1 p)_s = target_s for every
+    # monomial s
     rows, rhs = [], []
     for s in monomials_upto(2 * k):
         row = np.zeros(m)
@@ -295,35 +159,94 @@ def certify_in_fk(f, p, k, settings=None):
         rhs.append(target.coeff(*s))
 
     c = np.zeros(m)
-    c[-1] = -1.0
+    c[-1] = -1.0  # maximize t
     prob = SdpProblem(c=c, blocks=[SdpBlock(F0=np.zeros((nb, nb)), F=F)],
                       eq_A=np.array(rows), eq_b=np.array(rhs))
-    sol = _solve_gram(prob, settings)
+    return prob, pairs, basis
+
+
+def _certificate(target, k, p=None, s1_basis=()):
+    """Solve the Gram program of _gram_problem and turn a feasible optimum
+    into a low-rank SosCertificate; None when target has no certificate.
+
+    Solves at the tight Gram tolerance, falling back to the generic one when
+    the extra digits are not numerically reachable.
+    """
+    prob, pairs, basis = _gram_problem(target, k, p, s1_basis)
+    sol = solve(prob, _GRAM_SETTINGS)
+    if sol.status in ("Numerical", "MaxIter"):
+        sol = solve(prob, SdpSettings())
     if sol.status in ("Numerical", "MaxIter"):
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:
         return None
+    t = sol.z[-1]
+    nb, ng = len(basis), len(pairs)
     G = np.zeros((nb, nb))
     for idx, (i, j) in enumerate(pairs):
         G[i, j] = G[j, i] = sol.z[idx]
+    ns = len(s1_basis)
     s1_vec = sol.z[ng:ng + ns].copy()
-    G, s1_vec = _refine_lowrank(G, s1_vec, s1_basis, p, target, basis, k)
+    p_shift = prob.eq_A[:, ng:ng + ns].T.copy()
+    G, s1_vec = _refine_lowrank(G, s1_vec, p_shift, prob.eq_b, basis, k)
     s1 = BivarPoly({g: s1_vec[i] for i, g in enumerate(s1_basis)})
-    eig = _gram_to_squares(G, tol=max(1e-7, 2 * abs(min(sol.z[-1], 0.0))))
-    squares = _squares_from_eigpairs(eig, basis)
-    recon = _reconstruction(squares, s1, p)
+    squares = []
+    for lam, v in psd_truncate(G, tol=max(1e-7, 2 * abs(min(t, 0.0)))):
+        w = np.sqrt(lam) * v
+        squares.append(BivarPoly({e: w[i] for i, e in enumerate(basis)}))
+    recon = sum((s * s for s in squares), BivarPoly())
+    if not s1.is_zero():
+        recon = recon + s1 * p
     residual = max(
         abs(recon.coeff(*s) - target.coeff(*s)) for s in monomials_upto(2 * k)
     )
     return SosCertificate(
         target=target, basis=basis, gram=G, multiplier=s1,
-        squares=squares, residual=residual, margin=float(sol.z[-1]),
+        squares=squares, residual=residual, margin=float(t),
     )
 
 
-def nonneg_quartic(q, settings=None):
+def sos_margin(q, k=2):
+    """Max-min-eigenvalue margin of the Gram search for q: nonnegative iff
+    q is SOS at order k, continuously negative with the depth of failure.
+
+    One solve at the generic tolerance: sweeps call this once per angle."""
+    if q.degree > 2 * k:
+        raise ValueError("degree of q exceeds 2k")
+    prob, _, _ = _gram_problem(q, k)
+    sol = solve(prob)
+    if sol.status != "Optimal":
+        raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
+    return float(sol.z[-1])
+
+
+def sos_decompose(q, k):
+    """SOS decomposition of q over monomials of degree <= k.
+
+    Returns an SosCertificate, or None when q is not a sum of squares.
+    Raises IndeterminateResult if the SDP solve fails numerically.
+    """
+    if q.degree > 2 * k:
+        raise ValueError("degree of q exceeds 2k")
+    return _certificate(q, k)
+
+
+def certify_in_fk(f, p, k):
+    """Certificate that the affine function f lies in the order-k dual cone:
+    f = s0 + s1*p with s0 SOS of degree <= 2k and deg s1 <= 2(k-2).
+
+    Returns an SosCertificate (multiplier = s1) or None when infeasible.
+    """
+    if k < 2:
+        raise ValueError("order must be >= 2")
+    if not isinstance(f, SupportLine):
+        f = SupportLine(tuple(f))
+    return _certificate(f.affine_poly(), k, p, monomials_upto(2 * (k - 2)))
+
+
+def nonneg_quartic(q):
     """Nonnegativity of a bivariate polynomial of degree <= 4 (exact: such
     polynomials are nonnegative iff SOS)."""
     if q.degree > 4:
         raise ValueError("degree must be <= 4")
-    return sos_decompose(q, 2, settings=settings) is not None
+    return sos_decompose(q, 2) is not None

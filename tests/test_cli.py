@@ -44,6 +44,8 @@ def test_usage_errors(capsys):
     assert run(capsys, "minimize", "x1", "--curve", "egg", "-k", "5..2")[0] == 64
     assert run(capsys, "check", "--curve", "egg", "--tol", "-1")[0] == 64
     assert run(capsys, "check", "--curve", "egg", "-n", "4")[0] == 64
+    assert run(capsys, "sos", "--curve", "egg", "--line", "2,0,-2", "-k", "2..4")[0] == 64
+    assert run(capsys, "check", "--curve", "egg", "-k", "3")[0] == 64  # not read by check
 
 
 def test_minimize_csv(capsys):
@@ -109,7 +111,7 @@ def test_boundary_determinism(capsys, tmp_path):
 def test_boundary_svg_well_formed(capsys, tmp_path):
     path = tmp_path / "hull.svg"
     code = main(["boundary", "--curve", "fermat", "-k", "2..3", "-n", "16",
-                 "--format", "svg", "--out", str(path), "--jobs", "2"])
+                 "--format", "svg", "--out", str(path)])
     capsys.readouterr()
     assert code == 0
     doc = xml.dom.minidom.parse(str(path))

@@ -223,6 +223,27 @@ def test_boundary_points_and_csv():
         boundary_points(p, 2, 2)
 
 
+def test_support_matches_boundary_rows():
+    # a boundary row is the support solve at its angle: same value and
+    # maximizer bit for bit, and the row status names the support status
+    from quartichull.poly import parse_poly
+
+    row_status = {"Optimal": "ok", "Inaccurate": "inaccurate", "Unbounded": "unbounded"}
+    parabola = parse_poly("x2 - x1^2")
+    for p, k, n in ((curves.lookup("bean").implicit, 3, 12), (parabola, 2, 4)):
+        for j, row in enumerate(boundary_points(p, k, n)):
+            th = 2 * math.pi * j / n
+            res = support(p, k, (math.cos(th), math.sin(th)))
+            assert row.status == row_status[res.status], (k, j)
+            assert row.support == res.value, (k, j)
+            if res.maximizer is None:
+                assert math.isnan(row.x1) and math.isnan(row.x2), (k, j)
+            else:
+                assert (row.x1, row.x2) == res.maximizer, (k, j)
+    # the parabola's direction (0, 1) is row 1
+    assert boundary_points(parabola, 2, 4)[1].status in ("unbounded", "inaccurate")
+
+
 def test_boundary_convex_position():
     # support maximizers of a convex body are in convex position
     p = curves.lookup("egg").implicit
