@@ -6,6 +6,9 @@ The sweep tests, for every sampled supporting direction, whether the
 comparison quartic p_f = f(x) - p(x) is globally nonnegative, with f built
 from the gradient at the support point so that the curve multiplier is
 normalized to one. Any failure certifies that the relaxation is strict.
+
+Each curve has one cached record (`_geometry`) and each verdict one
+memoized support function (`_envelope`) that every phase of it reads.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import scipy.optimize
@@ -49,6 +53,8 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-8
 _CLASSIFY_TOL = 1e-6
+# half-width of the box that holds every curve point the solvers look for
+_BOX = 50.0
 
 
 @dataclass
@@ -129,16 +135,12 @@ def check_concave(p):
     return nonneg_quartic(det)
 
 
-def curve_is_bounded(p, radius=1e3, samples=720):
+def curve_is_bounded(p):
     """Numeric boundedness test: the curve is treated as bounded when p is
-    strictly negative on a large circle (and on a 1000x larger one). A curve
-    touching the circle without crossing can fool this, hence "numeric"."""
-    th = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
-    for r in (radius, radius * 1e3):
-        vals = p.eval_many(r * np.cos(th), r * np.sin(th))
-        if np.max(vals) >= 0.0:
-            return False
-    return True
+    strictly negative at 720 points of the circle of radius 1e3 and of the
+    one of radius 1e6 (read from the curve record). A curve touching a
+    circle without crossing can fool this, hence "numeric"."""
+    return _geometry(p).far.shape[0] == 0
 
 
 def _newton_polish(eqs, x, iters=80):
@@ -184,21 +186,20 @@ def _complex_slice_roots(q, axis, v):
     return np.roots(c[: nz[-1] + 1][::-1])
 
 
-def _slice_roots(q, axis, v, box):
+def _slice_roots(q, axis, v):
     """Root seeds of q with value v substituted for the other variable.
     Double roots of the elimination resultant shift v by the square root of
     the interpolation noise, which can push exact real roots of the slice
     well off the real axis; real parts of all slice roots are kept as seeds
     and the two-variable polish plus residual filter sorts them out."""
     return [float(z.real) for z in _complex_slice_roots(q, axis, v)
-            if abs(z.real) <= box]
+            if abs(z.real) <= _BOX]
 
 
-def _solve_pair(q1, q2, extra=None, box=50.0):
+def _solve_pair(q1, q2):
     """All real common zeros of two bivariate polynomials, by resultant
-    elimination plus Newton polish. `extra` equations only filter, they do
-    not enter the elimination."""
-    eqs = [q1, q2] + list(extra or [])
+    elimination plus Newton polish."""
+    eqs = (q1, q2)
     scale = max(q1.coeff_norm(), q2.coeff_norm(), 1.0)
     for axis, other in ((2, 1), (1, 2)):
         try:
@@ -208,9 +209,8 @@ def _solve_pair(q1, q2, extra=None, box=50.0):
         if np.max(np.abs(r)) <= 1e-10 * scale ** 2:
             continue  # shared component; try the other variable, else fall back
         sols = []
-        for v in real_roots(r, interval=(-box, box)):
-            ws = _slice_roots(q1, axis, v, box) + _slice_roots(q2, axis, v, box)
-            for w in ws:
+        for v in real_roots(r, interval=(-_BOX, _BOX)):
+            for w in _slice_roots(q1, axis, v) + _slice_roots(q2, axis, v):
                 pt = (v, w) if other == 1 else (w, v)
                 pt = tuple(_newton_polish([q1, q2], pt))
                 if _on_curves(eqs, pt):
@@ -222,7 +222,7 @@ def _solve_pair(q1, q2, extra=None, box=50.0):
     for a in grid:
         for b in grid:
             pt = tuple(_newton_polish([q1, q2], (a, b)))
-            if _on_curves(eqs, pt) and max(map(abs, pt)) < box:
+            if _on_curves(eqs, pt) and max(map(abs, pt)) < _BOX:
                 sols.append(pt)
     return _merge_points(sols), False
 
@@ -248,9 +248,7 @@ def find_singularities(p):
             # every point with the single derivative zero; the other
             # coordinate is pinned by p = 0
             for v in real_roots(q.univariate_in(axis, 0.0)):
-                uni = p.univariate_in(2 if axis == 1 else 1,
-                                      v)
-                for w in real_roots(uni):
+                for w in real_roots(p.univariate_in(2 if axis == 1 else 1, v)):
                     pt = (v, w) if axis == 1 else (w, v)
                     sols.append(pt)
         cand = _merge_points(sols)
@@ -273,7 +271,7 @@ def _infinity_singularities(p):
     if d < 1:
         return []
     pd = p.graded_part(d)
-    pdm1 = p.graded_part(d - 1) if d >= 1 else BivarPoly()
+    pdm1 = p.graded_part(d - 1)
     g1, g2 = gradient(pd)
     scale = max(1.0, p.coeff_norm())
     dirs = []
@@ -298,69 +296,73 @@ def _infinity_singularities(p):
     return out
 
 
+class _Geometry(NamedTuple):
+    d1: BivarPoly  # partials of p
+    d2: BivarPoly
+    far: np.ndarray  # points of the radius-1e3 and 1e6 circles where p >= 0
+    cloud: np.ndarray  # curve points on axis-aligned slices
+
+
 @functools.lru_cache(maxsize=8)
-def _curve_cloud(p, box=50.0):
-    """Dense point sample of the curve p = 0, from axis-aligned slices solved
-    exactly. Serves as seed material and a support lower bound when the
-    resultant-based tangency solve degrades near singular root clusters."""
-    levels = np.concatenate([np.linspace(-box, box, 401),
+def _geometry(p):
+    """The record of the curve p = 0 that every query reads. No far point
+    means bounded. The cloud, from slices solved exactly, seeds the tangency
+    solve and bounds the support from below when the resultants degrade near
+    singular root clusters. Singular points are not kept: verdicts label them."""
+    th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+    far = []
+    for r in (1e3, 1e6):
+        x1, x2 = r * np.cos(th), r * np.sin(th)
+        on = p.eval_many(x1, x2) >= 0.0
+        far.append(np.column_stack([x1[on], x2[on]]))
+    levels = np.concatenate([np.linspace(-_BOX, _BOX, 401),
                              np.linspace(-2.0, 2.0, 1601)])
     pts = []
     for axis, other in ((1, 2), (2, 1)):
         for v in levels:
             for z in _complex_slice_roots(p, axis, v):
-                if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= box:
+                if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= _BOX:
                     w = float(z.real)
                     pts.append((w, v) if axis == 1 else (v, w))
-    if not pts:
-        return np.zeros((0, 2))
-    return np.array(pts)
+    cloud = np.array(pts) if pts else np.zeros((0, 2))
+    return _Geometry(p.diff(1), p.diff(2), np.concatenate(far), cloud)
 
 
-def tangent_support(p, f, box=50.0, bounded=None):
+def tangent_support(p, f):
     """max f.x over the curve p = 0 and the attaining points.
 
-    Solves the tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants;
-    singular points satisfy the second equation and are included. Returns
-    +inf when the curve is unbounded (no finite maximum in the direction).
+    Solves the tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants and
+    from the best cloud point; singular points satisfy the second equation
+    and are included. Returns +inf when the curve is unbounded in the
+    direction, which the far points of the curve record decide.
     """
     u = np.asarray(f, dtype=float)
     n = np.linalg.norm(u)
     if n == 0:
         raise ValueError("direction must be nonzero")
     u = u / n
-    tangency = p.diff(1) * u[1] - p.diff(2) * u[0]
+    geo = _geometry(p)
+    tangency = geo.d1 * u[1] - geo.d2 * u[0]
     if tangency.is_zero():
         raise ValueError("degenerate tangency system")
-    if bounded is None:
-        bounded = curve_is_bounded(p)
-    sols, certified = _solve_pair(p, tangency, box=box)
-    cloud = _curve_cloud(p, box)
-    if cloud.shape[0]:
-        proj = cloud @ np.asarray(u)
-        seed = cloud[int(np.argmax(proj))]
+    sols, _ = _solve_pair(p, tangency)
+    if geo.cloud.shape[0]:
+        seed = geo.cloud[int(np.argmax(geo.cloud @ u))]
         pt = tuple(_newton_polish([p, tangency], seed))
-        if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= box:
+        if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= _BOX:
             sols.append(pt)
         else:
             # the raw curve point still bounds the support from below
             sols.append(tuple(seed))
     if not sols:
-        if not bounded:
+        if geo.far.shape[0]:
             return TangentSupport(value=math.inf, points=[])
         raise IndeterminateResult("no tangency point found on a bounded curve")
     vals = [u[0] * a + u[1] * b for (a, b) in sols]
     h = max(vals)
-    if not bounded:
-        # a finite critical value does not bound an unbounded curve: compare
-        # against curve points found on large circles
-        th = np.linspace(0, 2 * np.pi, 720, endpoint=False)
-        for r in (1e3, 1e6):
-            on = p.eval_many(r * np.cos(th), r * np.sin(th)) >= 0
-            if np.any(on):
-                proj = r * (u[0] * np.cos(th) + u[1] * np.sin(th))[on]
-                if np.max(proj) > h:
-                    return TangentSupport(value=math.inf, points=[])
+    # a finite critical value does not bound an unbounded curve
+    if geo.far.shape[0] and np.max(geo.far @ u) > h:
+        return TangentSupport(value=math.inf, points=[])
     pts = _merge_points([s for s, v in zip(sols, vals)
                          if v >= h - 1e-8 * (1 + abs(h))])
     return TangentSupport(value=h, points=pts)
@@ -397,111 +399,116 @@ def _shift_poly(p, pt):
     return out
 
 
-def classify_boundary(p, singular_points, n_dirs=360):
+def classify_boundary(p, singular_points, support, n):
     """Classify each affine singular point against the hull of the curve and
     report smoothness of the hull boundary.
 
-    Uses the envelope of supporting lines of the curve itself (equivalently
-    of its hull): a singular point is interior when every sampled supporting
-    line is strictly positive at it, on the boundary when some line vanishes
-    there. Returns (smooth, witness, margin_by_point)."""
+    Reads the verdict's envelope `support` of supporting lines (_envelope)
+    at the sweep's n angles, then refines: a singular point is interior when
+    every supporting line is strictly positive at it, on the boundary when
+    some line vanishes there. Returns (smooth, witness)."""
     affine = [s for s in singular_points if not s.at_infinity]
     if not affine:
-        return True, None, {}
+        return True, None
     if not curve_is_bounded(p):
         for s in affine:
             s.classification = "unknown"
-        return None, None, {}
+        return None, None
 
-    angles = [2 * math.pi * j / n_dirs for j in range(n_dirs)]
-    env = []
-    for th in angles:
-        u = (math.cos(th), math.sin(th))
-        ts = tangent_support(p, u, bounded=True)
-        env.append((th, u, ts.value))
+    step = 2 * math.pi / n
+    angles = [j * step for j in range(n)]
 
     def margin_at(pt, th):
-        u = (math.cos(th), math.sin(th))
-        return tangent_support(p, u, bounded=True).value - (u[0] * pt[0] + u[1] * pt[1])
+        e = support(th)
+        return e.value - (e.u[0] * pt[0] + e.u[1] * pt[1])
 
-    margins = {}
     witness = None
     smooth = True
     for s in affine:
         pt = s.location.to_affine()
-        vals = [h - (u[0] * pt[0] + u[1] * pt[1]) for _, u, h in env]
+        vals = [margin_at(pt, th) for th in angles]
         j = int(np.argmin(vals))
         # refine around the best sampled direction (golden-section)
-        lo = angles[j] - 2 * math.pi / n_dirs
-        hi = angles[j] + 2 * math.pi / n_dirs
         th_best = scipy.optimize.minimize_scalar(
-            lambda th: margin_at(pt, th), bounds=(lo, hi), method="bounded",
+            lambda th: margin_at(pt, th),
+            bounds=(angles[j] - step, angles[j] + step), method="bounded",
             options={"xatol": 1e-10},
         ).x
         m = margin_at(pt, th_best)
-        if m > min(vals):
-            m, th_best = min(vals), angles[j]
+        if m > vals[j]:
+            m, th_best = vals[j], angles[j]
         # a supporting line at the point is usually normal to a tangent line
         # of the curve there; snapping to the tangent cone gives the exact
         # direction when the numeric refinement only gets close
         snaps = []
         for (n1, n2) in _tangent_cone_normals(p, pt):
-            th_snap = math.atan2(n2, n1)
+            th_snap = math.atan2(-n2, -n1)  # support direction (n1, n2)
             m_snap = margin_at(pt, th_snap)
             if abs(m_snap) <= _CLASSIFY_TOL:
                 snaps.append((m_snap, th_snap))
         if snaps and min(s[0] for s in snaps) <= m + _CLASSIFY_TOL:
             m, th_best = min(snaps)
-        margins[id(s)] = m
         if m > _CLASSIFY_TOL:
             s.classification = "interior"
         elif m >= -_CLASSIFY_TOL:
             s.classification = "on_boundary"
             smooth = False
             if witness is None:
-                u = (math.cos(th_best), math.sin(th_best))
-                h = tangent_support(p, u, bounded=True).value
-                witness = SupportLine((h, -u[0], -u[1])).normalized()
+                e = support(th_best)
+                witness = SupportLine((e.value, -e.u[0], -e.u[1])).normalized()
         else:
             s.classification = "outside_hull"  # numerically impossible for C
             smooth = None
-    return smooth, witness, margins
+    return smooth, witness
 
 
-def _sweep_line(p, u, bounded=None):
-    """Support line in direction u with the gradient normalization that makes
-    the curve multiplier equal one in the comparison quartic. Also returns
-    the support point the line was built from."""
-    ts = tangent_support(p, u, bounded=bounded)
-    if math.isinf(ts.value):
-        return None, ts, None
-    best = None
-    best_pt = None
-    for (a, b) in ts.points:
-        g = np.array([p.diff(1)(a, b), p.diff(2)(a, b)])
-        ng = np.linalg.norm(g)
-        if ng < 1e-10:
-            continue  # singular support point; handled by classify_boundary
-        if g[0] * u[0] + g[1] * u[1] > 0:
-            continue  # inner branch
-        if best is None:
-            best = SupportLine((-(g[0] * a + g[1] * b), g[0], g[1]))
-            best_pt = (a, b)
-    return best, ts, best_pt
+class _Support(NamedTuple):
+    u: tuple  # support direction, the opposite of the inward normal
+    value: float  # max u.x over the curve, +inf when unbounded
+    line: SupportLine | None  # sweep line at `point`, see _envelope
+    point: tuple | None
 
 
-def curve_points(p, box=50.0):
-    """Public view of the dense curve sample (copy; the cache is shared)."""
-    return _curve_cloud(p, box).copy()
+def _envelope(p):
+    """The support function of the curve over the inward-normal angle theta
+    (support direction u = -(cos theta, sin theta)), memoized: one per
+    verdict, read by classify_boundary and every phase of the sweep. The
+    sweep line goes through the first smooth outer support point, with the
+    gradient normalization that makes the curve multiplier equal one in
+    the comparison quartic."""
+    geo = _geometry(p)
+
+    @functools.lru_cache(maxsize=None)
+    def support(theta):
+        u = (-math.cos(theta), -math.sin(theta))
+        ts = tangent_support(p, u)
+        for (a, b) in ts.points:
+            g = np.array([geo.d1(a, b), geo.d2(a, b)])
+            if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
+                continue  # singular (see classify_boundary) or inner branch
+            line = SupportLine((-(g[0] * a + g[1] * b), g[0], g[1]))
+            return _Support(u, ts.value, line, (a, b))
+        return _Support(u, ts.value, None, None)
+    return support
+
+
+def curve_points(p):
+    """Dense sample of the curve from the curve record (a copy; the record
+    is shared)."""
+    return _geometry(p).cloud.copy()
 
 
 def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     """Full decision procedure: concavity fast path, boundary smoothness,
-    then a supporting-line sweep testing p_f >= 0 at every sampled angle,
-    with local refinement around near-zero margin minima (bitangents)."""
+    then a supporting-line sweep testing p_f >= 0 at n angles, with local
+    refinement around near-zero margin minima (bitangents). Every phase
+    reads one envelope (_envelope) over the inward-normal angle. When a
+    solve cannot decide, the verdict is Inconclusive and keeps the singular
+    points and sweep rows computed before."""
     if n < 8:
         raise ValueError("need at least 8 sweep angles")
     evidence = {"resolution": n}
+    sing, sweep = [], []
     try:
         if check_concave(p):
             evidence["concave"] = True
@@ -509,7 +516,8 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                                     evidence=evidence)
         evidence["concave"] = False
         sing = find_singularities(p)
-        smooth, witness, _ = classify_boundary(p, sing)
+        support = _envelope(p)
+        smooth, witness = classify_boundary(p, sing, support, n)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:
             evidence["reason"] = "singular point on the hull boundary"
@@ -517,27 +525,16 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         if smooth is None:
             return ExactnessVerdict("Inconclusive", None, sing, evidence=evidence)
 
-        bounded = curve_is_bounded(p)
-
-        def support_point(theta):
-            u = (-math.cos(theta), -math.sin(theta))
-            return _sweep_line(p, u, bounded=bounded)[2]
-
         def margin_of(theta):
-            # theta parameterizes the inward normal; the support direction
-            # over the curve is its opposite
-            u = (-math.cos(theta), -math.sin(theta))
-            line, ts, pt = _sweep_line(p, u, bounded=bounded)
+            line, pt = support(theta)[2:]
             if line is None:
                 return None, None, None
-            pf = comparison_quartic(line, p)
-            return sos_margin(pf, 2), line, pt
+            return sos_margin(comparison_quartic(line, p), 2), line, pt
 
         def _far(a, b):
             return a is None or b is None or \
                 math.hypot(a[0] - b[0], a[1] - b[1]) > 0.05 * (1 + math.hypot(*b))
 
-        sweep = []
         step = 2 * math.pi / n
         for j in range(n):
             th = j * step
@@ -556,14 +553,14 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 prev = pt
                 for fwd in range(1, max(2, n // 4)):
                     th2 = th + fwd * step
-                    pt2 = support_point(th2)
+                    pt2 = support(th2).point
                     if pt2 is None:
                         break
                     if _far(pt2, prev):
                         lo, hi = th2 - step, th2
                         for _ in range(50):
                             mid = 0.5 * (lo + hi)
-                            pm = support_point(mid)
+                            pm = support(mid).point
                             if pm is None:
                                 break
                             if _far(pm, prev):
@@ -572,8 +569,8 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                                 lo, prev = mid, pm
                         # a flat vertex also moves the contact point fast; a
                         # real facet keeps the two arcs apart across the angle
-                        pa = support_point(hi - 1e-9)
-                        pb = support_point(hi + 1e-9)
+                        pa = support(hi - 1e-9).point
+                        pb = support(hi + 1e-9).point
                         if _far(pa, pb):
                             m2, line2, _ = margin_of(hi)
                             if m2 is not None and m2 < -feas_tol:
@@ -612,7 +609,8 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                                 evidence=evidence)
     except IndeterminateResult as exc:
         evidence["error"] = str(exc)
-        return ExactnessVerdict("Inconclusive", None, [], evidence=evidence)
+        return ExactnessVerdict("Inconclusive", None, sing, sweep=sweep,
+                                evidence=evidence)
 
 
 def gradient_exactness(p, f):
@@ -628,7 +626,7 @@ def gradient_exactness(p, f):
     if not curve_is_bounded(p):
         raise ValueError("unbounded hull; use sweep_exactness instead")
     n = math.hypot(f1, f2)
-    ts = tangent_support(p, (-f1 / n, -f2 / n), bounded=True)
+    ts = tangent_support(p, (-f1 / n, -f2 / n))
     xf = ts.points[0]
     line = SupportLine((-(f1 * xf[0] + f2 * xf[1]), f1, f2))
     q1 = p.diff(1) - BivarPoly.const(f1)

@@ -509,7 +509,9 @@ def _tokenize(text):
             else:
                 tokens.append(("num", float(s)))
         elif m.lastgroup == "var":
-            tokens.append(("var", int(m.group("var")[1])))
+            if m.group("var") == "x0":
+                raise PolyParseError("polynomials are in x1 and x2; x0 is not allowed")
+            tokens.append(("var", (1, 0) if m.group("var") == "x1" else (0, 1)))
         else:
             tokens.append((m.group("op"), None))
         pos = m.end()
@@ -518,9 +520,8 @@ def _tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over +, -, *, ^ and parentheses.
-
-    Internally works on trivariate term maps keyed by (a0, a1, a2).
+    """Recursive descent over +, -, *, ^ and parentheses, on term maps
+    keyed by the exponent pair (a1, a2).
     """
 
     def __init__(self, tokens):
@@ -575,11 +576,9 @@ class _Parser:
     def atom(self):
         kind, val = self.next()
         if kind == "num":
-            return {(0, 0, 0): val}
+            return {(0, 0): val}
         if kind == "var":
-            e = [0, 0, 0]
-            e[val] = 1
-            return {tuple(e): 1.0}
+            return {val: 1.0}
         if kind == "(":
             t = self.expr()
             if self.next()[0] != ")":
@@ -605,13 +604,13 @@ def _tmul(a, b):
     t = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2])
+            e = (e1[0] + e2[0], e1[1] + e2[1])
             t[e] = t.get(e, 0.0) + c1 * c2
     return t
 
 
 def _tpow(a, n):
-    out = {(0, 0, 0): 1.0}
+    out = {(0, 0): 1.0}
     for _ in range(n):
         out = _tmul(out, a)
     return out
@@ -619,10 +618,7 @@ def _tpow(a, n):
 
 def parse_poly(text):
     """Parse polynomial text in x1, x2 into a BivarPoly."""
-    t = _Parser(_tokenize(text)).parse()
-    if any(e[0] > 0 for e, c in t.items() if abs(c) > _ZERO_TOL):
-        raise PolyParseError("polynomials are in x1 and x2; x0 is not allowed")
-    return BivarPoly({(e[1], e[2]): c for e, c in t.items()})
+    return BivarPoly(_Parser(_tokenize(text)).parse())
 
 
 def _fmt_num(c):

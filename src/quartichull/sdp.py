@@ -57,6 +57,8 @@ class SdpBlock:
         n = self.F0.shape[0]
         if self.F0.shape != (n, n) or self.F.shape[1:] != (n, n):
             raise ValueError("inconsistent block shapes")
+        if n == 0:
+            raise ValueError("empty block")
 
     @property
     def size(self):
@@ -76,6 +78,8 @@ class SdpProblem:
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
         m = len(self.c)
+        if not self.blocks:
+            raise ValueError("no PSD block")
         for blk in self.blocks:
             if blk.F.shape[0] != m:
                 raise ValueError("block variable count mismatch")
@@ -124,11 +128,8 @@ class SdpSolution:
     status: str  # Optimal | Infeasible | Unbounded | MaxIter | Numerical
     z: np.ndarray | None
     duals: list | None
-    objective: float | None
     violation: float
-    min_eigenvalue: float
     iterates: list = field(default_factory=list)
-    certificate: object = None
     message: str = ""
 
 
@@ -154,24 +155,21 @@ def psd_truncate(M, tol=1e-8):
 
 
 def _eliminate_equalities(prob):
-    """Reduce E z = d by QR: z = z0 + N w. Returns (z0, N) or an infeasibility
-    certificate (None, y) with E' y = 0, d' y != 0."""
+    """Reduce E z = d by QR: z = z0 + N w. Returns (z0, N), or None when the
+    system is inconsistent."""
     E, d = prob.eq_A, prob.eq_b
     m = prob.nvars
     if E is None or E.shape[0] == 0:
-        return np.zeros(m), np.eye(m), None
-    Q, R, piv = scipy.linalg.qr(E, pivoting=True)
+        return np.zeros(m), np.eye(m)
+    R, _ = scipy.linalg.qr(E, pivoting=True, mode="r")
     diag = np.abs(np.diag(R))
     rank = int(np.sum(diag > max(E.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)))
-    z0, res, *_ = np.linalg.lstsq(E, d, rcond=None)
+    z0 = np.linalg.lstsq(E, d, rcond=None)[0]
     if np.linalg.norm(E @ z0 - d) > _FEAS_TOL * (1 + np.linalg.norm(d)):
-        # certificate: y in the left null space with d'y != 0
-        y = Q[:, rank:] @ (Q[:, rank:].T @ d)
-        return None, None, y
+        return None
     # null space of E
     _, _, Vt = np.linalg.svd(E)
-    N = Vt[rank:].T
-    return z0, N, None
+    return z0, Vt[rank:].T
 
 
 def _max_step(L, Delta, frac):
@@ -185,8 +183,8 @@ def _max_step(L, Delta, frac):
 
 
 def _ipm(C_blocks, A_blocks, b, settings):
-    """Core primal-dual IPM on the standard-form pair. Returns dict."""
-    nb = len(C_blocks)
+    """Core primal-dual IPM on the standard-form pair. Every block is
+    nonempty and m >= 1. Returns dict."""
     m = len(b)
     ns = [C.shape[0] for C in C_blocks]
     ntot = sum(ns)
@@ -194,8 +192,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
     scale = max(
         [1.0]
         + [float(np.max(np.abs(C))) for C in C_blocks]
-        + [float(np.max(np.abs(A))) if A.size else 0.0 for A in A_blocks]
-        + [float(np.max(np.abs(b))) if m else 0.0]
+        + [float(np.max(np.abs(A))) for A in A_blocks]
+        + [float(np.max(np.abs(b)))]
     )
     X = [scale * np.eye(n) for n in ns]
     S = [scale * np.eye(n) for n in ns]
@@ -217,13 +215,12 @@ def _ipm(C_blocks, A_blocks, b, settings):
     def a_of_x(Xs):
         out = np.zeros(m)
         for A, Xb in zip(A_blocks, Xs):
-            if A.size:
-                out += np.tensordot(A, Xb, axes=([1, 2], [0, 1]))
+            out += np.tensordot(A, Xb, axes=([1, 2], [0, 1]))
         return out
 
     for it in range(settings.max_iter):
         rp = b - a_of_x(X)
-        Rd = [C - Sb - np.tensordot(y, A, axes=(0, 0)) if A.size else C - Sb
+        Rd = [C - Sb - np.tensordot(y, A, axes=(0, 0))
               for C, Sb, A in zip(C_blocks, S, A_blocks)]
         gap = sum(np.sum(Xb * Sb) for Xb, Sb in zip(X, S))
         mu = gap / ntot
@@ -265,9 +262,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
                 message = "primal improving ray found"
                 break
         if ynorm > 0 and dobj > 0:
-            res = np.sqrt(sum(
-                np.sum((np.tensordot(y, A, axes=(0, 0)) + Sb) ** 2) if A.size else np.sum(Sb**2)
-                for A, Sb in zip(A_blocks, S))) / ynorm
+            res = np.sqrt(sum(np.sum((np.tensordot(y, A, axes=(0, 0)) + Sb) ** 2)
+                              for A, Sb in zip(A_blocks, S))) / ynorm
             if dobj / ynorm > _RAY_THRESHOLD * max(res, 1e-16):
                 status = "Unbounded"
                 message = "dual improving ray found"
@@ -301,13 +297,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
 
         # Schur complement M_ij = sum_b tr(A_i W A_j W)
         M = np.zeros((m, m))
-        WAW = []
         for A, W in zip(A_blocks, Ws):
-            if not A.size:
-                WAW.append(A)
-                continue
             T = np.einsum("pq,iqr,rs->ips", W, A, W, optimize=True)
-            WAW.append(T)
             M += np.tensordot(A, T, axes=([1, 2], [1, 2]))
         M = 0.5 * (M + M.T)
 
@@ -326,8 +317,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
         def solve_direction(Rc):
             rhs = rp.copy()
             for A, W, Rdb, Rcb in zip(A_blocks, Ws, Rd, Rc):
-                if A.size:
-                    rhs -= np.tensordot(A, Rcb - W @ Rdb @ W, axes=([1, 2], [0, 1]))
+                rhs -= np.tensordot(A, Rcb - W @ Rdb @ W, axes=([1, 2], [0, 1]))
             dy = scipy.linalg.cho_solve((Lm, True), rhs)
             # iterative refinement: the Schur complement is increasingly
             # ill-conditioned as mu -> 0 and lost digits show up directly
@@ -337,7 +327,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
                 if np.linalg.norm(r) < 1e-14 * max(1.0, np.linalg.norm(rhs)):
                     break
                 dy = dy + scipy.linalg.cho_solve((Lm, True), r)
-            dS = [Rdb - (np.tensordot(dy, A, axes=(0, 0)) if A.size else 0.0)
+            dS = [Rdb - np.tensordot(dy, A, axes=(0, 0))
                   for Rdb, A in zip(Rd, A_blocks)]
             dX = []
             for Rcb, W, dSb in zip(Rc, Ws, dS):
@@ -402,66 +392,41 @@ def _ipm(C_blocks, A_blocks, b, settings):
 def solve(prob, settings=None):
     """Solve an LMI-form SDP. See module docstring for conventions."""
     settings = settings or SdpSettings()
-    m = prob.nvars
-
-    z0, N, cert = _eliminate_equalities(prob)
-    if z0 is None:
-        return SdpSolution(
-            status="Infeasible", z=None, duals=None, objective=None,
-            violation=float("inf"), min_eigenvalue=float("-inf"),
-            certificate=cert, message="inconsistent equality system",
-        )
-    mr = N.shape[1]
-    obj_offset = float(prob.c @ z0)
-    c_red = N.T @ prob.c
-
+    reduced = _eliminate_equalities(prob)
+    if reduced is None:
+        return SdpSolution(status="Infeasible", z=None, duals=None,
+                           violation=float("inf"),
+                           message="inconsistent equality system")
+    z0, N = reduced
     C_blocks = [blk.at(z0) for blk in prob.blocks]
-    A_blocks = []
-    for blk in prob.blocks:
-        if mr:
-            A = -np.tensordot(N, blk.F, axes=(0, 0))  # shape (mr, n, n)
-        else:
-            A = np.zeros((0, blk.size, blk.size))
-        A_blocks.append(A)
-    b = -c_red
-
-    if mr == 0:
+    if N.shape[1] == 0:
         lam = min(min_eig(C) for C in C_blocks)
         ok = lam >= -_FEAS_TOL
         return SdpSolution(
             status="Optimal" if ok else "Infeasible",
             z=z0 if ok else None,
             duals=None,
-            objective=obj_offset if ok else None,
             violation=max(0.0, -lam),
-            min_eigenvalue=lam,
             message="fully determined by equalities",
         )
 
-    res = _ipm(C_blocks, A_blocks, b, settings)
+    A_blocks = [-np.tensordot(N, blk.F, axes=(0, 0)) for blk in prob.blocks]
+    res = _ipm(C_blocks, A_blocks, -(N.T @ prob.c), settings)
     z = z0 + N @ res["y"]
-    lam = min(min_eig(0.5 * (blk.at(z) + blk.at(z).T)) for blk in prob.blocks) if prob.blocks else 0.0
+    lam = min(min_eig(0.5 * (blk.at(z) + blk.at(z).T)) for blk in prob.blocks)
     violation = max(0.0, -lam)
     if prob.eq_A is not None and prob.eq_A.shape[0]:
         violation = max(violation, float(np.max(np.abs(prob.eq_A @ z - prob.eq_b))))
 
     status = res["status"]
-    sol = SdpSolution(
+    return SdpSolution(
         status=status,
         z=z if status in ("Optimal", "MaxIter", "Numerical") else None,
         duals=res["X"],
-        objective=float(prob.c @ z) if status in ("Optimal", "MaxIter", "Numerical") else None,
         violation=violation,
-        min_eigenvalue=lam,
         iterates=res["iterates"],
         message=res["message"],
     )
-    if status == "Infeasible":
-        xnorm = np.sqrt(sum(np.sum(Xb * Xb) for Xb in res["X"]))
-        sol.certificate = [Xb / xnorm for Xb in res["X"]]
-    if status == "Unbounded":
-        sol.certificate = N @ (res["y"] / np.linalg.norm(res["y"]))
-    return sol
 
 
 def equality_multipliers(prob, sol):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from quartichull import curves
+from quartichull import curves, exactness
 from quartichull.exactness import (
     check_concave,
     curve_is_bounded,
@@ -15,7 +15,7 @@ from quartichull.exactness import (
     tangent_support,
 )
 from quartichull.poly import BivarPoly, comparison_quartic, parse_poly
-from quartichull.sos import nonneg_quartic
+from quartichull.sos import IndeterminateResult, nonneg_quartic
 
 from conftest import sweep_verdict
 
@@ -40,6 +40,10 @@ def test_curve_points_lie_on_curve():
         assert len(pts) > 500
         vals = np.abs(p.eval_many(pts[:, 0], pts[:, 1]))
         assert np.max(vals) <= 1e-6 * max(1.0, p.coeff_norm())
+        # the sample is a copy: the cached curve record stays intact
+        kept = pts.copy()
+        pts[:] = 0.0
+        assert np.array_equal(curve_points(p), kept)
 
 
 def test_tangent_support_known_values():
@@ -55,8 +59,16 @@ def test_tangent_support_known_values():
 
 
 def test_tangent_support_unbounded():
-    res = tangent_support(parse_poly("x2 - x1^2"), (0.0, 1.0))
+    parabola = parse_poly("x2 - x1^2")
+    res = tangent_support(parabola, (0.0, 1.0))
     assert res.value == math.inf
+    # the far points of the curve record lie beyond the vertex in direction
+    # (0, -1) and do not bound it; in direction (1, 0) they exceed every
+    # point the tangency solve and the curve sample find
+    res = tangent_support(parabola, (0.0, -1.0))
+    assert res.value == pytest.approx(0.0, abs=1e-8)
+    assert res.points[0] == pytest.approx((0.0, 0.0), abs=1e-6)
+    assert tangent_support(parabola, (1.0, 0.0)).value == math.inf
 
 
 def test_find_singularities_residuals():
@@ -140,3 +152,43 @@ def test_concave_unbounded_curve_is_exact():
 def test_unbounded_nonconcave_curve_is_inconclusive():
     verdict = sweep_exactness(parse_poly("x1*x2 - 1"), n=16)
     assert verdict.verdict == "Inconclusive"
+
+
+def test_classification_reads_the_sweep_envelope(monkeypatch):
+    # the singular point is classified at the sweep's n angles, and the
+    # sweep reads the same supporting lines instead of solving them again
+    calls = []
+    original = exactness.tangent_support
+
+    def counted(p, f):
+        calls.append(f)
+        return original(p, f)
+
+    monkeypatch.setattr(exactness, "tangent_support", counted)
+    n = 36
+    verdict = sweep_exactness(curves.lookup("lemniscate").implicit, n=n)
+    assert verdict.verdict == "Exact"
+    assert [s.classification for s in verdict.singular_points] == ["interior"]
+    assert len(verdict.sweep) == n
+    assert len(calls) <= 2 * n
+
+
+def test_inconclusive_verdict_keeps_partial_results(monkeypatch):
+    calls = []
+    original = exactness.sos_margin
+
+    def failing(q, k):
+        calls.append(q)
+        if len(calls) > 2:
+            raise IndeterminateResult("forced solver failure")
+        return original(q, k)
+
+    monkeypatch.setattr(exactness, "sos_margin", failing)
+    egg = curves.lookup("egg").implicit
+    verdict = sweep_exactness(egg, n=8)
+    assert verdict.verdict == "Inconclusive"
+    assert verdict.evidence["error"] == "forced solver failure"
+    found = find_singularities(egg)
+    assert len(verdict.singular_points) == len(found) == 1
+    assert verdict.singular_points[0].location.close_to(found[0].location, tol=1e-9)
+    assert len(verdict.sweep) == 2

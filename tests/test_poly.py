@@ -62,7 +62,7 @@ def test_parse_format_round_trip(p):
 
 
 def test_parse_errors():
-    for bad in ("x3", "x1 +", "2**x1", "(x1", "x1^", ""):
+    for bad in ("x3", "x1 +", "2**x1", "(x1", "x1^", "", "x0", "x0 - x0 + x1"):
         with pytest.raises((PolyParseError, ValueError)):
             parse_poly(bad)
 
