@@ -1,9 +1,18 @@
 """Truncated bivariate moment indexing; moment, localizing and Hankel matrices.
 
 Moment variables y_{ab} are ordered graded-lex (x1 > x2):
-y00, y10, y01, y20, y11, y02, y30, ...  A matrix "form" is a symbolic linear
-map from moment vectors to symmetric matrices, stored as one sparse symmetric
-coefficient matrix per moment variable.
+y00, y10, y01, y20, y11, y02, y30, ...  A position does not depend on the
+truncation degree, so the monomials of degree <= d take the first positions,
+in the order of the rows of M_d.
+
+This module owns the one monomial-product table that both sides of a
+relaxation read. Entry (u, v) of M_k(y) is y_{u+v}, and entry (u, v) of the
+localizing matrix M_{k-2}(p y) is the localizing row of the monomial sum
+u + v applied to y. A matrix "form" is therefore a table of monomial-sum
+positions plus one linear row per sum. Its coefficient tensor is M_k's 0/1
+tensor or the localizing tensor; on the certificate side, the Gram
+coefficient-matching rows and the s1*p columns are the transposes of the same
+data.
 """
 
 from __future__ import annotations
@@ -27,20 +36,29 @@ __all__ = [
 ]
 
 
+def _position(a, b):
+    """Graded-lex position of x1^a x2^b; works elementwise on arrays."""
+    return (a + b) * (a + b + 1) // 2 + b
+
+
+def _products(d):
+    """Positions of u + v over the monomials u, v of degree <= d: an int
+    array, indexed like the rows and columns of M_d."""
+    e = np.array(monomials_upto(d))
+    return _position(e[:, None, 0] + e[None, :, 0], e[:, None, 1] + e[None, :, 1])
+
+
 @dataclass(frozen=True)
 class MomentIndex:
     """Graded-lex index of moments y_{ab}, a + b <= 2k."""
 
     k: int
     pairs: tuple = field(init=False)
-    position: dict = field(init=False)
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("order must be >= 1")
-        pairs = tuple(monomials_upto(2 * self.k))
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "position", {e: i for i, e in enumerate(pairs)})
+        object.__setattr__(self, "pairs", tuple(monomials_upto(2 * self.k)))
 
     def __len__(self):
         return len(self.pairs)
@@ -61,28 +79,32 @@ class MomentVector:
 
 
 class LinearMatrixForm:
-    """Symmetric-matrix-valued linear form in the moment variables."""
+    """Symmetric-matrix-valued linear form in the moment variables.
 
-    def __init__(self, size, nvars):
-        self.size = size
-        self.nvars = nvars
-        self.coeff = {}  # moment position -> dense symmetric size x size array
+    Entry (i, j) is rows[sums[i, j]] applied to y: sums holds the position of
+    the monomial sum of row i and column j, rows one linear row per sum.
+    """
 
-    def add(self, pos, i, j, c):
-        m = self.coeff.get(pos)
-        if m is None:
-            m = np.zeros((self.size, self.size))
-            self.coeff[pos] = m
-        m[i, j] += c
-        if i != j:
-            m[j, i] += c
+    def __init__(self, sums, rows):
+        self.sums = sums  # (size, size) ints into rows
+        self.rows = rows  # (number of sums, nvars)
+
+    @property
+    def size(self):
+        return len(self.sums)
+
+    @property
+    def nvars(self):
+        return self.rows.shape[1]
 
     def evaluate(self, y):
         values = y.values if isinstance(y, MomentVector) else np.asarray(y, dtype=float)
-        out = np.zeros((self.size, self.size))
-        for pos, m in self.coeff.items():
-            out += values[pos] * m
-        return out
+        return (self.rows @ values)[self.sums]
+
+    def coefficients(self):
+        """Coefficient tensor F, (nvars, size, size): the form is
+        sum_m y_m F[m]."""
+        return np.take(self.rows.T, self.sums, axis=1)
 
 
 def monomial_vector(d, x1, x2):
@@ -92,40 +114,35 @@ def monomial_vector(d, x1, x2):
 
 def point_moments(k, x1, x2):
     """Moments of the Dirac mass at (x1, x2), up to degree 2k."""
-    idx = MomentIndex(k)
-    return MomentVector(k, np.array([x1**a * x2**b for a, b in idx.pairs]))
+    return MomentVector(k, monomial_vector(2 * k, x1, x2))
 
 
 def build_moment_matrix(k):
-    """Moment matrix M_k(y): rows/cols indexed by monomials of degree <= k."""
+    """Moment matrix M_k(y): rows/cols indexed by monomials of degree <= k;
+    its rows are the moments themselves, so its tensor is 0/1."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    idx = MomentIndex(k)
-    rows = monomials_upto(k)
-    form = LinearMatrixForm(len(rows), len(idx))
-    for i, (a1, b1) in enumerate(rows):
-        for j in range(i, len(rows)):
-            a2, b2 = rows[j]
-            form.add(idx.position[(a1 + a2, b1 + b2)], i, j, 1.0)
-    return form
+    return LinearMatrixForm(_products(k), np.eye((k + 1) * (2 * k + 1)))
 
 
 def build_localizing_matrix(p, k):
     """Localizing matrix M_{k-2}(p y) under the homogenized convention: the
-    constant term of p contributes y_{u+v} directly."""
+    constant term of p contributes y_{u+v} directly.
+
+    Its rows are the localizing rows, one per monomial s of degree
+    <= 2(k-2), holding the coefficients of x^s p over MomentIndex(k). The
+    rows with deg s <= k-4 come first and are the coefficient vectors of
+    x^s p over the monomials of degree <= k, the rows of M_k.
+    """
     if k < 2:
         raise ValueError("order below first relaxation")
     if p.degree > 4:
         raise ValueError("curve polynomial must have degree <= 4")
-    idx = MomentIndex(k)
-    rows = monomials_upto(k - 2)
-    form = LinearMatrixForm(len(rows), len(idx))
-    for i, (a1, b1) in enumerate(rows):
-        for j in range(i, len(rows)):
-            a2, b2 = rows[j]
-            for (ga, gb), c in p.terms.items():
-                form.add(idx.position[(a1 + a2 + ga, b1 + b2 + gb)], i, j, c)
-    return form
+    s = np.array(monomials_upto(2 * (k - 2)))
+    rows = np.zeros((len(s), (k + 1) * (2 * k + 1)))
+    for (a, b), c in p.terms.items():
+        rows[np.arange(len(s)), _position(s[:, 0] + a, s[:, 1] + b)] = c
+    return LinearMatrixForm(_products(k - 2), rows)
 
 
 def localizing_constraints(p, k):
@@ -134,17 +151,8 @@ def localizing_constraints(p, k):
     Entry (u, v) depends only on u + v, so the deduplicated system has one
     row per monomial sum of degree <= 2(k-2). Rows are dicts pos -> coeff.
     """
-    if k < 2:
-        raise ValueError("order below first relaxation")
-    idx = MomentIndex(k)
-    rows = []
-    for s in monomials_upto(2 * (k - 2)):
-        row = {}
-        for (ga, gb), c in p.terms.items():
-            pos = idx.position[(s[0] + ga, s[1] + gb)]
-            row[pos] = row.get(pos, 0.0) + c
-        rows.append(row)
-    return rows
+    return [{int(pos): float(row[pos]) for pos in np.flatnonzero(row)}
+            for row in build_localizing_matrix(p, k).rows]
 
 
 def hankel3(y):

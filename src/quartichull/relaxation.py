@@ -19,7 +19,7 @@ import numpy as np
 import scipy.optimize
 import scipy.sparse
 
-from .moments import MomentIndex, build_moment_matrix, localizing_constraints
+from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
 from .sdp import SdpBlock, SdpProblem, equality_multipliers, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
@@ -53,17 +53,15 @@ class RelaxationProblem:
             raise ValueError("order must be >= 2")
         if self.p.degree > 4:
             raise ValueError("curve polynomial must have degree <= 4")
-        kept, basis, fixed = _reductions(self.p, self.k)
-        object.__setattr__(self, "_index", MomentIndex(self.k))
-        object.__setattr__(self, "_moment_form", build_moment_matrix(self.k))
-        object.__setattr__(self, "_loc_rows", localizing_constraints(self.p, self.k))
+        kept, form, basis, zero_rows = _reductions(self.p, self.k)
         object.__setattr__(self, "_kept_rows", kept)
+        object.__setattr__(self, "_form", form)
         object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_fixed", fixed)
+        object.__setattr__(self, "_zero_rows", zero_rows)
 
     @property
     def nmoments(self):
-        return len(self._index)
+        return self._form.nvars
 
     @property
     def pin_positions(self):
@@ -92,15 +90,9 @@ class RelaxationProblem:
         - primal, for k >= 4: the block is restricted to the complement of
           the kernel vectors x^s p.
         """
-        nm = self.nmoments
-        nvars = nm + 1 if with_margin else nm
-        size = self._moment_form.size
-        F = np.zeros((nvars, size, size))
-        for pos, M in self._moment_form.coeff.items():
-            F[pos] = M
-        kept = self._kept_rows
-        if len(kept) < F.shape[1]:
-            F = F[:, kept][:, :, kept]
+        F = self._form.coefficients()
+        if with_margin:
+            F = np.concatenate([F, np.zeros((1,) + F.shape[1:])])
         T = self._basis
         if T is not None:
             F = np.einsum("pq,iqr,rs->ips", T.T, F, T, optimize=True)
@@ -115,32 +107,22 @@ class RelaxationProblem:
         direction that the reduced block no longer sees (see _reductions).
         pins is a list of (position, value)."""
         nm = self.nmoments
-        nvars = nm + 1 if with_margin else nm
-        rows, rhs = [], []
-        for pos, val in pins:
-            row = np.zeros(nvars)
-            row[pos] = 1.0
-            rows.append(row)
-            rhs.append(val)
-        for loc in self._loc_rows:
-            row = np.zeros(nvars)
-            for pos, c in loc.items():
-                row[pos] = c
-            rows.append(row)
-            rhs.append(0.0)
-        if self._fixed is not None:
-            for d in self._fixed.T:
-                row = np.zeros(nvars)
-                row[:nm] = d
-                rows.append(row)
-                rhs.append(0.0)
-        return np.array(rows), np.array(rhs)
+        A = np.zeros((len(pins) + len(self._zero_rows), nm + 1 if with_margin else nm))
+        for r, (pos, _) in enumerate(pins):
+            A[r, pos] = 1.0
+        A[len(pins):, :nm] = self._zero_rows
+        b = np.zeros(len(A))
+        b[:len(pins)] = [val for _, val in pins]
+        return A, b
 
 
 @functools.lru_cache(maxsize=64)
 def _reductions(p, k):
-    """Facial reduction of the order-k moment LMI: (kept rows, basis,
-    fixed directions).
+    """Facial reduction of the order-k moment LMI: (kept rows, M_k on the
+    kept rows, basis, zero rows).
+
+    Everything is read from the one monomial-product table of
+    build_moment_matrix and build_localizing_matrix.
 
     Dual side. A moment that is in no equality row (pin or localizing
     constraint), has no objective coefficient (objectives touch only y10,
@@ -162,73 +144,59 @@ def _reductions(p, k):
     Primal side, k >= 4. Once deg(x^s p) <= k, the localizing equalities
     force the coefficient vector of x^s p into the kernel of M_k(y) for
     every feasible y, so the LMI has no strictly feasible point and
-    interior-point iterations lose primal feasibility. The block is
-    restricted to the orthogonal complement of those vectors. They have no
+    interior-point iterations lose primal feasibility. These vectors are
+    the first localizing rows, read on the moments of the kept rows. The
+    block is restricted to their orthogonal complement. They have no
     coefficient on a dropped row u (y_{2u} would then be in a localizing
     row) and are orthogonal to the range of every M_k(d).
 
     basis is None when the block keeps its coordinates, else the columns
-    spanning the reduced block inside the kept rows. fixed is None when
-    nothing was removed on the dual side, else an orthonormal basis of the
+    spanning the reduced block inside the kept rows. The zero rows are the
+    equality rows with right-hand side 0: the localizing rows, then, when
+    something was removed on the dual side, an orthonormal basis of the
     moment directions the reduced problem no longer sees; they are fixed
     at 0 so that they leave the solve (the relaxation leaves them free).
     """
-    index = MomentIndex(k)
-    nm = len(index)
-    rows = monomials_upto(k)
-    loc = localizing_constraints(p, k)
+    moment = build_moment_matrix(k)
+    loc = build_localizing_matrix(p, k).rows
+    nm = moment.nvars
     # pins and objectives (y00, y10, y01), then the localizing rows
     E = np.zeros((3 + len(loc), nm))
     E[[0, 1, 2], [0, 1, 2]] = 1.0
-    for r, row in enumerate(loc, start=3):
-        for pos, c in row.items():
-            E[r, pos] = c
-    constrained = set(np.nonzero(np.any(E != 0, axis=0))[0])
-    kept = list(range(len(rows)))
+    E[3:] = loc
+    constrained = np.any(E != 0, axis=0)
+    kept = np.arange(moment.size)
     while True:
-        where = {}  # moment position -> entries of the kept block
-        for a, i in enumerate(kept):
-            for j in kept[a:]:
-                u, v = rows[i], rows[j]
-                where.setdefault(index.position[(u[0] + v[0], u[1] + v[1])],
-                                 []).append((i, j))
-        drop = {i for m, ents in where.items() if m not in constrained
-                for i, j in ents if i == j and len(ents) == 1}
-        if not drop:
+        # drop row u when y_{2u} is unconstrained and occurs nowhere else
+        # in the kept block
+        sums = moment.sums[np.ix_(kept, kept)]
+        count = np.bincount(sums[np.triu_indices(len(kept))], minlength=nm)
+        diag = np.diag(sums)
+        drop = (count[diag] == 1) & ~constrained[diag]
+        if not drop.any():
             break
-        kept = [i for i in kept if i not in drop]
-
-    # M_k restricted to the kept rows, one coefficient matrix per moment
-    ij = np.arange(len(kept))
-    F = np.zeros((nm, len(kept), len(kept)))
-    F[[[index.position[(rows[i][0] + rows[j][0], rows[i][1] + rows[j][1])]
-        for j in kept] for i in kept], ij[:, None], ij[None, :]] = 1.0
+        kept = kept[~drop]
+    form = LinearMatrixForm(sums, moment.rows)  # M_k on the kept rows
+    F = form.coefficients()
     W = _dd_face(F, E)
 
     basis = W
     if k >= 4 and not p.is_zero():
-        pos = {rows[i]: a for a, i in enumerate(kept)}
-        cols = []
-        for s in monomials_upto(k - 4):
-            v = np.zeros(len(kept))
-            for (a, b), c in p.terms.items():
-                v[pos[(s[0] + a, s[1] + b)]] += c
-            cols.append(v)
-        K = np.array(cols).T
+        K = np.ascontiguousarray(loc[:len(monomials_upto(k - 4)), kept]).T
         if W is not None:
             K = W.T @ K
         U, sig, _ = np.linalg.svd(K, full_matrices=True)
         r = int(np.sum(sig > 1e-12 * sig[0]))
         basis = U[:, r:] if W is None else W @ U[:, r:]
 
-    fixed = None
-    if len(kept) < len(rows) or W is not None:
+    fixed = np.zeros((0, nm))
+    if len(kept) < moment.size or W is not None:
         G = F if basis is None else np.einsum("pq,iqr,rs->ips", basis.T, F, basis,
                                                optimize=True)
         _, sig, Vt = np.linalg.svd(np.vstack([E, G.reshape(nm, -1).T]))
         r = int(np.sum(sig > 1e-9 * sig[0]))
-        fixed = Vt[r:].T
-    return tuple(kept), basis, fixed
+        fixed = Vt[r:]
+    return tuple(kept.tolist()), form, basis, np.vstack([loc, fixed])
 
 
 def _dd_face(F, E, tol=1e-6):

@@ -7,7 +7,7 @@ Problems are given in LMI form:
                 E z = d
 
 Equalities are eliminated up front by projection onto their affine solution
-space (QR), then a primal-dual path-following method with Nesterov-Todd
+space (SVD), then a primal-dual path-following method with Nesterov-Todd
 scaling and a Mehrotra predictor-corrector step solves the cone phase.
 Internally the LMI is treated as the dual side of a standard-form pair
 
@@ -155,20 +155,17 @@ def psd_truncate(M, tol=1e-8):
 
 
 def _eliminate_equalities(prob):
-    """Reduce E z = d by QR: z = z0 + N w. Returns (z0, N), or None when the
-    system is inconsistent."""
+    """Reduce E z = d to z = z0 + N w, with the rank and the null space N of E
+    from one SVD. Returns (z0, N), or None when the system is inconsistent."""
     E, d = prob.eq_A, prob.eq_b
     m = prob.nvars
     if E is None or E.shape[0] == 0:
         return np.zeros(m), np.eye(m)
-    R, _ = scipy.linalg.qr(E, pivoting=True, mode="r")
-    diag = np.abs(np.diag(R))
-    rank = int(np.sum(diag > max(E.shape) * np.finfo(float).eps * (diag[0] if len(diag) else 1.0)))
     z0 = np.linalg.lstsq(E, d, rcond=None)[0]
     if np.linalg.norm(E @ z0 - d) > _FEAS_TOL * (1 + np.linalg.norm(d)):
         return None
-    # null space of E
-    _, _, Vt = np.linalg.svd(E)
+    _, sig, Vt = np.linalg.svd(E)
+    rank = int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0]))
     return z0, Vt[rank:].T
 
 
@@ -219,7 +216,8 @@ def _ipm(C_blocks, A_blocks, b, settings):
         return out
 
     for it in range(settings.max_iter):
-        rp = b - a_of_x(X)
+        ax = a_of_x(X)
+        rp = b - ax
         Rd = [C - Sb - np.tensordot(y, A, axes=(0, 0))
               for C, Sb, A in zip(C_blocks, S, A_blocks)]
         gap = sum(np.sum(Xb * Sb) for Xb, Sb in zip(X, S))
@@ -236,14 +234,13 @@ def _ipm(C_blocks, A_blocks, b, settings):
 
         gap_rel = gap / (1 + abs(pobj) + abs(dobj))
         merit = max(rp_norm / bnorm, rd_norm / Cnorm, gap_rel)
+        # X, y and S are rebound each iteration, never changed in place
         if best is None or merit < best[0]:
-            best = (merit, [Xb.copy() for Xb in X], y.copy(),
-                    [Sb.copy() for Sb in S])
+            best = (merit, X, y, S)
         merit_lmi = max(rd_norm / Cnorm, gap_rel)
         if (rp_norm / bnorm < 1e-2
                 and (best_lmi is None or merit_lmi < best_lmi[0])):
-            best_lmi = (merit_lmi, [Xb.copy() for Xb in X], y.copy(),
-                        [Sb.copy() for Sb in S])
+            best_lmi = (merit_lmi, X, y, S)
 
         if (rp_norm / bnorm < _FEAS_TOL
                 and rd_norm / Cnorm < _FEAS_TOL
@@ -256,7 +253,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
         ynorm = np.linalg.norm(y)
         if xnorm > 0 and pobj < 0:
             # X/|X| tends to a ray proving LMI infeasibility
-            ray_res = np.linalg.norm(a_of_x(X) ) / xnorm
+            ray_res = np.linalg.norm(ax) / xnorm
             if -pobj / xnorm > _RAY_THRESHOLD * max(ray_res, 1e-16):
                 status = "Infeasible"
                 message = "primal improving ray found"
@@ -413,7 +410,8 @@ def solve(prob, settings=None):
     A_blocks = [-np.tensordot(N, blk.F, axes=(0, 0)) for blk in prob.blocks]
     res = _ipm(C_blocks, A_blocks, -(N.T @ prob.c), settings)
     z = z0 + N @ res["y"]
-    lam = min(min_eig(0.5 * (blk.at(z) + blk.at(z).T)) for blk in prob.blocks)
+    Zs = [blk.at(z) for blk in prob.blocks]
+    lam = min(min_eig(0.5 * (Z + Z.T)) for Z in Zs)
     violation = max(0.0, -lam)
     if prob.eq_A is not None and prob.eq_A.shape[0]:
         violation = max(violation, float(np.max(np.abs(prob.eq_A @ z - prob.eq_b))))

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .moments import build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
 from .sdp import SdpBlock, SdpProblem, SdpSettings, psd_truncate, solve
 
@@ -63,33 +64,25 @@ class SosCertificate:
         )
 
 
-def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, basis, k, rank_cut=1e-3):
+def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums, rank_cut=1e-3):
     """Snap an interior-point Gram onto the nearest exact low-rank certificate.
 
     The interior-point iterate carries O(sqrt(gap)) noise in the zero
     eigenvalues; Gauss-Newton on the factorized coefficients removes it.
-    p_shift and target_vec are the s1 columns and the right-hand side of the
-    coefficient-matching rows of _gram_problem.
+    sums is the monomial-product table of M_k (build_moment_matrix); the
+    coefficients of s0 are the Gram entries summed by it, and the Jacobian
+    in the factor V scatters 2 V[j, l] to sums[i, j]. p_shift holds the
+    s1 columns of the coefficient-matching rows of _gram_problem, transposed
+    (the localizing rows), and target_vec their right-hand side.
     Returns (G, s1_coeffs) -- refined on success, the inputs otherwise.
     """
     w, V = np.linalg.eigh(0.5 * (G + G.T))
     wmax = max(w[-1], 1e-12)
-    mons = monomials_upto(2 * k)
-
-    # lookup: which (i, j) basis products hit each monomial
-    prod_pos = {}
-    nb = len(basis)
-    for i in range(nb):
-        for j in range(nb):
-            s = (basis[i][0] + basis[j][0], basis[i][1] + basis[j][1])
-            prod_pos.setdefault(s, []).append((i, j))
-    mon_index = {s: si for si, s in enumerate(mons)}
+    nm, nb = len(target_vec), len(sums)
+    factor_rows = np.arange(nb)[:, None]
 
     def residual(Vf, s1):
-        Gf = Vf @ Vf.T
-        c = np.zeros(len(mons))
-        for s, pairs in prod_pos.items():
-            c[mon_index[s]] = sum(Gf[i, j] for i, j in pairs)
+        c = np.bincount(sums.ravel(), weights=(Vf @ Vf.T).ravel(), minlength=nm)
         return c + s1 @ p_shift - target_vec
 
     for rank in range(int(np.sum(w > rank_cut * wmax)), nb + 1):
@@ -106,15 +99,9 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, basis, k, rank_cut=1e-3):
             if np.max(np.abs(r)) < 5e-15 * max(1.0, np.max(np.abs(target_vec))):
                 ok = True
                 break
-            J = np.zeros((len(mons), nb * rank + len(s1)))
-            for widx in range(nb):
-                for l in range(rank):
-                    col = np.zeros(len(mons))
-                    for j in range(nb):
-                        s = (basis[widx][0] + basis[j][0], basis[widx][1] + basis[j][1])
-                        col[mon_index[s]] += 2 * Vf[j, l]
-                    J[:, widx * rank + l] = col
-            J[:, nb * rank:] = p_shift.T
+            J = np.zeros((nm, nb, rank))
+            np.add.at(J, (sums, factor_rows), 2 * Vf)
+            J = np.hstack([J.reshape(nm, nb * rank), p_shift.T])
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             Vf = Vf + step[: nb * rank].reshape(nb, rank)
             s1 = s1 + step[nb * rank:]
@@ -123,56 +110,50 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, basis, k, rank_cut=1e-3):
     return G, s1_coeffs
 
 
-def _gram_problem(target, k, p=None, s1_basis=()):
+def _gram_problem(target, k, p=None):
     """max t s.t. target = s0 + s1*p with Gram(s0) - t*I PSD, as an SdpProblem.
 
     Variables: upper-triangle Gram entries of s0 over the monomials of degree
-    <= k, then the coefficients of s1 over s1_basis, then t. With no s1 basis
-    this is the plain SOS search for target. The optimal t is >= 0 exactly
-    when such a certificate exists and is a continuous infeasibility margin
-    otherwise.
-    """
-    basis = monomials_upto(k)
-    nb = len(basis)
-    pairs = [(i, j) for i in range(nb) for j in range(i, nb)]
-    ng = len(pairs)
-    m = ng + len(s1_basis) + 1  # gram entries, s1 coefficients, t
-    F = np.zeros((m, nb, nb))
-    for idx, (i, j) in enumerate(pairs):
-        F[idx, i, j] = F[idx, j, i] = 1.0
-    F[-1] = -np.eye(nb)
+    <= k (row-major), then, when p is given, the coefficients of s1 over the
+    monomials of degree <= 2(k-2), then t. Without p this is the plain SOS
+    search for target. The optimal t is >= 0 exactly when such a certificate
+    exists and is a continuous infeasibility margin otherwise.
 
-    # coefficient matching: sum_{u+v=s} G_uv + (s1 p)_s = target_s for every
-    # monomial s
-    rows, rhs = [], []
-    for s in monomials_upto(2 * k):
-        row = np.zeros(m)
-        for idx, (i, j) in enumerate(pairs):
-            u, v = basis[i], basis[j]
-            if (u[0] + v[0], u[1] + v[1]) == s:
-                row[idx] = 1.0 if i == j else 2.0
-        for idx, g in enumerate(s1_basis):
-            d = (s[0] - g[0], s[1] - g[1])
-            if d[0] >= 0 and d[1] >= 0:
-                row[ng + idx] += p.coeff(*d)
-        rows.append(row)
-        rhs.append(target.coeff(*s))
+    Coefficient matching, one row per moment position, is the adjoint of
+    the moment side: the Gram columns are M_k's 0/1 coefficient tensor at
+    the upper-triangle entries, doubled off the diagonal, and the s1 columns
+    are the transposed localizing rows. Returns (problem, M_k form).
+    """
+    form = build_moment_matrix(k)
+    nb = form.size
+    iu, ju = np.triu_indices(nb)
+    ng = len(iu)
+    columns = [form.coefficients()[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)]
+    if p is not None:
+        columns.append(build_localizing_matrix(p, k).rows.T)
+    columns.append(np.zeros((form.nvars, 1)))  # t
+    A = np.hstack(columns)
+    m = A.shape[1]
+    F = np.zeros((m, nb, nb))
+    F[np.arange(ng), iu, ju] = F[np.arange(ng), ju, iu] = 1.0
+    F[-1] = -np.eye(nb)
 
     c = np.zeros(m)
     c[-1] = -1.0  # maximize t
+    b = np.array([target.coeff(*s) for s in monomials_upto(2 * k)])
     prob = SdpProblem(c=c, blocks=[SdpBlock(F0=np.zeros((nb, nb)), F=F)],
-                      eq_A=np.array(rows), eq_b=np.array(rhs))
-    return prob, pairs, basis
+                      eq_A=A, eq_b=b)
+    return prob, form
 
 
-def _certificate(target, k, p=None, s1_basis=()):
+def _certificate(target, k, p=None):
     """Solve the Gram program of _gram_problem and turn a feasible optimum
     into a low-rank SosCertificate; None when target has no certificate.
 
     Solves at the tight Gram tolerance, falling back to the generic one when
     the extra digits are not numerically reachable.
     """
-    prob, pairs, basis = _gram_problem(target, k, p, s1_basis)
+    prob, form = _gram_problem(target, k, p)
     sol = solve(prob, _GRAM_SETTINGS)
     if sol.status in ("Numerical", "MaxIter"):
         sol = solve(prob, SdpSettings())
@@ -181,15 +162,17 @@ def _certificate(target, k, p=None, s1_basis=()):
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:
         return None
     t = sol.z[-1]
-    nb, ng = len(basis), len(pairs)
+    nb = form.size
+    iu, ju = np.triu_indices(nb)
+    ng = len(iu)
     G = np.zeros((nb, nb))
-    for idx, (i, j) in enumerate(pairs):
-        G[i, j] = G[j, i] = sol.z[idx]
-    ns = len(s1_basis)
-    s1_vec = sol.z[ng:ng + ns].copy()
-    p_shift = prob.eq_A[:, ng:ng + ns].T.copy()
-    G, s1_vec = _refine_lowrank(G, s1_vec, p_shift, prob.eq_b, basis, k)
+    G[iu, ju] = G[ju, iu] = sol.z[:ng]
+    s1_vec = sol.z[ng:-1].copy()
+    p_shift = prob.eq_A[:, ng:-1].T.copy()
+    G, s1_vec = _refine_lowrank(G, s1_vec, p_shift, prob.eq_b, form.sums)
+    s1_basis = monomials_upto(2 * (k - 2)) if p is not None else ()
     s1 = BivarPoly({g: s1_vec[i] for i, g in enumerate(s1_basis)})
+    basis = monomials_upto(k)
     squares = []
     for lam, v in psd_truncate(G, tol=max(1e-7, 2 * abs(min(t, 0.0)))):
         w = np.sqrt(lam) * v
@@ -213,7 +196,7 @@ def sos_margin(q, k=2):
     One solve at the generic tolerance: sweeps call this once per angle."""
     if q.degree > 2 * k:
         raise ValueError("degree of q exceeds 2k")
-    prob, _, _ = _gram_problem(q, k)
+    prob, _ = _gram_problem(q, k)
     sol = solve(prob)
     if sol.status != "Optimal":
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
@@ -241,7 +224,7 @@ def certify_in_fk(f, p, k):
         raise ValueError("order must be >= 2")
     if not isinstance(f, SupportLine):
         f = SupportLine(tuple(f))
-    return _certificate(f.affine_poly(), k, p, monomials_upto(2 * (k - 2)))
+    return _certificate(f.affine_poly(), k, p)
 
 
 def nonneg_quartic(q):

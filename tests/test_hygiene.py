@@ -1,5 +1,6 @@
 """Static checks on the package source: no module imports a name it never
-uses."""
+uses, and no module defines a private function or class that nothing in the
+package reads."""
 
 import ast
 import pathlib
@@ -25,6 +26,48 @@ def unused_imports(source):
               and any(getattr(t, "id", None) == "__all__" for t in node.targets)):
             used.update(e.value for e in node.value.elts)
     return [(line, name) for line, name in imported if name not in used]
+
+
+def orphaned_private_definitions(sources):
+    """(module, name) of every module-level private function or class that
+    no module reads. sources maps module names to source text; a name
+    counts as read where it is loaded, imported or accessed as an
+    attribute, but not from inside its own definition."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_")):
+                defined.append((module, node.name))
+        for top in tree.body:
+            own = getattr(top, "name", None)
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    read.add(name)
+    return [(module, name) for module, name in defined if name not in read]
+
+
+def test_orphaned_private_definitions_are_detected():
+    sources = {"a": "def _used():\n    pass\n\n"
+                    "def _orphan():\n    return _orphan()\n\n"
+                    "class _Cls:\n    pass\n",
+               "b": "from a import _used\nx = _used()\n"}
+    assert orphaned_private_definitions(sources) == [("a", "_orphan"), ("a", "_Cls")]
+
+
+def test_no_orphaned_private_definitions_in_package():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert sources
+    assert orphaned_private_definitions(sources) == []
 
 
 def test_unused_imports_are_detected():

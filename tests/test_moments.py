@@ -13,6 +13,7 @@ from quartichull.moments import (
     monomial_vector,
     point_moments,
 )
+from quartichull.poly import monomials_upto
 
 pts = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
@@ -83,6 +84,26 @@ def test_localizing_constraints_deduplicate():
     assert len(rows) == 1
     rows3 = localizing_constraints(p, 3)
     assert len(rows3) == 6
+
+
+def test_localizing_matrix_entries_are_localizing_rows():
+    # entry (u, v) of M_{k-2}(p y) is the localizing row of the monomial sum
+    # u + v applied to y: both read one monomial-product index
+    rng = np.random.default_rng(3)
+    for record in curves.registry():
+        p = record.implicit
+        for k in (2, 3, 4):
+            y = rng.normal(size=len(MomentIndex(k)))
+            L = build_localizing_matrix(p, k).evaluate(y)
+            rows = localizing_constraints(p, k)
+            sums = monomials_upto(2 * (k - 2))
+            basis = monomials_upto(k - 2)
+            assert L.shape == (len(basis), len(basis))
+            for i, u in enumerate(basis):
+                for j, v in enumerate(basis):
+                    row = rows[sums.index((u[0] + v[0], u[1] + v[1]))]
+                    expect = sum(c * y[pos] for pos, c in row.items())
+                    assert L[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
 
 
 def test_hankel3():

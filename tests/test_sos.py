@@ -4,7 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quartichull import curves
-from quartichull.poly import BivarPoly, SupportLine, comparison_quartic, parse_poly
+from quartichull.moments import build_moment_matrix, point_moments
+from quartichull.poly import (
+    BivarPoly,
+    SupportLine,
+    comparison_quartic,
+    monomials_upto,
+    parse_poly,
+)
 from quartichull.sos import (
     FEAS_MARGIN,
     certify_in_fk,
@@ -72,6 +79,29 @@ def test_certificate_soundness_500_points():
     for x1, x2 in X:
         lhs = 2.0 - 2.0 * x2 - cert.multiplier(x1, x2) * p(x1, x2)
         assert _eval_squares(cert, x1, x2) == pytest.approx(lhs, abs=1e-4)
+
+
+def test_certificates_pair_with_the_moment_matrix():
+    # <gram, M_k(y)> at the moments y of a Dirac mass at x is s0(x), so with
+    # s1(x) p(x) it gives the target at x: the Gram basis and the moment
+    # matrix index the same monomials
+    rng = np.random.default_rng(5)
+    for k in (2, 3, 4):
+        basis = monomials_upto(k)
+        q = BivarPoly()
+        for _ in range(2):
+            s = BivarPoly({e: c for e, c in zip(basis, rng.normal(size=len(basis)))})
+            q = q + s * s
+        certs = [(sos_decompose(q, k), BivarPoly())]
+        for record in curves.registry():
+            p = record.implicit
+            certs.append((certify_in_fk((3.0, 1.0, 0.0), p, k), p))
+        for cert, p in certs:
+            assert cert is not None
+            for x1, x2 in rng.uniform(-1, 1, (5, 2)):
+                M = build_moment_matrix(k).evaluate(point_moments(k, x1, x2).values)
+                value = np.sum(cert.gram * M) + cert.multiplier(x1, x2) * p(x1, x2)
+                assert value == pytest.approx(cert.target(x1, x2), abs=1e-6)
 
 
 def test_certify_constant_function():
