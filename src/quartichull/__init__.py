@@ -2,7 +2,6 @@
 
 from .poly import (
     BivarPoly,
-    HomogForm3,
     ProjPoint,
     SupportLine,
     parse_poly,

@@ -86,9 +86,14 @@ def _load_poly(args):
         except OSError as exc:
             raise UsageError(f"cannot read polynomial file: {exc}")
     try:
-        return parse_poly(text), None
+        p = parse_poly(text)
     except ValueError as exc:
         raise UsageError(f"cannot parse polynomial: {exc}")
+    if p.is_zero():
+        raise UsageError("the zero polynomial defines no curve")
+    if p.degree > 4:
+        raise UsageError(f"curve polynomial has degree {p.degree}; at most 4 is supported")
+    return p, None
 
 
 def _parse_orders(text):

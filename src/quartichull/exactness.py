@@ -7,8 +7,9 @@ comparison quartic p_f = f(x) - p(x) is globally nonnegative, with f built
 from the gradient at the support point so that the curve multiplier is
 normalized to one. Any failure certifies that the relaxation is strict.
 
-Each curve has one cached record (`_geometry`) and each verdict one
-memoized support function (`_envelope`) that every phase of it reads.
+Each curve has one cached record (`_curve`) that owns its singular points
+and its memoized support function; every phase of every verdict reads it,
+and verdicts label copies of the singular points.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -39,13 +40,11 @@ __all__ = [
     "SingularPoint",
     "ExactnessVerdict",
     "TangentSupport",
-    "GradientCheck",
     "check_concave",
     "find_singularities",
     "classify_boundary",
     "tangent_support",
     "sweep_exactness",
-    "gradient_exactness",
     "curve_is_bounded",
     "curve_points",
     "quartic_minimizer",
@@ -57,7 +56,7 @@ _CLASSIFY_TOL = 1e-6
 _BOX = 50.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class SingularPoint:
     location: ProjPoint
     at_infinity: bool
@@ -81,13 +80,6 @@ class SingularPoint:
 class TangentSupport:
     value: float  # +inf when the curve is unbounded in the direction
     points: list  # (x1, x2) tuples attaining the value
-
-
-@dataclass
-class GradientCheck:
-    passed: bool
-    points: list  # critical points of the Lagrange system
-    values: list  # p_f at each point
 
 
 @dataclass
@@ -140,7 +132,7 @@ def curve_is_bounded(p):
     strictly negative at 720 points of the circle of radius 1e3 and of the
     one of radius 1e6 (read from the curve record). A curve touching a
     circle without crossing can fool this, hence "numeric"."""
-    return _geometry(p).far.shape[0] == 0
+    return _curve(p).far.shape[0] == 0
 
 
 def _newton_polish(eqs, x, iters=80):
@@ -233,37 +225,11 @@ def find_singularities(p):
     Affine points solve grad p = 0 (resultant elimination, Newton polish)
     filtered by p = 0. At infinity the conditions on the homogenization
     restrict to: p_d = 0, grad p_d = 0, p_{d-1} = 0 for d = deg p.
+    Returns a new list of the unlabelled points of the curve record.
     """
     if p.is_zero():
         raise ValueError("zero polynomial has no curve")
-    p1, p2 = gradient(p)
-    out = []
-    certified = True
-    if p1.is_zero() or p2.is_zero():
-        # p depends on one variable only; gradient zeros come from one equation
-        q = p2 if p1.is_zero() else p1
-        axis = 2 if p1.is_zero() else 1
-        sols = []
-        if not q.is_zero():
-            # every point with the single derivative zero; the other
-            # coordinate is pinned by p = 0
-            for v in real_roots(q.univariate_in(axis, 0.0)):
-                for w in real_roots(p.univariate_in(2 if axis == 1 else 1, v)):
-                    pt = (v, w) if axis == 1 else (w, v)
-                    sols.append(pt)
-        cand = _merge_points(sols)
-    else:
-        cand, certified = _solve_pair(p1, p2)
-    for (a, b) in cand:
-        rp = abs(p(a, b))
-        rg = math.hypot(p1(a, b), p2(a, b))
-        if rp <= _RESIDUAL_TOL * max(1.0, p.coeff_norm()) and rg <= _RESIDUAL_TOL:
-            out.append(SingularPoint(
-                location=ProjPoint((1.0, a, b)), at_infinity=False,
-                residual_p=rp, residual_grad=rg, certified=certified,
-            ))
-    out.extend(_infinity_singularities(p))
-    return out
+    return list(_curve(p).singular)
 
 
 def _infinity_singularities(p):
@@ -296,36 +262,88 @@ def _infinity_singularities(p):
     return out
 
 
-class _Geometry(NamedTuple):
-    d1: BivarPoly  # partials of p
-    d2: BivarPoly
-    far: np.ndarray  # points of the radius-1e3 and 1e6 circles where p >= 0
-    cloud: np.ndarray  # curve points on axis-aligned slices
+class _Curve:
+    """The record of the curve p = 0 that every query reads: the partials,
+    and, each computed on first use, the far points, the curve sample, the
+    unlabelled singular points and the support function. The concave fast
+    path reads only the singular points."""
+
+    def __init__(self, p):
+        self.p = p
+        self.d1, self.d2 = p.diff(1), p.diff(2)
+        self._supports = {}
+
+    @functools.cached_property
+    def far(self):
+        """Points of the radius-1e3 and 1e6 circles where p >= 0; none
+        means bounded."""
+        th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
+        far = []
+        for r in (1e3, 1e6):
+            x1, x2 = r * np.cos(th), r * np.sin(th)
+            on = self.p.eval_many(x1, x2) >= 0.0
+            far.append(np.column_stack([x1[on], x2[on]]))
+        return np.concatenate(far)
+
+    @functools.cached_property
+    def cloud(self):
+        """Curve points on axis-aligned slices, solved exactly. They seed the
+        tangency solve and bound the support from below when the resultants
+        degrade near singular root clusters."""
+        levels = np.concatenate([np.linspace(-_BOX, _BOX, 401),
+                                 np.linspace(-2.0, 2.0, 1601)])
+        pts = []
+        for axis in (1, 2):
+            for v in levels:
+                for z in _complex_slice_roots(self.p, axis, v):
+                    if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= _BOX:
+                        w = float(z.real)
+                        pts.append((w, v) if axis == 1 else (v, w))
+        return np.array(pts) if pts else np.zeros((0, 2))
+
+    @functools.cached_property
+    def singular(self):
+        """The unlabelled singular points (see find_singularities). Without a
+        generic pencil of partials (a multiple component, or p in one
+        variable only) _solve_pair returns grid points, flagged
+        non-certified."""
+        p, p1, p2 = self.p, self.d1, self.d2
+        out = []
+        cand, certified = _solve_pair(p1, p2)
+        for (a, b) in cand:
+            rp = abs(p(a, b))
+            rg = math.hypot(p1(a, b), p2(a, b))
+            if rp <= _RESIDUAL_TOL * max(1.0, p.coeff_norm()) and rg <= _RESIDUAL_TOL:
+                out.append(SingularPoint(
+                    location=ProjPoint((1.0, a, b)), at_infinity=False,
+                    residual_p=rp, residual_grad=rg, certified=certified,
+                ))
+        return tuple(out + _infinity_singularities(p))
+
+    def support(self, theta):
+        """The support of the curve at the inward-normal angle theta (support
+        direction u = -(cos theta, sin theta)), memoized. The sweep line goes
+        through the first smooth outer support point, with the gradient
+        normalization that makes the curve multiplier equal one in the
+        comparison quartic."""
+        if theta not in self._supports:
+            u = (-math.cos(theta), -math.sin(theta))
+            ts = tangent_support(self.p, u)
+            found = _Support(u, ts.value, None, None)
+            for (a, b) in ts.points:
+                g = np.array([self.d1(a, b), self.d2(a, b)])
+                if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
+                    continue  # singular (see classify_boundary) or inner branch
+                line = SupportLine((-(g[0] * a + g[1] * b), g[0], g[1]))
+                found = _Support(u, ts.value, line, (a, b))
+                break
+            self._supports[theta] = found
+        return self._supports[theta]
 
 
 @functools.lru_cache(maxsize=8)
-def _geometry(p):
-    """The record of the curve p = 0 that every query reads. No far point
-    means bounded. The cloud, from slices solved exactly, seeds the tangency
-    solve and bounds the support from below when the resultants degrade near
-    singular root clusters. Singular points are not kept: verdicts label them."""
-    th = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
-    far = []
-    for r in (1e3, 1e6):
-        x1, x2 = r * np.cos(th), r * np.sin(th)
-        on = p.eval_many(x1, x2) >= 0.0
-        far.append(np.column_stack([x1[on], x2[on]]))
-    levels = np.concatenate([np.linspace(-_BOX, _BOX, 401),
-                             np.linspace(-2.0, 2.0, 1601)])
-    pts = []
-    for axis, other in ((1, 2), (2, 1)):
-        for v in levels:
-            for z in _complex_slice_roots(p, axis, v):
-                if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= _BOX:
-                    w = float(z.real)
-                    pts.append((w, v) if axis == 1 else (v, w))
-    cloud = np.array(pts) if pts else np.zeros((0, 2))
-    return _Geometry(p.diff(1), p.diff(2), np.concatenate(far), cloud)
+def _curve(p):
+    return _Curve(p)
 
 
 def tangent_support(p, f):
@@ -341,13 +359,13 @@ def tangent_support(p, f):
     if n == 0:
         raise ValueError("direction must be nonzero")
     u = u / n
-    geo = _geometry(p)
-    tangency = geo.d1 * u[1] - geo.d2 * u[0]
+    rec = _curve(p)
+    tangency = rec.d1 * u[1] - rec.d2 * u[0]
     if tangency.is_zero():
         raise ValueError("degenerate tangency system")
     sols, _ = _solve_pair(p, tangency)
-    if geo.cloud.shape[0]:
-        seed = geo.cloud[int(np.argmax(geo.cloud @ u))]
+    if rec.cloud.shape[0]:
+        seed = rec.cloud[int(np.argmax(rec.cloud @ u))]
         pt = tuple(_newton_polish([p, tangency], seed))
         if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= _BOX:
             sols.append(pt)
@@ -355,13 +373,13 @@ def tangent_support(p, f):
             # the raw curve point still bounds the support from below
             sols.append(tuple(seed))
     if not sols:
-        if geo.far.shape[0]:
+        if rec.far.shape[0]:
             return TangentSupport(value=math.inf, points=[])
         raise IndeterminateResult("no tangency point found on a bounded curve")
     vals = [u[0] * a + u[1] * b for (a, b) in sols]
     h = max(vals)
     # a finite critical value does not bound an unbounded curve
-    if geo.far.shape[0] and np.max(geo.far @ u) > h:
+    if rec.far.shape[0] and np.max(rec.far @ u) > h:
         return TangentSupport(value=math.inf, points=[])
     pts = _merge_points([s for s, v in zip(sols, vals)
                          if v >= h - 1e-8 * (1 + abs(h))])
@@ -399,24 +417,25 @@ def _shift_poly(p, pt):
     return out
 
 
-def classify_boundary(p, singular_points, support, n):
+def classify_boundary(p, n):
     """Classify each affine singular point against the hull of the curve and
     report smoothness of the hull boundary.
 
-    Reads the verdict's envelope `support` of supporting lines (_envelope)
-    at the sweep's n angles, then refines: a singular point is interior when
-    every supporting line is strictly positive at it, on the boundary when
-    some line vanishes there. Returns (smooth, witness)."""
-    affine = [s for s in singular_points if not s.at_infinity]
-    if not affine:
-        return True, None
+    Reads the support function of the curve record at the sweep's n angles,
+    then refines: a singular point is interior when every supporting line is
+    strictly positive at it, on the boundary when some line vanishes there.
+    Returns (singular points, smooth, witness); the points are labelled
+    copies of the record's, which stay unlabelled."""
+    sing = find_singularities(p)
+    if all(s.at_infinity for s in sing):
+        return sing, True, None
     if not curve_is_bounded(p):
-        for s in affine:
-            s.classification = "unknown"
-        return None, None
+        return sing, None, None
 
     step = 2 * math.pi / n
     angles = [j * step for j in range(n)]
+
+    support = _curve(p).support
 
     def margin_at(pt, th):
         e = support(th)
@@ -424,7 +443,9 @@ def classify_boundary(p, singular_points, support, n):
 
     witness = None
     smooth = True
-    for s in affine:
+    for i, s in enumerate(sing):
+        if s.at_infinity:
+            continue
         pt = s.location.to_affine()
         vals = [margin_at(pt, th) for th in angles]
         j = int(np.argmin(vals))
@@ -449,62 +470,40 @@ def classify_boundary(p, singular_points, support, n):
         if snaps and min(s[0] for s in snaps) <= m + _CLASSIFY_TOL:
             m, th_best = min(snaps)
         if m > _CLASSIFY_TOL:
-            s.classification = "interior"
+            label = "interior"
         elif m >= -_CLASSIFY_TOL:
-            s.classification = "on_boundary"
+            label = "on_boundary"
             smooth = False
             if witness is None:
                 e = support(th_best)
                 witness = SupportLine((e.value, -e.u[0], -e.u[1])).normalized()
         else:
-            s.classification = "outside_hull"  # numerically impossible for C
+            label = "outside_hull"  # numerically impossible for C
             smooth = None
-    return smooth, witness
+        sing[i] = replace(s, classification=label)
+    return sing, smooth, witness
 
 
 class _Support(NamedTuple):
     u: tuple  # support direction, the opposite of the inward normal
     value: float  # max u.x over the curve, +inf when unbounded
-    line: SupportLine | None  # sweep line at `point`, see _envelope
+    line: SupportLine | None  # sweep line at `point`, see _Curve.support
     point: tuple | None
-
-
-def _envelope(p):
-    """The support function of the curve over the inward-normal angle theta
-    (support direction u = -(cos theta, sin theta)), memoized: one per
-    verdict, read by classify_boundary and every phase of the sweep. The
-    sweep line goes through the first smooth outer support point, with the
-    gradient normalization that makes the curve multiplier equal one in
-    the comparison quartic."""
-    geo = _geometry(p)
-
-    @functools.lru_cache(maxsize=None)
-    def support(theta):
-        u = (-math.cos(theta), -math.sin(theta))
-        ts = tangent_support(p, u)
-        for (a, b) in ts.points:
-            g = np.array([geo.d1(a, b), geo.d2(a, b)])
-            if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
-                continue  # singular (see classify_boundary) or inner branch
-            line = SupportLine((-(g[0] * a + g[1] * b), g[0], g[1]))
-            return _Support(u, ts.value, line, (a, b))
-        return _Support(u, ts.value, None, None)
-    return support
 
 
 def curve_points(p):
     """Dense sample of the curve from the curve record (a copy; the record
     is shared)."""
-    return _geometry(p).cloud.copy()
+    return _curve(p).cloud.copy()
 
 
 def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     """Full decision procedure: concavity fast path, boundary smoothness,
     then a supporting-line sweep testing p_f >= 0 at n angles, with local
     refinement around near-zero margin minima (bitangents). Every phase
-    reads one envelope (_envelope) over the inward-normal angle. When a
-    solve cannot decide, the verdict is Inconclusive and keeps the singular
-    points and sweep rows computed before."""
+    reads the support function of the curve record over the inward-normal
+    angle. When a solve cannot decide, the verdict is Inconclusive and keeps
+    the singular points and sweep rows computed before."""
     if n < 8:
         raise ValueError("need at least 8 sweep angles")
     evidence = {"resolution": n}
@@ -516,14 +515,15 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                                     evidence=evidence)
         evidence["concave"] = False
         sing = find_singularities(p)
-        support = _envelope(p)
-        smooth, witness = classify_boundary(p, sing, support, n)
+        sing, smooth, witness = classify_boundary(p, n)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:
             evidence["reason"] = "singular point on the hull boundary"
             return ExactnessVerdict("NotExact", witness, sing, evidence=evidence)
         if smooth is None:
             return ExactnessVerdict("Inconclusive", None, sing, evidence=evidence)
+
+        support = _curve(p).support
 
         def margin_of(theta):
             line, pt = support(theta)[2:]
@@ -611,31 +611,6 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         evidence["error"] = str(exc)
         return ExactnessVerdict("Inconclusive", None, sing, sweep=sweep,
                                 evidence=evidence)
-
-
-def gradient_exactness(p, f):
-    """Pointwise check of p_f >= 0 on the solutions of grad p = (f1, f2).
-
-    f is an inward normal direction; the tangent line completing it to f_bar
-    comes from the support of the curve in the opposite direction, so that
-    p_f vanishes at the support point itself.
-    """
-    f1, f2 = float(f[0]), float(f[1])
-    if f1 == 0 and f2 == 0:
-        raise ValueError("direction must be nonzero")
-    if not curve_is_bounded(p):
-        raise ValueError("unbounded hull; use sweep_exactness instead")
-    n = math.hypot(f1, f2)
-    ts = tangent_support(p, (-f1 / n, -f2 / n))
-    xf = ts.points[0]
-    line = SupportLine((-(f1 * xf[0] + f2 * xf[1]), f1, f2))
-    q1 = p.diff(1) - BivarPoly.const(f1)
-    q2 = p.diff(2) - BivarPoly.const(f2)
-    sols, _ = _solve_pair(q1, q2)
-    pf = comparison_quartic(line, p)
-    values = [float(pf(a, b)) for (a, b) in sols]
-    passed = all(v >= -1e-8 for v in values)
-    return GradientCheck(passed=passed, points=sols, values=values)
 
 
 def quartic_minimizer(q, span=3.0, grid=41):

@@ -1,4 +1,4 @@
-"""Bivariate and homogeneous trivariate polynomial algebra.
+"""Bivariate polynomial algebra, projective points and supporting lines.
 
 Everything here works with sparse exponent->coefficient maps over floats.
 Monomial order is graded lexicographic with x1 > x2 throughout, matching
@@ -16,11 +16,9 @@ import numpy as np
 
 __all__ = [
     "BivarPoly",
-    "HomogForm3",
     "ProjPoint",
     "SupportLine",
     "PolyParseError",
-    "homogenize",
     "gradient",
     "hessian",
     "comparison_quartic",
@@ -183,65 +181,6 @@ class BivarPoly:
 
     def __repr__(self):
         return f"BivarPoly({format_poly(self)!r})"
-
-
-class HomogForm3:
-    """Homogeneous trivariate form in x0, x1, x2; every exponent triple sums to d."""
-
-    __slots__ = ("terms", "degree")
-
-    def __init__(self, terms, degree=None):
-        terms = {e: float(c) for e, c in terms.items() if abs(c) > _ZERO_TOL}
-        degs = {sum(e) for e in terms}
-        if degree is None:
-            if not degs:
-                raise ValueError("empty polynomial")
-            degree = max(degs)
-        if degs - {degree}:
-            raise ValueError(f"non-homogeneous term map: degrees {sorted(degs)}")
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "degree", degree)
-
-    def __setattr__(self, *a):
-        raise AttributeError("HomogForm3 is immutable")
-
-    def __call__(self, x0, x1, x2):
-        return sum(c * x0**a0 * x1**a1 * x2**a2 for (a0, a1, a2), c in self.terms.items())
-
-    def diff(self, i):
-        """Partial with respect to x0, x1 or x2 (i in {0,1,2})."""
-        t = {}
-        for e, c in self.terms.items():
-            if e[i] > 0:
-                e2 = list(e)
-                e2[i] -= 1
-                e2 = tuple(e2)
-                t[e2] = t.get(e2, 0.0) + e[i] * c
-        return HomogForm3(t, self.degree - 1) if t else HomogForm3({}, max(self.degree - 1, 0))
-
-    def dehomogenize(self):
-        """Set x0 = 1."""
-        t = {}
-        for (a0, a1, a2), c in self.terms.items():
-            t[(a1, a2)] = t.get((a1, a2), 0.0) + c
-        return BivarPoly(t)
-
-    def __eq__(self, other):
-        return isinstance(other, HomogForm3) and self.terms == other.terms
-
-    def __repr__(self):
-        return f"HomogForm3({format_poly(self)!r})"
-
-    def __str__(self):
-        return format_poly(self)
-
-
-def homogenize(p):
-    """Homogenization x0^(deg p) * p(x1/x0, x2/x0) of a nonzero BivarPoly."""
-    if p.is_zero():
-        raise ValueError("empty polynomial")
-    d = p.degree
-    return HomogForm3({(d - a - b, a, b): c for (a, b), c in p.terms.items()}, d)
 
 
 def gradient(p):
@@ -638,22 +577,13 @@ def _fmt_monomial(powers, names):
 
 
 def format_poly(p):
-    """Canonical text form, graded lex order with x1 > x2 (and x0 last weight)."""
-    if isinstance(p, BivarPoly):
-        items = [((a, b), c) for (a, b), c in p.terms.items()]
-        keyed = sorted(items, key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
-        names = ("x1", "x2")
-        mono = lambda e: _fmt_monomial(e, names)
-    else:
-        items = list(p.terms.items())
-        keyed = sorted(items, key=lambda t: (-t[0][0], -t[0][1]))
-        names = ("x0", "x1", "x2")
-        mono = lambda e: _fmt_monomial(e, names)
+    """Canonical text form, graded lex order with x1 > x2."""
+    keyed = sorted(p.terms.items(), key=lambda t: (t[0][0] + t[0][1], -t[0][0]))
     if not keyed:
         return "0"
     out = []
     for e, c in keyed:
-        m = mono(e)
+        m = _fmt_monomial(e, ("x1", "x2"))
         mag = _fmt_num(abs(c))
         if m and abs(c) == 1:
             piece = m

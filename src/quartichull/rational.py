@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .poly import homogenize
 from .sdp import SdpBlock, SdpProblem, min_eig, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
@@ -89,11 +88,11 @@ def validate_param(param, p):
     polynomial gives the zero polynomial in t (symbolic expansion)."""
     if p.degree != 4:
         raise ValueError("curve polynomial must have degree 4")
-    pbar = homogenize(p)
     comps = [np.array([float(c) for c in row]) for row in param.rows]
     total = np.zeros(17)
     scale = 0.0
-    for (a0, a1, a2), c in pbar.terms.items():
+    for (a1, a2), c in p.terms.items():
+        a0 = 4 - a1 - a2  # exponent of x0 in the homogenized term
         term = np.array([c])
         for comp, e in ((comps[0], a0), (comps[1], a1), (comps[2], a2)):
             for _ in range(e):

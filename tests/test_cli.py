@@ -46,6 +46,12 @@ def test_usage_errors(capsys):
     assert run(capsys, "check", "--curve", "egg", "-n", "4")[0] == 64
     assert run(capsys, "sos", "--curve", "egg", "--line", "2,0,-2", "-k", "2..4")[0] == 64
     assert run(capsys, "check", "--curve", "egg", "-k", "3")[0] == 64  # not read by check
+    # a curve must be a nonzero polynomial of degree at most 4
+    assert run(capsys, "check", "--poly", "x1^5 - x2")[0] == 64
+    assert run(capsys, "minimize", "x1", "--poly", "x1^5-1")[0] == 64
+    assert run(capsys, "boundary", "--poly", "x1^5-1")[0] == 64
+    assert run(capsys, "sos", "--poly", "x1^5-1", "--line", "1,0,0")[0] == 64
+    assert run(capsys, "singularities", "--poly", "0")[0] == 64
 
 
 def test_minimize_csv(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,6 @@ from quartichull.exactness import (
     curve_is_bounded,
     curve_points,
     find_singularities,
-    gradient_exactness,
     quartic_minimizer,
     sweep_exactness,
     tangent_support,
@@ -106,6 +106,30 @@ def test_singularity_classifications(bean_verdict, lemniscate_verdict):
     assert verdict.singular_points[0].classification == "interior"
 
 
+def test_verdicts_label_copies_of_the_singular_points(bean_verdict):
+    # the curve record keeps its singular points unlabelled; a verdict
+    # carries labelled copies, and no one can write to a point
+    verdict, _ = bean_verdict
+    assert verdict.singular_points[0].classification == "on_boundary"
+    found = find_singularities(curves.lookup("bean").implicit)
+    assert [s.classification for s in found] == ["unknown"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        found[0].classification = "interior"
+    found.clear()  # a new list each call
+    assert len(find_singularities(curves.lookup("bean").implicit)) == 1
+
+
+def test_singularities_of_curves_in_one_variable():
+    # the partials have no generic pencil: the grid fallback answers,
+    # flagged non-certified, instead of raising
+    assert [s for s in find_singularities(parse_poly("x2^2 - 1"))
+            if not s.at_infinity] == []
+    found = [s for s in find_singularities(parse_poly("x2^2")) if not s.at_infinity]
+    assert found
+    assert not any(s.certified for s in found)
+    assert all(abs(s.location.to_affine()[1]) <= 1e-8 for s in found)
+
+
 def test_sweep_rows_cover_the_circle(egg_verdict):
     verdict, _ = egg_verdict
     angles = [row[0] for row in verdict.sweep]
@@ -114,20 +138,6 @@ def test_sweep_rows_cover_the_circle(egg_verdict):
     assert max(angles) < 2 * math.pi
     # all margins nonnegative up to tolerance for an exact curve
     assert min(row[1] for row in verdict.sweep) >= -1e-6
-
-
-def test_gradient_check_agrees_with_sweep():
-    egg = curves.lookup("egg").implicit
-    # inward normal at the top point (0, 1): grad p there
-    g = (egg.diff(1)(0.0, 1.0), egg.diff(2)(0.0, 1.0))
-    res = gradient_exactness(egg, g)
-    assert res.passed
-    assert min(res.values) >= -1e-8
-
-    folium = curves.lookup("folium").implicit
-    res = gradient_exactness(folium, (0.75, 3 * math.sqrt(2) / 2))
-    assert not res.passed
-    assert min(res.values) < -0.1
 
 
 def test_quartic_minimizer():
@@ -141,6 +151,10 @@ def test_concave_fast_path():
     verdict = sweep_exactness(curves.lookup("fermat").implicit, n=16)
     assert verdict.verdict == "Exact"
     assert verdict.evidence.get("concave") is True
+    # the fast path reads the singular points only, never the curve sample
+    p = parse_poly("1 - x1^4 - 2*x2^4")
+    assert sweep_exactness(p, n=16).verdict == "Exact"
+    assert "cloud" not in vars(exactness._curve(p))
 
 
 def test_concave_unbounded_curve_is_exact():

@@ -1,8 +1,9 @@
-"""Static checks on the package source: no module imports a name it never
-uses, and no module defines a private function or class that nothing in the
-package reads."""
+"""Checks on the package source: no module imports a name it never uses,
+no module defines a private function or class that nothing in the package
+reads, and every name a module lists in __all__ exists."""
 
 import ast
+import importlib
 import pathlib
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quartichull"
@@ -87,3 +88,14 @@ def test_no_unused_imports_in_package():
         if unused:
             found[path.name] = unused
     assert found == {}
+
+
+def test_every_public_name_resolves():
+    missing = {}
+    for path in sorted(SRC.glob("*.py")):
+        name = "quartichull" if path.stem == "__init__" else f"quartichull.{path.stem}"
+        module = importlib.import_module(name)
+        absent = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+        if absent:
+            missing[name] = absent
+    assert missing == {}

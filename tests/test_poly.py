@@ -14,7 +14,6 @@ from quartichull.poly import (
     format_poly,
     gradient,
     hessian,
-    homogenize,
     monomials_upto,
     parse_poly,
     real_roots,
@@ -74,42 +73,6 @@ def test_parse_powers_and_products():
     assert p.coeff(4, 0) == -1.0
     assert p.coeff(2, 1) == 2.0
     assert p.coeff(0, 2) == -1.0
-
-
-@given(small_polys(), st.floats(-2, 2), st.floats(-2, 2))
-@settings(max_examples=50, deadline=None)
-def test_homogenize_round_trip(p, x1, x2):
-    if p.is_zero():
-        return
-    pbar = homogenize(p)
-    assert pbar.dehomogenize().allclose(p, tol=1e-12)
-    assert abs(pbar(1.0, x1, x2) - p(x1, x2)) <= 1e-9 * max(1.0, p.coeff_norm()) * 32
-
-
-@given(small_polys(), st.floats(-2, 2), st.floats(-2, 2), st.floats(0.1, 3))
-@settings(max_examples=50, deadline=None)
-def test_homogeneity_scaling(p, x1, x2, lam):
-    if p.is_zero():
-        return
-    pbar = homogenize(p)
-    d = pbar.degree
-    lhs = pbar(lam, lam * x1, lam * x2)
-    rhs = lam**d * pbar(1.0, x1, x2)
-    assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
-
-
-@given(small_polys(), st.floats(-2, 2), st.floats(-2, 2))
-@settings(max_examples=50, deadline=None)
-def test_euler_identity(p, x1, x2):
-    # x . grad(pbar) = d * pbar for homogeneous forms
-    if p.is_zero():
-        return
-    pbar = homogenize(p)
-    d = pbar.degree
-    lhs = (pbar.diff(0)(1.0, x1, x2) + x1 * pbar.diff(1)(1.0, x1, x2)
-           + x2 * pbar.diff(2)(1.0, x1, x2))
-    rhs = d * pbar(1.0, x1, x2)
-    assert abs(lhs - rhs) <= 1e-7 * max(1.0, abs(rhs))
 
 
 @given(small_polys(), st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
