@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Digest every SDP solve of one benchmark workload, to check that a
+refactor leaves each solve bit-identical.
+
+Usage: python3 scripts/solve_digest.py sweep-smooth|sweep-singular|hierarchy
+
+Runs the workload once through perfbench/one_pass.py (seed 1, one BLAS
+thread) with quartichull.sdp.solve rebound to a recording wrapper, as
+perfbench/layertrace.py rebinds it. Prints three lines: the solve count,
+a SHA-256 over (c, F0, F, eq_A, eq_b, status, message, iteration count, z,
+violation) of every solve in call order, and a SHA-256 of the workload's
+outputs with the timing fields removed. Two trees whose three lines agree
+ran the same problems to the same answers.
+"""
+
+import os
+
+for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_v] = "1"
+
+import hashlib  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
+
+import numpy as np  # noqa: E402
+
+import one_pass  # noqa: E402
+from quartichull import sdp  # noqa: E402
+
+SEED = 1
+TIMING_KEYS = ("ms", "seconds")
+
+
+def _array(h, a):
+    if a is None:
+        h.update(b"None")
+        return
+    a = np.ascontiguousarray(a, dtype=float)
+    h.update(repr(a.shape).encode())
+    h.update(a.tobytes())
+
+
+def _install(h, count):
+    """Rebind sdp.solve in every package module that holds it."""
+    solve = sdp.solve
+
+    def recorded(prob, settings=None):
+        sol = solve(prob, settings)
+        count[0] += 1
+        for a in (prob.c, prob.F0, prob.F, prob.eq_A, prob.eq_b):
+            _array(h, a)
+        h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
+        _array(h, sol.z)
+        h.update(repr(float(sol.violation)).encode())
+        return sol
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("quartichull"):
+            for attr, val in list(vars(mod).items()):
+                if val is solve:
+                    setattr(mod, attr, recorded)
+
+
+def _untimed(obj):
+    if isinstance(obj, dict):
+        return {k: _untimed(v) for k, v in obj.items() if k not in TIMING_KEYS}
+    if isinstance(obj, list):
+        return [_untimed(v) for v in obj]
+    return obj
+
+
+def main():
+    if len(sys.argv) != 2 or sys.argv[1] not in ("sweep-smooth", "sweep-singular",
+                                                  "hierarchy"):
+        raise SystemExit(__doc__)
+    workload = sys.argv[1]
+    inputs = one_pass.make_inputs(workload, SEED)
+    h, count = hashlib.sha256(), [0]
+    _install(h, count)
+    run = one_pass.run_hierarchy if workload == "hierarchy" else one_pass.run_sweeps
+    _, outputs = run(inputs)
+    text = json.dumps(_untimed(outputs), sort_keys=True, default=str)
+    print(f"solves: {count[0]}")
+    print(f"solve digest: {h.hexdigest()}")
+    print(f"output digest: {hashlib.sha256(text.encode()).hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

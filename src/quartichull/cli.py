@@ -373,8 +373,9 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "tol", 1.0) <= 0:
-            raise UsageError("tolerance must be positive")
+        tol = getattr(args, "tol", 1.0)
+        if not (math.isfinite(tol) and tol > 0):
+            raise UsageError("tolerance must be finite and positive")
         if getattr(args, "samples", 8) < 8:
             raise UsageError("need at least 8 sample angles")
         return _COMMANDS[args.command](args)

@@ -248,6 +248,8 @@ class SupportLine:
         c = tuple(float(v) for v in self.coeffs)
         if len(c) != 3:
             raise ValueError("line needs 3 coefficients")
+        if not all(map(math.isfinite, c)):
+            raise ValueError("line coefficients must be finite")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -443,10 +445,13 @@ def _tokenize(text):
             raise PolyParseError(f"unexpected character at position {pos}: {text[pos:pos+10]!r}")
         if m.lastgroup == "num":
             s = m.group("num")
-            if "/" in s:
-                tokens.append(("num", float(Fraction(s))))
-            else:
-                tokens.append(("num", float(s)))
+            try:
+                v = float(Fraction(s)) if "/" in s else float(s)
+            except OverflowError:
+                v = math.inf
+            if not math.isfinite(v):
+                raise PolyParseError(f"number out of range: {s[:20]}")
+            tokens.append(("num", v))
         elif m.lastgroup == "var":
             if m.group("var") == "x0":
                 raise PolyParseError("polynomials are in x1 and x2; x0 is not allowed")
@@ -556,8 +561,12 @@ def _tpow(a, n):
 
 
 def parse_poly(text):
-    """Parse polynomial text in x1, x2 into a BivarPoly."""
-    return BivarPoly(_Parser(_tokenize(text)).parse())
+    """Parse polynomial text in x1, x2 into a BivarPoly. A coefficient that
+    is not finite, as written or after expansion, is a PolyParseError."""
+    terms = _Parser(_tokenize(text)).parse()
+    if not all(map(math.isfinite, terms.values())):
+        raise PolyParseError("coefficient overflow")
+    return BivarPoly(terms)
 
 
 def _fmt_num(c):

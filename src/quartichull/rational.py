@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .sdp import SdpBlock, SdpProblem, min_eig, solve
+from .sdp import SdpProblem, min_eig, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
@@ -137,7 +137,6 @@ class HankelRepresentation:
     """3x3 Hankel matrix in (x0, x1, x2) and two retained lifting moments."""
 
     param: RationalParam
-    relations: tuple  # 3 rows of 5 Fractions: x_i = sum_a rel[i][a] * y_a
     retained: tuple  # symbols of the two surviving moments, e.g. ("y0", "y1")
     entries: tuple  # 3x3 of affine dicts {symbol: Fraction}
     scale: int  # common integer factor applied to scaled_entries
@@ -254,7 +253,6 @@ def hankel_representation(param):
         scale = scale * d // math.gcd(scale, d)
     return HankelRepresentation(
         param=param,
-        relations=tuple(tuple(row) for row in param.rows),
         retained=retained,
         entries=entries,
         scale=scale,
@@ -280,8 +278,7 @@ def rational_membership(rep, point):
     F[-1] = -np.eye(3)
     c = np.zeros(nvars)
     c[-1] = -1.0
-    prob = SdpProblem(c=c, blocks=[SdpBlock(F0=F0, F=F)],
-                      eq_A=np.zeros((0, nvars)), eq_b=np.zeros(0))
+    prob = SdpProblem(c=c, F0=F0, F=F, eq_A=np.zeros((0, nvars)), eq_b=np.zeros(0))
     sol = solve(prob)
     if sol.status == "Unbounded":
         # the margin program is bounded above whenever the Hankel form is

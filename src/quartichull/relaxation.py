@@ -21,7 +21,7 @@ import scipy.sparse
 
 from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpBlock, SdpProblem, equality_multipliers, solve
+from .sdp import SdpProblem, equality_multipliers, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
@@ -81,8 +81,9 @@ class RelaxationProblem:
         return tuple(e for i, e in enumerate(rows) if i not in keep)
 
     def moment_block(self, with_margin):
-        """M_k(y) as an SdpBlock over z = (moments, [t]), facially reduced
-        on both sides (see _reductions):
+        """The coefficient tensor F, of shape (m, n, n), of M_k(y) =
+        sum_i z_i F[i] over z = (moments, [t]), facially reduced on both
+        sides (see _reductions):
 
         - dual: rows whose Gram diagonal is forced to zero are dropped, and
           the range of every further diagonally dominant recession
@@ -96,10 +97,9 @@ class RelaxationProblem:
         T = self._basis
         if T is not None:
             F = np.einsum("pq,iqr,rs->ips", T.T, F, T, optimize=True)
-        size = F.shape[1]
         if with_margin:
-            F[-1] = -np.eye(size)
-        return SdpBlock(F0=np.zeros((size, size)), F=F)
+            F[-1] = -np.eye(F.shape[1])
+        return F
 
     def equality_system(self, pins, with_margin):
         """Rows: pins first (in the order given), then deduplicated
@@ -281,11 +281,11 @@ def _margin_solve(p, k, point):
     prob = RelaxationProblem(p, k)
     x1, x2 = float(point[0]), float(point[1])
     pins = [(0, 1.0), (1, x1), (2, x2)]
-    block = prob.moment_block(with_margin=True)
+    F = prob.moment_block(with_margin=True)
     A, b = prob.equality_system(pins, with_margin=True)
     c = np.zeros(prob.nmoments + 1)
     c[-1] = -1.0
-    sdp = SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b)
+    sdp = SdpProblem(c=c, F0=np.zeros(F.shape[1:]), F=F, eq_A=A, eq_b=b)
     sol = solve(sdp)
     if sol.status != "Optimal":
         raise IndeterminateResult(f"membership solve returned {sol.status}: {sol.message}")
@@ -324,14 +324,15 @@ def _support_sweep(p, k, directions, settings=None):
     compiled once: a SupportResult per direction, with the statuses of
     support(). A failed solve keeps the solver's status, with value nan."""
     prob = RelaxationProblem(p, k)
-    block = prob.moment_block(with_margin=False)
+    F = prob.moment_block(with_margin=False)
+    F0 = np.zeros(F.shape[1:])
     A, b = prob.equality_system([(0, 1.0)], with_margin=False)
     out = []
     for f1, f2 in directions:
         c = np.zeros(prob.nmoments)
         c[1] = -f1
         c[2] = -f2
-        sol = solve(SdpProblem(c=c, blocks=[block], eq_A=A, eq_b=b), settings)
+        sol = solve(SdpProblem(c=c, F0=F0, F=F, eq_A=A, eq_b=b), settings)
         message = f"{sol.status}: {sol.message}"
         # High orders are barely strictly feasible (the moment body of a
         # 1-dimensional curve thins out exponentially with the degree) and

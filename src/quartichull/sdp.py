@@ -1,9 +1,9 @@
 """Dense small-scale semidefinite solver.
 
-Problems are given in LMI form:
+Problems are given in LMI form, with one PSD constraint:
 
     minimize    c' z
-    subject to  F0_b + sum_i z_i Fi_b  >= 0   (PSD, one constraint per block b)
+    subject to  F0 + sum_i z_i F[i] >= 0   (PSD)
                 E z = d
 
 Equalities are eliminated up front by projection onto their affine solution
@@ -29,7 +29,6 @@ import numpy as np
 import scipy.linalg
 
 __all__ = [
-    "SdpBlock",
     "SdpProblem",
     "SdpSettings",
     "SdpSolution",
@@ -45,47 +44,31 @@ class NotPsdError(ValueError):
 
 
 @dataclass
-class SdpBlock:
-    """One PSD constraint F0 + sum_i z_i F[i] >= 0."""
-
-    F0: np.ndarray
-    F: np.ndarray  # shape (m, n, n)
-
-    def __post_init__(self):
-        self.F0 = np.asarray(self.F0, dtype=float)
-        self.F = np.asarray(self.F, dtype=float)
-        n = self.F0.shape[0]
-        if self.F0.shape != (n, n) or self.F.shape[1:] != (n, n):
-            raise ValueError("inconsistent block shapes")
-        if n == 0:
-            raise ValueError("empty block")
-
-    @property
-    def size(self):
-        return self.F0.shape[0]
-
-    def at(self, z):
-        return self.F0 + np.tensordot(z, self.F, axes=(0, 0))
-
-
-@dataclass
 class SdpProblem:
+    """minimize c'z s.t. F0 + sum_i z_i F[i] >= 0 and eq_A z = eq_b, with F of
+    shape (m, n, n) for m = len(c); eq_A may have zero rows."""
+
     c: np.ndarray
-    blocks: list
-    eq_A: np.ndarray | None = None
-    eq_b: np.ndarray | None = None
+    F0: np.ndarray
+    F: np.ndarray
+    eq_A: np.ndarray
+    eq_b: np.ndarray
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)
-        m = len(self.c)
-        if not self.blocks:
-            raise ValueError("no PSD block")
-        for blk in self.blocks:
-            if blk.F.shape[0] != m:
-                raise ValueError("block variable count mismatch")
-        if self.eq_A is not None:
-            self.eq_A = np.atleast_2d(np.asarray(self.eq_A, dtype=float))
-            self.eq_b = np.atleast_1d(np.asarray(self.eq_b, dtype=float))
+        self.F0 = np.asarray(self.F0, dtype=float)
+        self.F = np.asarray(self.F, dtype=float)
+        self.eq_A = np.asarray(self.eq_A, dtype=float)
+        self.eq_b = np.asarray(self.eq_b, dtype=float)
+        m, n = len(self.c), len(self.F0)
+        if n == 0:
+            raise ValueError("empty PSD block")
+        if self.F0.shape != (n, n) or self.F.shape != (m, n, n):
+            raise ValueError("F0 must be (n, n) and F (len(c), n, n)")
+        if self.eq_A.ndim != 2 or self.eq_A.shape[1] != m:
+            raise ValueError("eq_A must have one column per variable")
+        if self.eq_b.shape != (len(self.eq_A),):
+            raise ValueError("eq_b must have one entry per row of eq_A")
 
     @property
     def nvars(self):
@@ -127,7 +110,7 @@ class SdpSettings:
 class SdpSolution:
     status: str  # Optimal | Infeasible | Unbounded | MaxIter | Numerical
     z: np.ndarray | None
-    duals: list | None
+    duals: np.ndarray | None  # the primal matrix X of the standard form
     violation: float
     iterates: list = field(default_factory=list)
     message: str = ""
@@ -159,7 +142,7 @@ def _eliminate_equalities(prob):
     from one SVD. Returns (z0, N), or None when the system is inconsistent."""
     E, d = prob.eq_A, prob.eq_b
     m = prob.nvars
-    if E is None or E.shape[0] == 0:
+    if E.shape[0] == 0:
         return np.zeros(m), np.eye(m)
     z0 = np.linalg.lstsq(E, d, rcond=None)[0]
     if np.linalg.norm(E @ z0 - d) > _FEAS_TOL * (1 + np.linalg.norm(d)):
@@ -179,25 +162,26 @@ def _max_step(L, Delta, frac):
     return min(1.0, -frac / lam)
 
 
-def _ipm(C_blocks, A_blocks, b, settings):
-    """Core primal-dual IPM on the standard-form pair. Every block is
-    nonempty and m >= 1. Returns dict."""
-    m = len(b)
-    ns = [C.shape[0] for C in C_blocks]
-    ntot = sum(ns)
+_SCHUR = "pq,iqr,rs->ips"
 
-    scale = max(
-        [1.0]
-        + [float(np.max(np.abs(C))) for C in C_blocks]
-        + [float(np.max(np.abs(A))) for A in A_blocks]
-        + [float(np.max(np.abs(b)))]
-    )
-    X = [scale * np.eye(n) for n in ns]
-    S = [scale * np.eye(n) for n in ns]
+
+def _ipm(C, A, b, settings):
+    """Core primal-dual IPM on the standard-form pair, with C of shape
+    (n, n), n >= 1, and A of shape (m, n, n), m >= 1. Returns dict."""
+    m = len(b)
+    n = C.shape[0]
+
+    scale = max(1.0, float(np.max(np.abs(C))), float(np.max(np.abs(A))),
+                float(np.max(np.abs(b))))
+    X = scale * np.eye(n)
+    S = scale * np.eye(n)
     y = np.zeros(m)
 
     bnorm = 1 + np.linalg.norm(b)
-    Cnorm = 1 + np.sqrt(sum(np.sum(C * C) for C in C_blocks))
+    Cnorm = 1 + np.sqrt(np.sum(C * C))
+    # the contraction order of the Schur complement einsum depends only on
+    # the shapes, which are fixed for the whole solve
+    path = np.einsum_path(_SCHUR, X, A, X, optimize=True)[0]
 
     iterates = []
     status = "MaxIter"
@@ -209,23 +193,16 @@ def _ipm(C_blocks, A_blocks, b, settings):
     # when the X side has drifted (degenerate problems)
     best_lmi = None
 
-    def a_of_x(Xs):
-        out = np.zeros(m)
-        for A, Xb in zip(A_blocks, Xs):
-            out += np.tensordot(A, Xb, axes=([1, 2], [0, 1]))
-        return out
-
     for it in range(settings.max_iter):
-        ax = a_of_x(X)
+        ax = np.tensordot(A, X, axes=([1, 2], [0, 1]))
         rp = b - ax
-        Rd = [C - Sb - np.tensordot(y, A, axes=(0, 0))
-              for C, Sb, A in zip(C_blocks, S, A_blocks)]
-        gap = sum(np.sum(Xb * Sb) for Xb, Sb in zip(X, S))
-        mu = gap / ntot
-        pobj = sum(np.sum(C * Xb) for C, Xb in zip(C_blocks, X))
+        Rd = C - S - np.tensordot(y, A, axes=(0, 0))
+        gap = np.sum(X * S)
+        mu = gap / n
+        pobj = np.sum(C * X)
         dobj = float(b @ y)
         rp_norm = np.linalg.norm(rp)
-        rd_norm = np.sqrt(sum(np.sum(R * R) for R in Rd))
+        rd_norm = np.sqrt(np.sum(Rd * Rd))
 
         iterates.append(
             dict(iter=it, pobj=float(pobj), dobj=dobj, gap=float(gap), mu=float(mu),
@@ -249,7 +226,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
             break
 
         # divergence: improving-ray tests
-        xnorm = np.sqrt(sum(np.sum(Xb * Xb) for Xb in X))
+        xnorm = np.sqrt(np.sum(X * X))
         ynorm = np.linalg.norm(y)
         if xnorm > 0 and pobj < 0:
             # X/|X| tends to a ray proving LMI infeasibility
@@ -259,8 +236,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
                 message = "primal improving ray found"
                 break
         if ynorm > 0 and dobj > 0:
-            res = np.sqrt(sum(np.sum((np.tensordot(y, A, axes=(0, 0)) + Sb) ** 2)
-                              for A, Sb in zip(A_blocks, S))) / ynorm
+            res = np.sqrt(np.sum((np.tensordot(y, A, axes=(0, 0)) + S) ** 2)) / ynorm
             if dobj / ynorm > _RAY_THRESHOLD * max(res, 1e-16):
                 status = "Unbounded"
                 message = "dual improving ray found"
@@ -273,30 +249,23 @@ def _ipm(C_blocks, A_blocks, b, settings):
             message = "no progress on the barrier parameter"
             break
 
-        # NT scaling per block: W = R R' with W S W = X; in the scaled space
+        # NT scaling: W = R R' with W S W = X; in the scaled space
         # R^{-1} X R^{-T} = R' S R = diag(lam).
         try:
-            Lx = [np.linalg.cholesky(Xb) for Xb in X]
-            Ls = [np.linalg.cholesky(Sb) for Sb in S]
+            Lx = np.linalg.cholesky(X)
+            Ls = np.linalg.cholesky(S)
         except np.linalg.LinAlgError:
             status = "Numerical"
             message = "iterate left the cone"
             break
-        Ws, Rs, Rinvs, lams = [], [], [], []
-        for Lxb, Lsb in zip(Lx, Ls):
-            U, sig, Vt = np.linalg.svd(Lsb.T @ Lxb)
-            R = Lxb @ Vt.T / np.sqrt(sig)
-            Rinv = (np.sqrt(sig)[:, None] * Vt) @ np.linalg.inv(Lxb)
-            Ws.append(R @ R.T)
-            Rs.append(R)
-            Rinvs.append(Rinv)
-            lams.append(sig)
+        _, lam, Vt = np.linalg.svd(Ls.T @ Lx)
+        R = Lx @ Vt.T / np.sqrt(lam)
+        Rinv = (np.sqrt(lam)[:, None] * Vt) @ np.linalg.inv(Lx)
+        W = R @ R.T
 
-        # Schur complement M_ij = sum_b tr(A_i W A_j W)
-        M = np.zeros((m, m))
-        for A, W in zip(A_blocks, Ws):
-            T = np.einsum("pq,iqr,rs->ips", W, A, W, optimize=True)
-            M += np.tensordot(A, T, axes=([1, 2], [1, 2]))
+        # Schur complement M_ij = tr(A_i W A_j W)
+        T = np.einsum(_SCHUR, W, A, W, optimize=path)
+        M = np.tensordot(A, T, axes=([1, 2], [1, 2]))
         M = 0.5 * (M + M.T)
 
         jitter = 0.0
@@ -312,9 +281,7 @@ def _ipm(C_blocks, A_blocks, b, settings):
             break
 
         def solve_direction(Rc):
-            rhs = rp.copy()
-            for A, W, Rdb, Rcb in zip(A_blocks, Ws, Rd, Rc):
-                rhs -= np.tensordot(A, Rcb - W @ Rdb @ W, axes=([1, 2], [0, 1]))
+            rhs = rp - np.tensordot(A, Rc - W @ Rd @ W, axes=([1, 2], [0, 1]))
             dy = scipy.linalg.cho_solve((Lm, True), rhs)
             # iterative refinement: the Schur complement is increasingly
             # ill-conditioned as mu -> 0 and lost digits show up directly
@@ -324,51 +291,36 @@ def _ipm(C_blocks, A_blocks, b, settings):
                 if np.linalg.norm(r) < 1e-14 * max(1.0, np.linalg.norm(rhs)):
                     break
                 dy = dy + scipy.linalg.cho_solve((Lm, True), r)
-            dS = [Rdb - np.tensordot(dy, A, axes=(0, 0))
-                  for Rdb, A in zip(Rd, A_blocks)]
-            dX = []
-            for Rcb, W, dSb in zip(Rc, Ws, dS):
-                d = Rcb - W @ dSb @ W
-                dX.append(0.5 * (d + d.T))
-            return dX, dy, dS
-
-        def scaled_rhs_to_rc(rhs_blocks):
-            # rhs in scaled space -> Rc with dX + W dS W = Rc, via the Lyapunov
-            # scaling (lam_i + lam_j)/2.
-            out = []
-            for R, lam, rhs in zip(Rs, lams, rhs_blocks):
-                denom = 0.5 * (lam[:, None] + lam[None, :])
-                out.append(R @ (rhs / denom) @ R.T)
-            return out
+            dS = Rd - np.tensordot(dy, A, axes=(0, 0))
+            d = Rc - W @ dS @ W
+            return 0.5 * (d + d.T), dy, dS
 
         # predictor: target X S -> 0; scaled rhs is -lam^2 (gives Rc = -X)
-        Rc_aff = [-Xb for Xb in X]
-        dXa, dya, dSa = solve_direction(Rc_aff)
-        ap = min(_max_step(Lxb, dXb, _STEP_FRAC) for Lxb, dXb in zip(Lx, dXa))
-        ad = min(_max_step(Lsb, dSb, _STEP_FRAC) for Lsb, dSb in zip(Ls, dSa))
-        gap_aff = sum(np.sum((Xb + ap * dXb) * (Sb + ad * dSb))
-                      for Xb, dXb, Sb, dSb in zip(X, dXa, S, dSa))
+        dXa, _, dSa = solve_direction(-X)
+        ap = _max_step(Lx, dXa, _STEP_FRAC)
+        ad = _max_step(Ls, dSa, _STEP_FRAC)
+        gap_aff = np.sum((X + ap * dXa) * (S + ad * dSa))
         sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.0
 
-        # corrector with the Mehrotra second-order term in scaled space
-        rhs_blocks = []
-        for R, Rinv, lam, dXb, dSb in zip(Rs, Rinvs, lams, dXa, dSa):
-            dXh = Rinv @ dXb @ Rinv.T
-            dSh = R.T @ dSb @ R
-            corr = 0.5 * (dXh @ dSh + dSh @ dXh)
-            rhs_blocks.append(sigma * mu * np.eye(len(lam)) - np.diag(lam**2) - corr)
-        Rc = scaled_rhs_to_rc(rhs_blocks)
-        dX, dy, dS = solve_direction(Rc)
-        ap = min(_max_step(Lxb, dXb, _STEP_FRAC) for Lxb, dXb in zip(Lx, dX))
-        ad = min(_max_step(Lsb, dSb, _STEP_FRAC) for Lsb, dSb in zip(Ls, dS))
+        # corrector with the Mehrotra second-order term in scaled space; the
+        # scaled rhs maps back to Rc with dX + W dS W = Rc through the
+        # Lyapunov scaling (lam_i + lam_j)/2
+        dXh = Rinv @ dXa @ Rinv.T
+        dSh = R.T @ dSa @ R
+        corr = 0.5 * (dXh @ dSh + dSh @ dXh)
+        rhs = sigma * mu * np.eye(n) - np.diag(lam**2) - corr
+        denom = 0.5 * (lam[:, None] + lam[None, :])
+        dX, dy, dS = solve_direction(R @ (rhs / denom) @ R.T)
+        ap = _max_step(Lx, dX, _STEP_FRAC)
+        ad = _max_step(Ls, dS, _STEP_FRAC)
         if min(ap, ad) < 1e-10:
             status = "Numerical"
             message = "step length collapsed"
             break
 
-        X = [Xb + ap * dXb for Xb, dXb in zip(X, dX)]
+        X = X + ap * dX
         y = y + ad * dy
-        S = [Sb + ad * dSb for Sb, dSb in zip(S, dS)]
+        S = S + ad * dS
 
     if status in ("Numerical", "MaxIter"):
         # strict tolerances unreachable (degenerate optimal face is common
@@ -395,9 +347,9 @@ def solve(prob, settings=None):
                            violation=float("inf"),
                            message="inconsistent equality system")
     z0, N = reduced
-    C_blocks = [blk.at(z0) for blk in prob.blocks]
+    C = prob.F0 + np.tensordot(z0, prob.F, axes=(0, 0))
     if N.shape[1] == 0:
-        lam = min(min_eig(C) for C in C_blocks)
+        lam = min_eig(C)
         ok = lam >= -_FEAS_TOL
         return SdpSolution(
             status="Optimal" if ok else "Infeasible",
@@ -407,13 +359,12 @@ def solve(prob, settings=None):
             message="fully determined by equalities",
         )
 
-    A_blocks = [-np.tensordot(N, blk.F, axes=(0, 0)) for blk in prob.blocks]
-    res = _ipm(C_blocks, A_blocks, -(N.T @ prob.c), settings)
+    A = -np.tensordot(N, prob.F, axes=(0, 0))
+    res = _ipm(C, A, -(N.T @ prob.c), settings)
     z = z0 + N @ res["y"]
-    Zs = [blk.at(z) for blk in prob.blocks]
-    lam = min(min_eig(0.5 * (Z + Z.T)) for Z in Zs)
-    violation = max(0.0, -lam)
-    if prob.eq_A is not None and prob.eq_A.shape[0]:
+    Z = prob.F0 + np.tensordot(z, prob.F, axes=(0, 0))
+    violation = max(0.0, -min_eig(0.5 * (Z + Z.T)))
+    if prob.eq_A.shape[0]:
         violation = max(violation, float(np.max(np.abs(prob.eq_A @ z - prob.eq_b))))
 
     status = res["status"]
@@ -429,12 +380,9 @@ def solve(prob, settings=None):
 
 def equality_multipliers(prob, sol):
     """Recover multipliers for E z = d from stationarity:
-    c_i - sum_b tr(F_{b,i} X_b) + (E' lam)_i = 0."""
-    if prob.eq_A is None or sol.duals is None:
-        raise ValueError("no equality system or no dual blocks")
-    g = prob.c.copy()
-    for blk, Xb in zip(prob.blocks, sol.duals):
-        g -= np.tensordot(blk.F, Xb, axes=([1, 2], [0, 1]))
+    c_i - tr(F_i X) + (E' lam)_i = 0."""
+    if sol.duals is None:
+        raise ValueError("no dual matrix")
+    g = prob.c - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
     lam, *_ = np.linalg.lstsq(prob.eq_A.T, -g, rcond=None)
     return lam
-

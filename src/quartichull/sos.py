@@ -15,7 +15,7 @@ import numpy as np
 
 from .moments import build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpBlock, SdpProblem, SdpSettings, psd_truncate, solve
+from .sdp import SdpProblem, SdpSettings, psd_truncate, solve
 
 __all__ = [
     "SosCertificate",
@@ -141,8 +141,7 @@ def _gram_problem(target, k, p=None):
     c = np.zeros(m)
     c[-1] = -1.0  # maximize t
     b = np.array([target.coeff(*s) for s in monomials_upto(2 * k)])
-    prob = SdpProblem(c=c, blocks=[SdpBlock(F0=np.zeros((nb, nb)), F=F)],
-                      eq_A=A, eq_b=b)
+    prob = SdpProblem(c=c, F0=np.zeros((nb, nb)), F=F, eq_A=A, eq_b=b)
     return prob, form
 
 

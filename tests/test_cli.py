@@ -52,6 +52,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "boundary", "--poly", "x1^5-1")[0] == 64
     assert run(capsys, "sos", "--poly", "x1^5-1", "--line", "1,0,0")[0] == 64
     assert run(capsys, "singularities", "--poly", "0")[0] == 64
+    # non-finite numbers, as written or after expansion, are bad input
+    assert run(capsys, "check", "--curve", "smoothconvex", "--tol", "nan", "-n", "36")[0] == 64
+    assert run(capsys, "check", "--curve", "smoothconvex", "--tol", "inf", "-n", "36")[0] == 64
+    assert run(capsys, "sos", "--curve", "egg", "--line", "nan,0,0")[0] == 64
+    assert run(capsys, "singularities", "--poly", "1e400*x1^2-x2")[0] == 64
+    assert run(capsys, "minimize", "1e400*x1", "--curve", "egg")[0] == 64
+    assert run(capsys, "singularities", "--poly", "(1e200*x1)^2-x2")[0] == 64
 
 
 def test_minimize_csv(capsys):

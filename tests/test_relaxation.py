@@ -93,7 +93,7 @@ def test_dual_reduction_drops_rows_at_infinity():
             prob = RelaxationProblem(p, k)
             rows = len(monomials_upto(k))
             kernel = len(monomials_upto(k - 4)) if k >= 4 else 0
-            size = prob.moment_block(with_margin=False).size
+            size = prob.moment_block(with_margin=False).shape[1]
             A, _ = prob.equality_system([(0, 1.0)], with_margin=False)
             # pin, localizing rows, then rows fixing what the block lost
             fixing = len(A) - 1 - len(monomials_upto(2 * k - 4))

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from quartichull.sdp import (
     NotPsdError,
-    SdpBlock,
     SdpProblem,
     SdpSettings,
     equality_multipliers,
@@ -20,7 +20,7 @@ def _lmi(F0, Fs, c, eq_A=None, eq_b=None):
         eq_A = np.zeros((0, n))
         eq_b = np.zeros(0)
     return SdpProblem(c=np.array(c, dtype=float),
-                      blocks=[SdpBlock(F0=np.array(F0, dtype=float), F=F)],
+                      F0=np.array(F0, dtype=float), F=F,
                       eq_A=np.asarray(eq_A, dtype=float),
                       eq_b=np.asarray(eq_b, dtype=float))
 
@@ -95,16 +95,14 @@ def test_weak_duality_on_logged_iterates():
         Fs.append(-np.eye(n))
         c = np.zeros(4)
         c[-1] = -1.0
-        # box the free variables with 2x2 diagonal blocks so the
-        # max-min-eigenvalue program stays bounded
-        boxes = []
-        for i in range(3):
-            F = np.zeros((4, 2, 2))
-            F[i] = np.diag([1.0, -1.0])
-            boxes.append(SdpBlock(F0=5.0 * np.eye(2), F=F))
-        prob = _lmi(F0, Fs, c)
-        prob = SdpProblem(c=prob.c, blocks=prob.blocks + boxes,
-                          eq_A=prob.eq_A, eq_b=prob.eq_b)
+        # box the free variables with 2x2 diagonal blocks of one
+        # block-diagonal matrix so the max-min-eigenvalue program stays
+        # bounded
+        F = []
+        for i, Fi in enumerate(Fs):
+            box = [np.diag([1.0, -1.0]) if j == i else np.zeros((2, 2)) for j in range(3)]
+            F.append(scipy.linalg.block_diag(Fi, *box))
+        prob = _lmi(scipy.linalg.block_diag(F0, *[5.0 * np.eye(2)] * 3), F, c)
         sol = solve(prob)
         assert sol.status == "Optimal"
         assert sol.iterates, "no iterates logged"
@@ -128,7 +126,19 @@ def test_equality_multipliers_stationarity():
     assert sol.z[1] == pytest.approx(0.0, abs=1e-5)
     lam = equality_multipliers(prob, sol)
     # stationarity: c - A*(X) + E' lam = 0 componentwise
-    g = prob.c.copy()
-    for blk, Xb in zip(prob.blocks, sol.duals):
-        g -= np.tensordot(blk.F, Xb, axes=([1, 2], [0, 1]))
+    g = prob.c - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
     assert np.max(np.abs(g + prob.eq_A.T @ lam)) <= 1e-5
+
+
+def test_problem_shapes_are_checked():
+    c, F0, F = np.zeros(2), np.eye(2), np.zeros((2, 2, 2))
+    no_rows = dict(eq_A=np.zeros((0, 2)), eq_b=np.zeros(0))
+    SdpProblem(c=c, F0=F0, F=F, **no_rows)
+    with pytest.raises(ValueError):
+        SdpProblem(c=np.zeros(3), F0=F0, F=F, **no_rows)  # F has 2 matrices
+    with pytest.raises(ValueError):
+        SdpProblem(c=c, F0=np.eye(3), F=F, **no_rows)  # F0 is 3x3
+    with pytest.raises(ValueError):
+        SdpProblem(c=c, F0=np.zeros((0, 0)), F=np.zeros((2, 0, 0)), **no_rows)
+    with pytest.raises(ValueError):
+        SdpProblem(c=c, F0=F0, F=F, eq_A=np.zeros((1, 3)), eq_b=np.zeros(1))
