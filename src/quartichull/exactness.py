@@ -10,6 +10,10 @@ normalized to one. Any failure certifies that the relaxation is strict.
 Each curve has one cached record (`_curve`) that owns its singular points
 and its memoized support function; every phase of every verdict reads it,
 and verdicts label copies of the singular points.
+
+Tangency and singularity systems are solved by resultant elimination; the
+seeds of one elimination pass, or of the grid fallback, are polished in one
+batch by `_newton_polish`, each seed with its own stop rule.
 """
 
 from __future__ import annotations
@@ -135,21 +139,42 @@ def curve_is_bounded(p):
     return _curve(p).far.shape[0] == 0
 
 
-def _newton_polish(eqs, x, iters=80):
-    """Gauss-Newton polish of a 2-vector x against a list of BivarPoly
-    equations; returns the polished point."""
-    x = np.asarray(x, dtype=float)
-    grads = [gradient(q) for q in eqs]
+def _newton_polish(eqs, seeds, iters=80):
+    """Gauss-Newton polish of an (N, 2) array of seeds against a pair of
+    BivarPoly equations, all seeds at once; returns the (N, 2) polished
+    points. Each seed stops on its own: on a non-finite step (left where
+    it was), on a step below 1e-15 (1 + |x|), past |x| > 1e4, or after
+    `iters` steps. The step is the least-squares one: Cramer's rule when J
+    has full rank at lstsq's default cutoff, else the minimum-norm rank-one
+    step -J^T F / |J|_F^2 (at a node or a triple point)."""
+    q1, q2 = eqs
+    polys = (q1, q2) + gradient(q1) + gradient(q2)
+    d = max(q1.degree, q2.degree, 0)
+    C = np.zeros((6, d + 1, d + 1))
+    for k, q in enumerate(polys):
+        for (a, b), c in q.terms.items():
+            C[k, a, b] = c
+    x = np.array(seeds, dtype=float).reshape(-1, 2)
+    live = np.arange(len(x))
+    powers = np.arange(d + 1)
     for _ in range(iters):
-        F = np.array([q(x[0], x[1]) for q in eqs])
-        J = np.array([[g[0](x[0], x[1]), g[1](x[0], x[1])] for g in grads])
-        step, *_ = np.linalg.lstsq(J, -F, rcond=None)
-        if not np.all(np.isfinite(step)):
+        if live.size == 0:
             break
-        x = x + step
-        nx = np.linalg.norm(x)
-        if np.linalg.norm(step) < 1e-15 * (1 + nx) or nx > 1e4:
-            break
+        xl = x[live]
+        f1, f2, a, b, c, e = np.einsum("kab,na,nb->kn", C, xl[:, :1] ** powers,
+                                       xl[:, 1:] ** powers)
+        det, fro = a * e - b * c, a * a + b * b + c * c + e * e
+        with np.errstate(divide="ignore", invalid="ignore"):
+            regular = np.abs(det) > 2 * np.finfo(float).eps * fro
+            den = np.where(regular, det, -fro)
+            step = np.where(regular, [b * f2 - e * f1, c * f1 - a * f2],
+                            [a * f1 + c * f2, b * f1 + e * f2]) / den
+        finite = np.isfinite(step).all(axis=0)
+        xl = xl + step.T
+        x[live[finite]] = xl[finite]
+        nx = np.hypot(xl[:, 0], xl[:, 1])
+        done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > 1e4)
+        live = live[~done]
     return x
 
 
@@ -200,23 +225,17 @@ def _solve_pair(q1, q2):
             continue
         if np.max(np.abs(r)) <= 1e-10 * scale ** 2:
             continue  # shared component; try the other variable, else fall back
-        sols = []
-        for v in real_roots(r, interval=(-_BOX, _BOX)):
-            for w in _slice_roots(q1, axis, v) + _slice_roots(q2, axis, v):
-                pt = (v, w) if other == 1 else (w, v)
-                pt = tuple(_newton_polish([q1, q2], pt))
-                if _on_curves(eqs, pt):
-                    sols.append(pt)
-        return _merge_points(sols), True
+        seeds = [(v, w) if other == 1 else (w, v)
+                 for v in real_roots(r, interval=(-_BOX, _BOX))
+                 for w in _slice_roots(q1, axis, v) + _slice_roots(q2, axis, v)]
+        pts = map(tuple, _newton_polish(eqs, seeds))
+        return _merge_points([pt for pt in pts if _on_curves(eqs, pt)]), True
     # non-generic pencil: grid search fallback, flagged non-certified
     grid = np.linspace(-2.0, 2.0, 41)
-    sols = []
-    for a in grid:
-        for b in grid:
-            pt = tuple(_newton_polish([q1, q2], (a, b)))
-            if _on_curves(eqs, pt) and max(map(abs, pt)) < _BOX:
-                sols.append(pt)
-    return _merge_points(sols), False
+    seeds = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = map(tuple, _newton_polish(eqs, seeds))
+    return _merge_points([pt for pt in pts
+                          if _on_curves(eqs, pt) and max(map(abs, pt)) < _BOX]), False
 
 
 def find_singularities(p):
@@ -366,7 +385,7 @@ def tangent_support(p, f):
     sols, _ = _solve_pair(p, tangency)
     if rec.cloud.shape[0]:
         seed = rec.cloud[int(np.argmax(rec.cloud @ u))]
-        pt = tuple(_newton_polish([p, tangency], seed))
+        pt = tuple(_newton_polish((p, tangency), seed[None])[0])
         if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= _BOX:
             sols.append(pt)
         else:

@@ -14,7 +14,7 @@ from quartichull.exactness import (
     sweep_exactness,
     tangent_support,
 )
-from quartichull.poly import BivarPoly, comparison_quartic, parse_poly
+from quartichull.poly import BivarPoly, comparison_quartic, gradient, parse_poly
 from quartichull.sos import IndeterminateResult, nonneg_quartic
 
 from conftest import sweep_verdict
@@ -124,10 +124,72 @@ def test_singularities_of_curves_in_one_variable():
     # flagged non-certified, instead of raising
     assert [s for s in find_singularities(parse_poly("x2^2 - 1"))
             if not s.at_infinity] == []
+    assert [s for s in find_singularities(parse_poly("1 - x2^4"))
+            if not s.at_infinity] == []
     found = [s for s in find_singularities(parse_poly("x2^2")) if not s.at_infinity]
     assert found
     assert not any(s.certified for s in found)
     assert all(abs(s.location.to_affine()[1]) <= 1e-8 for s in found)
+
+
+def _reference_polish(eqs, x, iters=80):
+    """One seed at a time, with the least-squares step from lstsq."""
+    x = np.asarray(x, dtype=float)
+    grads = [gradient(q) for q in eqs]
+    for _ in range(iters):
+        F = np.array([q(x[0], x[1]) for q in eqs])
+        J = np.array([[g(x[0], x[1]) for g in gq] for gq in grads])
+        step = np.linalg.lstsq(J, -F, rcond=None)[0]
+        if not np.all(np.isfinite(step)):
+            break
+        x = x + step
+        nx = np.linalg.norm(x)
+        if np.linalg.norm(step) < 1e-15 * (1 + nx) or nx > 1e4:
+            break
+    return x
+
+
+def _tangency_pair(name, u):
+    p = curves.lookup(name).implicit
+    return p, p.diff(1) * u[1] - p.diff(2) * u[0]
+
+
+_POLISH_CASES = {
+    "smooth egg tangency": (_tangency_pair("egg", (0.0, 1.0)), (0.1, 0.9)),
+    # J is singular at the node (rank one) and at the triple point (zero)
+    "lemniscate node": (_tangency_pair("lemniscate", (1.0, 0.0)), (0.02, 0.01)),
+    "bean triple point": (_tangency_pair("bean", (-1.0, 0.0)), (0.02, 0.01)),
+    "exactly rank one": ((parse_poly("x1^2 + 1"), parse_poly("x2")), (0.0, 0.5)),
+    # the first step leaves the |x| <= 1e4 box
+    "divergent": ((parse_poly("x1^2 + 1"), parse_poly("x2")), (1e-5, 0.0)),
+    # J = 0: the step is not finite and the seed comes back unchanged
+    "zero Jacobian": ((parse_poly("x1^2 + 1"), parse_poly("x2^2 + 1")), (0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(_POLISH_CASES))
+def test_newton_polish_matches_least_squares_reference(case):
+    eqs, seed = _POLISH_CASES[case]
+    got = exactness._newton_polish(eqs, np.array([seed]))
+    assert got.shape == (1, 2)
+    assert got[0] == pytest.approx(_reference_polish(eqs, seed), rel=1e-12, abs=1e-12)
+
+
+def test_newton_polish_treats_seeds_independently():
+    eqs = _tangency_pair("lemniscate", (0.6, 0.8))
+    p = eqs[0]
+    rng = np.random.default_rng(0)
+    # seeds that converge to smooth points or to the node, one at the node
+    # (stops after one zero step) and one past |x| = 1e4 (stops after one
+    # step): the seeds stop at different steps
+    seeds = np.vstack([rng.uniform(-1.5, 1.5, size=(40, 2)), [[0.0, 0.0], [1e5, 0.0]]])
+    together = exactness._newton_polish(eqs, seeds)
+    alone = np.array([exactness._newton_polish(eqs, s[None])[0] for s in seeds])
+    assert np.allclose(together, alone, rtol=1e-13, atol=1e-13)
+    assert np.all(np.abs(p.eval_many(together[:41, 0], together[:41, 1])) < 1e-12)
+    assert together[40].tolist() == [0.0, 0.0]
+    assert together[41, 0] > 1e4
+    assert exactness._newton_polish(eqs, np.zeros((0, 2))).shape == (0, 2)
 
 
 def test_sweep_rows_cover_the_circle(egg_verdict):
