@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Digest every SDP solve of one benchmark workload, to check that a
-refactor leaves each solve bit-identical.
+refactor leaves each solve bit-identical, and tally the solve statuses, to
+check that a refactor which moves the last digits leaves them unchanged.
 
 Usage: python3 scripts/solve_digest.py sweep-smooth|sweep-singular|hierarchy
 
@@ -10,7 +11,9 @@ perfbench/layertrace.py rebinds it. Prints three lines: the solve count,
 a SHA-256 over (c, F0, F, eq_A, eq_b, status, message, iteration count, z,
 violation) of every solve in call order, and a SHA-256 of the workload's
 outputs with the timing fields removed. Two trees whose three lines agree
-ran the same problems to the same answers.
+ran the same problems to the same answers. Then prints one line per
+(status, message up to its first "(", PSD block size) with its solve count,
+and the total number of interior-point iterations.
 """
 
 import os
@@ -21,6 +24,7 @@ for _v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import hashlib  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
+from collections import Counter  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "perfbench"), os.path.join(ROOT, "src")]
@@ -43,13 +47,15 @@ def _array(h, a):
     h.update(a.tobytes())
 
 
-def _install(h, count):
+def _install(h, count, tally):
     """Rebind sdp.solve in every package module that holds it."""
     solve = sdp.solve
 
     def recorded(prob, settings=None):
         sol = solve(prob, settings)
         count[0] += 1
+        count[1] += len(sol.iterates)
+        tally[(sol.status, sol.message.split("(")[0].strip(), len(prob.F0))] += 1
         for a in (prob.c, prob.F0, prob.F, prob.eq_A, prob.eq_b):
             _array(h, a)
         h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
@@ -78,14 +84,17 @@ def main():
         raise SystemExit(__doc__)
     workload = sys.argv[1]
     inputs = one_pass.make_inputs(workload, SEED)
-    h, count = hashlib.sha256(), [0]
-    _install(h, count)
+    h, count, tally = hashlib.sha256(), [0, 0], Counter()
+    _install(h, count, tally)
     run = one_pass.run_hierarchy if workload == "hierarchy" else one_pass.run_sweeps
     _, outputs = run(inputs)
     text = json.dumps(_untimed(outputs), sort_keys=True, default=str)
     print(f"solves: {count[0]}")
     print(f"solve digest: {h.hexdigest()}")
     print(f"output digest: {hashlib.sha256(text.encode()).hexdigest()}")
+    for (status, message, size), k in sorted(tally.items()):
+        print(f"{k:5d}  {status}  block {size}  {message}")
+    print(f"iterations: {count[1]}")
 
 
 if __name__ == "__main__":

@@ -534,6 +534,11 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                                     evidence=evidence)
         evidence["concave"] = False
         sing = find_singularities(p)
+        if not all(s.certified for s in sing if not s.at_infinity):
+            # the partials share a component, so the singular locus may be a
+            # whole curve, which no finite set of points classifies
+            evidence["reason"] = "singular points from the grid fallback (non-certified)"
+            return ExactnessVerdict("Inconclusive", None, sing, evidence=evidence)
         sing, smooth, witness = classify_boundary(p, n)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:

@@ -16,6 +16,10 @@ Internally the LMI is treated as the dual side of a standard-form pair
 
 with C = F0, A_i = -F_i, b = -c, y = z.
 
+Each iterate works in its NT frame, where X and S both become diag(lam), and
+takes its step lengths from the directions scaled into that frame. The input
+is checked for finite entries once, in SdpProblem; inner solves skip the check.
+
 SdpSettings has two fields: gap_tol, which Gram solves tighten, and
 max_iter. The other tolerances are module constants, each with the reason
 for its value.
@@ -69,6 +73,9 @@ class SdpProblem:
             raise ValueError("eq_A must have one column per variable")
         if self.eq_b.shape != (len(self.eq_A),):
             raise ValueError("eq_b must have one entry per row of eq_A")
+        if not all(np.isfinite(a).all()
+                   for a in (self.c, self.F0, self.F, self.eq_A, self.eq_b)):
+            raise ValueError("problem data must be finite")
 
     @property
     def nvars(self):
@@ -152,17 +159,14 @@ def _eliminate_equalities(prob):
     return z0, Vt[rank:].T
 
 
-def _max_step(L, Delta, frac):
-    """Largest alpha <= 1 with X + alpha*Delta psd, X = L L'."""
-    W = scipy.linalg.solve_triangular(L, Delta, lower=True)
-    W = scipy.linalg.solve_triangular(L, W.T, lower=True)
-    lam = np.linalg.eigvalsh(0.5 * (W + W.T))[0]
-    if lam >= -1e-14:
+def _step(s, Dh):
+    """min(1, _STEP_FRAC * the largest alpha with diag(lam) + alpha*Dh psd),
+    for a direction Dh in the NT frame and s = lam^(-1/2)."""
+    Dh = s[:, None] * Dh * s
+    low = np.linalg.eigvalsh(0.5 * (Dh + Dh.T))[0]
+    if low >= -1e-14:
         return 1.0
-    return min(1.0, -frac / lam)
-
-
-_SCHUR = "pq,iqr,rs->ips"
+    return min(1.0, -_STEP_FRAC / low)
 
 
 def _ipm(C, A, b, settings):
@@ -179,9 +183,6 @@ def _ipm(C, A, b, settings):
 
     bnorm = 1 + np.linalg.norm(b)
     Cnorm = 1 + np.sqrt(np.sum(C * C))
-    # the contraction order of the Schur complement einsum depends only on
-    # the shapes, which are fixed for the whole solve
-    path = np.einsum_path(_SCHUR, X, A, X, optimize=True)[0]
 
     iterates = []
     status = "MaxIter"
@@ -196,7 +197,8 @@ def _ipm(C, A, b, settings):
     for it in range(settings.max_iter):
         ax = np.tensordot(A, X, axes=([1, 2], [0, 1]))
         rp = b - ax
-        Rd = C - S - np.tensordot(y, A, axes=(0, 0))
+        yA = np.tensordot(y, A, axes=(0, 0))
+        Rd = C - S - yA
         gap = np.sum(X * S)
         mu = gap / n
         pobj = np.sum(C * X)
@@ -221,7 +223,7 @@ def _ipm(C, A, b, settings):
 
         if (rp_norm / bnorm < _FEAS_TOL
                 and rd_norm / Cnorm < _FEAS_TOL
-                and gap / (1 + abs(pobj) + abs(dobj)) < settings.gap_tol):
+                and gap_rel < settings.gap_tol):
             status = "Optimal"
             break
 
@@ -236,7 +238,7 @@ def _ipm(C, A, b, settings):
                 message = "primal improving ray found"
                 break
         if ynorm > 0 and dobj > 0:
-            res = np.sqrt(np.sum((np.tensordot(y, A, axes=(0, 0)) + S) ** 2)) / ynorm
+            res = np.sqrt(np.sum((yA + S) ** 2)) / ynorm
             if dobj / ynorm > _RAY_THRESHOLD * max(res, 1e-16):
                 status = "Unbounded"
                 message = "dual improving ray found"
@@ -261,11 +263,11 @@ def _ipm(C, A, b, settings):
         _, lam, Vt = np.linalg.svd(Ls.T @ Lx)
         R = Lx @ Vt.T / np.sqrt(lam)
         Rinv = (np.sqrt(lam)[:, None] * Vt) @ np.linalg.inv(Lx)
+        s = lam ** -0.5
         W = R @ R.T
 
         # Schur complement M_ij = tr(A_i W A_j W)
-        T = np.einsum(_SCHUR, W, A, W, optimize=path)
-        M = np.tensordot(A, T, axes=([1, 2], [1, 2]))
+        M = np.tensordot(A, W @ A @ W, axes=([1, 2], [1, 2]))
         M = 0.5 * (M + M.T)
 
         jitter = 0.0
@@ -282,7 +284,7 @@ def _ipm(C, A, b, settings):
 
         def solve_direction(Rc):
             rhs = rp - np.tensordot(A, Rc - W @ Rd @ W, axes=([1, 2], [0, 1]))
-            dy = scipy.linalg.cho_solve((Lm, True), rhs)
+            dy = scipy.linalg.cho_solve((Lm, True), rhs, check_finite=False)
             # iterative refinement: the Schur complement is increasingly
             # ill-conditioned as mu -> 0 and lost digits show up directly
             # as primal infeasibility
@@ -290,29 +292,26 @@ def _ipm(C, A, b, settings):
                 r = rhs - M @ dy
                 if np.linalg.norm(r) < 1e-14 * max(1.0, np.linalg.norm(rhs)):
                     break
-                dy = dy + scipy.linalg.cho_solve((Lm, True), r)
+                dy = dy + scipy.linalg.cho_solve((Lm, True), r, check_finite=False)
             dS = Rd - np.tensordot(dy, A, axes=(0, 0))
             d = Rc - W @ dS @ W
             return 0.5 * (d + d.T), dy, dS
 
         # predictor: target X S -> 0; scaled rhs is -lam^2 (gives Rc = -X)
         dXa, _, dSa = solve_direction(-X)
-        ap = _max_step(Lx, dXa, _STEP_FRAC)
-        ad = _max_step(Ls, dSa, _STEP_FRAC)
+        dXh, dSh = Rinv @ dXa @ Rinv.T, R.T @ dSa @ R
+        ap, ad = _step(s, dXh), _step(s, dSh)
         gap_aff = np.sum((X + ap * dXa) * (S + ad * dSa))
         sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.0
 
         # corrector with the Mehrotra second-order term in scaled space; the
         # scaled rhs maps back to Rc with dX + W dS W = Rc through the
         # Lyapunov scaling (lam_i + lam_j)/2
-        dXh = Rinv @ dXa @ Rinv.T
-        dSh = R.T @ dSa @ R
         corr = 0.5 * (dXh @ dSh + dSh @ dXh)
         rhs = sigma * mu * np.eye(n) - np.diag(lam**2) - corr
         denom = 0.5 * (lam[:, None] + lam[None, :])
         dX, dy, dS = solve_direction(R @ (rhs / denom) @ R.T)
-        ap = _max_step(Lx, dX, _STEP_FRAC)
-        ad = _max_step(Ls, dS, _STEP_FRAC)
+        ap, ad = _step(s, Rinv @ dX @ Rinv.T), _step(s, R.T @ dS @ R)
         if min(ap, ad) < 1e-10:
             status = "Numerical"
             message = "step length collapsed"
@@ -363,7 +362,7 @@ def solve(prob, settings=None):
     res = _ipm(C, A, -(N.T @ prob.c), settings)
     z = z0 + N @ res["y"]
     Z = prob.F0 + np.tensordot(z, prob.F, axes=(0, 0))
-    violation = max(0.0, -min_eig(0.5 * (Z + Z.T)))
+    violation = max(0.0, -min_eig(Z))
     if prob.eq_A.shape[0]:
         violation = max(violation, float(np.max(np.abs(prob.eq_A @ z - prob.eq_b))))
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -228,6 +229,18 @@ def test_concave_unbounded_curve_is_exact():
 def test_unbounded_nonconcave_curve_is_inconclusive():
     verdict = sweep_exactness(parse_poly("x1*x2 - 1"), n=16)
     assert verdict.verdict == "Inconclusive"
+
+
+def test_non_reduced_curve_is_inconclusive():
+    # every point of the doubled circle is singular; the grid fallback finds
+    # a sample of them, non-certified, and the verdict stops there
+    t0 = time.perf_counter()
+    verdict = sweep_exactness(parse_poly("-(x1^2 + x2^2 - 1)^2"), n=8)
+    assert time.perf_counter() - t0 < 10.0
+    assert verdict.verdict == "Inconclusive"
+    assert "grid fallback" in verdict.evidence["reason"]
+    assert verdict.singular_points
+    assert not any(s.certified for s in verdict.singular_points if not s.at_infinity)
 
 
 def test_classification_reads_the_sweep_envelope(monkeypatch):

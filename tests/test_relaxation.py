@@ -36,6 +36,20 @@ def test_order_validation():
         minimize_linear(p, (1.0, 0.0), [1])
 
 
+def test_non_finite_points_are_rejected():
+    # the solver rejects them, rather than failing on them inside a solve
+    from quartichull.rational import hankel_representation, rational_membership
+    p = curves.lookup("egg").implicit
+    nan = float("nan")
+    with pytest.raises(ValueError, match="must be finite"):
+        membership(p, 2, (nan, 0.0))
+    with pytest.raises(ValueError, match="must be finite"):
+        support(p, 2, (nan, 1.0))
+    rep = hankel_representation(curves.lookup("folium").param)
+    with pytest.raises(ValueError, match="must be finite"):
+        rational_membership(rep, (float("inf"), 0.0))
+
+
 def test_membership_interior_and_exterior():
     p = curves.lookup("fermat").implicit
     assert membership(p, 2, (0.0, 0.0)).inside

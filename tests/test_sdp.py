@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from quartichull import sdp
 from quartichull.sdp import (
     NotPsdError,
     SdpProblem,
@@ -142,3 +143,37 @@ def test_problem_shapes_are_checked():
         SdpProblem(c=c, F0=np.zeros((0, 0)), F=np.zeros((2, 0, 0)), **no_rows)
     with pytest.raises(ValueError):
         SdpProblem(c=c, F0=F0, F=F, eq_A=np.zeros((1, 3)), eq_b=np.zeros(1))
+    with pytest.raises(ValueError, match="finite"):
+        SdpProblem(c=c, F0=np.array([[1.0, np.nan], [np.nan, 1.0]]), F=F, **no_rows)
+    with pytest.raises(ValueError, match="finite"):
+        SdpProblem(c=c, F0=F0, F=F, eq_A=np.ones((1, 2)), eq_b=np.array([np.inf]))
+
+
+def test_nt_step_matches_generalized_eigenvalues():
+    # The step along a direction D from X (or S) is taken in the NT frame,
+    # where X and S are diag(lam); it must equal min(1, -frac / lam_min)
+    # for the smallest generalized eigenvalue of D against the unscaled
+    # matrix, the largest step that keeps X + alpha D psd, times frac.
+    rng = np.random.default_rng(7)
+    n = 5
+    for trial in range(8):
+        B, C = rng.standard_normal((2, n, n))
+        X = B @ B.T + 0.1 * np.eye(n)
+        S = C @ C.T + 0.1 * np.eye(n)
+        D = rng.standard_normal((n, n))
+        # the first two trials are psd directions, where the full step is taken
+        D = D @ D.T if trial < 2 else 3.0 * (D + D.T)
+        Lx, Ls = np.linalg.cholesky(X), np.linalg.cholesky(S)
+        _, lam, Vt = np.linalg.svd(Ls.T @ Lx)
+        R = Lx @ Vt.T / np.sqrt(lam)
+        Rinv = np.linalg.inv(R)
+        assert np.allclose(Rinv @ X @ Rinv.T, np.diag(lam))
+        assert np.allclose(R.T @ S @ R, np.diag(lam))
+        for M, Dh in ((X, Rinv @ D @ Rinv.T), (S, R.T @ D @ R)):
+            lmin = scipy.linalg.eigh(D, M, eigvals_only=True)[0]
+            expected = 1.0 if lmin >= 0 else min(1.0, -sdp._STEP_FRAC / lmin)
+            assert sdp._step(lam ** -0.5, Dh) == pytest.approx(expected, rel=1e-9)
+            if trial < 2:
+                assert expected == 1.0
+            else:
+                assert expected < 1.0
