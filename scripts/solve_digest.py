@@ -9,11 +9,12 @@ Runs the workload once through perfbench/one_pass.py (seed 1, one BLAS
 thread) with quartichull.sdp.solve rebound to a recording wrapper, as
 perfbench/layertrace.py rebinds it. Prints three lines: the solve count,
 a SHA-256 over (c, F0, F, eq_A, eq_b, status, message, iteration count, z,
-violation) of every solve in call order, and a SHA-256 of the workload's
-outputs with the timing fields removed. Two trees whose three lines agree
-ran the same problems to the same answers. Then prints one line per
-(status, message up to its first "(", PSD block size) with its solve count,
-and the total number of interior-point iterations.
+violation) of every solve in call order, with F and eq_A read from the
+compiled SdpProblem, and a SHA-256 of the workload's outputs with the
+timing fields removed. Two trees whose three lines agree ran the same
+problems to the same answers. Then prints one line per (status, message up
+to its first "(", PSD block size) with its solve count, and the total
+number of interior-point iterations.
 """
 
 import os
@@ -51,12 +52,12 @@ def _install(h, count, tally):
     """Rebind sdp.solve in every package module that holds it."""
     solve = sdp.solve
 
-    def recorded(prob, settings=None):
-        sol = solve(prob, settings)
+    def recorded(prob, c, F0, eq_b, settings=None):
+        sol = solve(prob, c, F0, eq_b, settings)
         count[0] += 1
         count[1] += len(sol.iterates)
-        tally[(sol.status, sol.message.split("(")[0].strip(), len(prob.F0))] += 1
-        for a in (prob.c, prob.F0, prob.F, prob.eq_A, prob.eq_b):
+        tally[(sol.status, sol.message.split("(")[0].strip(), prob.F.shape[1])] += 1
+        for a in (c, F0, prob.F, prob.eq_A, eq_b):
             _array(h, a)
         h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
         _array(h, sol.z)

@@ -59,8 +59,11 @@ def _round12(obj):
 
 def _emit(text, out):
     if out:
-        with open(out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file: {exc}")
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):

@@ -1,4 +1,4 @@
-"""Truncated bivariate moment indexing; moment, localizing and Hankel matrices.
+"""Truncated bivariate moment indexing; moment and localizing matrices.
 
 Moment variables y_{ab} are ordered graded-lex (x1 > x2):
 y00, y10, y01, y20, y11, y02, y30, ...  A position does not depend on the
@@ -32,7 +32,6 @@ __all__ = [
     "localizing_constraints",
     "point_moments",
     "monomial_vector",
-    "hankel3",
 ]
 
 
@@ -154,10 +153,3 @@ def localizing_constraints(p, k):
     return [{int(pos): float(row[pos]) for pos in np.flatnonzero(row)}
             for row in build_localizing_matrix(p, k).rows]
 
-
-def hankel3(y):
-    """3x3 Hankel matrix of 5 univariate moments y0..y4."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (5,):
-        raise ValueError("expected exactly 5 moments")
-    return np.array([[y[i + j] for j in range(3)] for i in range(3)])

@@ -9,6 +9,7 @@ Hankel matrix whose positive semidefiniteness cuts out the convex hull.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,7 +24,6 @@ __all__ = [
     "HankelRepresentation",
     "RationalMembership",
     "validate_param",
-    "moment_relations",
     "hankel_representation",
     "rational_membership",
     "fermat_block_membership",
@@ -75,12 +75,6 @@ class RationalParam:
 def point_mass_moments(t):
     """Moments (1, t, t^2, t^3, t^4) of the unit point mass at parameter t."""
     return np.array([t**a for a in range(5)], dtype=float)
-
-
-def moment_relations(param):
-    """The 3x5 linear map x_i = sum_a c_{i,a} y_a as coefficient rows, usable
-    even when the elimination to two liftings is impossible."""
-    return tuple(tuple(row) for row in param.rows)
 
 
 def validate_param(param, p):
@@ -160,6 +154,20 @@ class HankelRepresentation:
                 M[i, j] = sum(float(c) * vals[s]
                               for s, c in self.entries[i][j].items())
         return M
+
+    @functools.cached_property
+    def _program(self):
+        """The margin program of rational_membership over (retained
+        liftings, t), compiled once: max t s.t. H(x, y) - t I >= 0. A point
+        enters only through the constant matrix F0."""
+        F = np.zeros((len(self.retained) + 1, 3, 3))
+        for i in range(3):
+            for j in range(3):
+                for s, c in self.entries[i][j].items():
+                    if s not in ("x0", "x1", "x2"):
+                        F[self.retained.index(s), i, j] += float(c)
+        F[-1] = -np.eye(3)
+        return SdpProblem(F, np.zeros((0, len(F))))
 
     def format_matrix(self, scaled=True):
         rows = self.scaled_entries if scaled else self.entries
@@ -264,22 +272,16 @@ def rational_membership(rep, point):
     margin through the max-min-eigenvalue program over the liftings."""
     x1, x2 = float(point[0]), float(point[1])
     vals = {"x0": 1.0, "x1": x1, "x2": x2}
-    ny = len(rep.retained)
-    nvars = ny + 1
-    F = np.zeros((nvars, 3, 3))
     F0 = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
             for s, c in rep.entries[i][j].items():
                 if s in vals:
                     F0[i, j] += float(c) * vals[s]
-                else:
-                    F[rep.retained.index(s), i, j] += float(c)
-    F[-1] = -np.eye(3)
-    c = np.zeros(nvars)
+    prob = rep._program
+    c = np.zeros(len(prob.F))
     c[-1] = -1.0
-    prob = SdpProblem(c=c, F0=F0, F=F, eq_A=np.zeros((0, nvars)), eq_b=np.zeros(0))
-    sol = solve(prob)
+    sol = solve(prob, c, F0, np.zeros(0))
     if sol.status == "Unbounded":
         # the margin program is bounded above whenever the Hankel form is
         # nondegenerate; treat runaway as inside with an infinite margin

@@ -6,7 +6,9 @@ M_k(y) >= 0 and M_{k-2}(p y) = 0, with y00, y10, y01 pinned to the
 queried point. Membership margins come from maximizing t subject to
 M_k(y) - t I >= 0, so the margin is a continuous proxy for signed
 distance to the relaxed set. The LMI is facially reduced on both sides
-before it is solved (see _reductions).
+before it is solved (see _reductions). Each (p, k) has two programs, the
+margin program and the support program, each compiled once and shared by
+every point and direction (see _program).
 """
 
 from __future__ import annotations
@@ -20,12 +22,11 @@ import scipy.optimize
 import scipy.sparse
 
 from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
-from .poly import BivarPoly, SupportLine, monomials_upto
+from .poly import SupportLine, monomials_upto
 from .sdp import SdpProblem, equality_multipliers, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
-    "RelaxationProblem",
     "MembershipResult",
     "SupportResult",
     "BoundaryRow",
@@ -39,81 +40,6 @@ __all__ = [
 ]
 
 BOUNDARY_CSV_HEADER = "angle,radians;f1;f2;support;x1;x2;status"
-
-
-@dataclass(frozen=True)
-class RelaxationProblem:
-    """Assembled order-k relaxation data for one curve polynomial."""
-
-    p: BivarPoly
-    k: int
-
-    def __post_init__(self):
-        if self.k < 2:
-            raise ValueError("order must be >= 2")
-        if self.p.degree > 4:
-            raise ValueError("curve polynomial must have degree <= 4")
-        kept, form, basis, zero_rows = _reductions(self.p, self.k)
-        object.__setattr__(self, "_kept_rows", kept)
-        object.__setattr__(self, "_form", form)
-        object.__setattr__(self, "_basis", basis)
-        object.__setattr__(self, "_zero_rows", zero_rows)
-
-    @property
-    def nmoments(self):
-        return self._form.nvars
-
-    @property
-    def pin_positions(self):
-        # graded-lex puts (0,0), (1,0), (0,1) first
-        return (0, 1, 2)
-
-    @property
-    def lifting_count(self):
-        return self.nmoments - 3
-
-    @property
-    def dropped_rows(self):
-        """Exponents of the monomial rows whose Gram diagonal is forced to
-        zero, removed from M_k(y) (see _reductions)."""
-        rows = monomials_upto(self.k)
-        keep = set(self._kept_rows)
-        return tuple(e for i, e in enumerate(rows) if i not in keep)
-
-    def moment_block(self, with_margin):
-        """The coefficient tensor F, of shape (m, n, n), of M_k(y) =
-        sum_i z_i F[i] over z = (moments, [t]), facially reduced on both
-        sides (see _reductions):
-
-        - dual: rows whose Gram diagonal is forced to zero are dropped, and
-          the range of every further diagonally dominant recession
-          direction is projected out;
-        - primal, for k >= 4: the block is restricted to the complement of
-          the kernel vectors x^s p.
-        """
-        F = self._form.coefficients()
-        if with_margin:
-            F = np.concatenate([F, np.zeros((1,) + F.shape[1:])])
-        T = self._basis
-        if T is not None:
-            F = np.einsum("pq,iqr,rs->ips", T.T, F, T, optimize=True)
-        if with_margin:
-            F[-1] = -np.eye(F.shape[1])
-        return F
-
-    def equality_system(self, pins, with_margin):
-        """Rows: pins first (in the order given), then deduplicated
-        localizing constraints, then one row fixing at 0 each moment
-        direction that the reduced block no longer sees (see _reductions).
-        pins is a list of (position, value)."""
-        nm = self.nmoments
-        A = np.zeros((len(pins) + len(self._zero_rows), nm + 1 if with_margin else nm))
-        for r, (pos, _) in enumerate(pins):
-            A[r, pos] = 1.0
-        A[len(pins):, :nm] = self._zero_rows
-        b = np.zeros(len(A))
-        b[:len(pins)] = [val for _, val in pins]
-        return A, b
 
 
 @functools.lru_cache(maxsize=64)
@@ -199,6 +125,31 @@ def _reductions(p, k):
     return tuple(kept.tolist()), form, basis, np.vstack([loc, fixed])
 
 
+@functools.lru_cache(maxsize=64)
+def _program(p, k, margin):
+    """The order-k program, compiled on first use: the margin program over
+    z = (moments, t) when margin is true, with M_k(y) - t I >= 0, else the
+    support program over z = moments, with M_k(y) >= 0. The block is
+    facially reduced on both sides (see _reductions). Equality rows: the
+    pins first (y00, y10, y01 for the margin program, y00 alone for the
+    support program), then the localizing rows, then one row fixing at 0
+    each moment direction that the reduced block no longer sees. Call it
+    with positional arguments, so that every caller shares one program."""
+    _, form, basis, zero_rows = _reductions(p, k)
+    F = form.coefficients()
+    if margin:
+        F = np.concatenate([F, np.zeros((1,) + F.shape[1:])])
+    if basis is not None:
+        F = np.einsum("pq,iqr,rs->ips", basis.T, F, basis, optimize=True)
+    if margin:
+        F[-1] = -np.eye(F.shape[1])
+    pins = 3 if margin else 1  # graded-lex puts (0,0), (1,0), (0,1) first
+    eq_A = np.zeros((pins + len(zero_rows), len(F)))
+    eq_A[range(pins), range(pins)] = 1.0
+    eq_A[pins:, :form.nvars] = zero_rows
+    return SdpProblem(F, eq_A)
+
+
 def _dd_face(F, E, tol=1e-6):
     """Basis of the face of the Gram cone left after projecting out the
     range of every moment direction d with E d = 0 and sum_m d_m F[m]
@@ -276,27 +227,24 @@ class BoundaryRow:
 
 
 def _margin_solve(p, k, point):
-    """The membership margin program at point: (SdpProblem, result).
+    """The membership margin solve at point: (program, c, result).
     Any status but Optimal raises IndeterminateResult."""
-    prob = RelaxationProblem(p, k)
-    x1, x2 = float(point[0]), float(point[1])
-    pins = [(0, 1.0), (1, x1), (2, x2)]
-    F = prob.moment_block(with_margin=True)
-    A, b = prob.equality_system(pins, with_margin=True)
-    c = np.zeros(prob.nmoments + 1)
+    prob = _program(p, k, True)
+    c = np.zeros(len(prob.F))
     c[-1] = -1.0
-    sdp = SdpProblem(c=c, F0=np.zeros(F.shape[1:]), F=F, eq_A=A, eq_b=b)
-    sol = solve(sdp)
+    b = np.zeros(len(prob.eq_A))
+    b[:3] = [1.0, float(point[0]), float(point[1])]
+    sol = solve(prob, c, np.zeros(prob.F.shape[1:]), b)
     if sol.status != "Optimal":
         raise IndeterminateResult(f"membership solve returned {sol.status}: {sol.message}")
     t = float(sol.z[-1])
-    return sdp, MembershipResult(inside=t >= -FEAS_MARGIN, margin=t,
-                                 moments=sol.z[:-1].copy(), solution=sol)
+    return prob, c, MembershipResult(inside=t >= -FEAS_MARGIN, margin=t,
+                                     moments=sol.z[:-1].copy(), solution=sol)
 
 
 def membership(p, k, point):
     """Inside/outside test of a point against the order-k relaxed hull."""
-    return _margin_solve(p, k, point)[1]
+    return _margin_solve(p, k, point)[2]
 
 
 def separating_line(p, k, point):
@@ -305,11 +253,11 @@ def separating_line(p, k, point):
 
     Returns (line, result). line is None when the point is inside.
     """
-    sdp, res = _margin_solve(p, k, point)
+    prob, c, res = _margin_solve(p, k, point)
     if res.inside:
         return None, res
     x1, x2 = float(point[0]), float(point[1])
-    lam = equality_multipliers(sdp, res.solution)
+    lam = equality_multipliers(prob, c, res.solution)
     f = np.array(lam[:3], dtype=float)  # pin rows come first
     if f[0] + f[1] * x1 + f[2] * x2 > 0:
         f = -f
@@ -320,19 +268,19 @@ def separating_line(p, k, point):
 
 
 def _support_sweep(p, k, directions, settings=None):
-    """One support solve per direction (f1, f2) over the order-k block,
-    compiled once: a SupportResult per direction, with the statuses of
+    """One support solve per direction (f1, f2) over the order-k support
+    program: a SupportResult per direction, with the statuses of
     support(). A failed solve keeps the solver's status, with value nan."""
-    prob = RelaxationProblem(p, k)
-    F = prob.moment_block(with_margin=False)
-    F0 = np.zeros(F.shape[1:])
-    A, b = prob.equality_system([(0, 1.0)], with_margin=False)
+    prob = _program(p, k, False)
+    F0 = np.zeros(prob.F.shape[1:])
+    b = np.zeros(len(prob.eq_A))
+    b[0] = 1.0
     out = []
     for f1, f2 in directions:
-        c = np.zeros(prob.nmoments)
+        c = np.zeros(len(prob.F))
         c[1] = -f1
         c[2] = -f2
-        sol = solve(SdpProblem(c=c, F0=F0, F=F, eq_A=A, eq_b=b), settings)
+        sol = solve(prob, c, F0, b, settings)
         message = f"{sol.status}: {sol.message}"
         # High orders are barely strictly feasible (the moment body of a
         # 1-dimensional curve thins out exponentially with the degree) and

@@ -6,19 +6,24 @@ Problems are given in LMI form, with one PSD constraint:
     subject to  F0 + sum_i z_i F[i] >= 0   (PSD)
                 E z = d
 
-Equalities are eliminated up front by projection onto their affine solution
-space (SVD), then a primal-dual path-following method with Nesterov-Todd
-scaling and a Mehrotra predictor-corrector step solves the cone phase.
+An SdpProblem is the compiled structure (F, E): it is checked once, E is
+eliminated by one SVD, which gives its null space N, and the
+standard-form tensor is formed once. solve(prob, c, F0, d) then takes only
+the data that varies between solves of one family (a point, a direction, a
+target). It finds a particular solution z0 of E z = d, and a primal-dual
+path-following method with Nesterov-Todd scaling and a Mehrotra
+predictor-corrector step solves the cone phase over z = z0 + N w.
 Internally the LMI is treated as the dual side of a standard-form pair
 
     (P) min <C, X>  s.t.  <A_i, X> = b_i,  X >= 0
     (D) max b' y    s.t.  C - sum_i y_i A_i = S >= 0
 
-with C = F0, A_i = -F_i, b = -c, y = z.
+with C = F0 + z0.F, A = -N.F, b = -N'c and y = w.
 
 Each iterate works in its NT frame, where X and S both become diag(lam), and
-takes its step lengths from the directions scaled into that frame. The input
-is checked for finite entries once, in SdpProblem; inner solves skip the check.
+takes its step lengths from the directions scaled into that frame. All data
+is checked for finite entries on entry, the structure in SdpProblem and the
+rest in solve; inner solves skip the check.
 
 SdpSettings has two fields: gap_tol, which Gram solves tighten, and
 max_iter. The other tolerances are module constants, each with the reason
@@ -47,39 +52,34 @@ class NotPsdError(ValueError):
     pass
 
 
-@dataclass
 class SdpProblem:
-    """minimize c'z s.t. F0 + sum_i z_i F[i] >= 0 and eq_A z = eq_b, with F of
-    shape (m, n, n) for m = len(c); eq_A may have zero rows."""
+    """The compiled structure of
 
-    c: np.ndarray
-    F0: np.ndarray
-    F: np.ndarray
-    eq_A: np.ndarray
-    eq_b: np.ndarray
+        minimize c'z  s.t.  F0 + sum_i z_i F[i] >= 0,  eq_A z = eq_b,
 
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float)
-        self.F0 = np.asarray(self.F0, dtype=float)
-        self.F = np.asarray(self.F, dtype=float)
-        self.eq_A = np.asarray(self.eq_A, dtype=float)
-        self.eq_b = np.asarray(self.eq_b, dtype=float)
-        m, n = len(self.c), len(self.F0)
-        if n == 0:
+    with F of shape (m, n, n) and eq_A of shape (r, m), r >= 0. Built once
+    per family of problems: it keeps F, eq_A, the null space N of eq_A (one
+    SVD) and the standard-form tensor A = -N.F; solve takes c, F0 and eq_b."""
+
+    def __init__(self, F, eq_A):
+        F = np.asarray(F, dtype=float)
+        eq_A = np.asarray(eq_A, dtype=float)
+        if F.ndim != 3 or F.shape[1] != F.shape[2]:
+            raise ValueError("F must be (m, n, n)")
+        if F.shape[1] == 0:
             raise ValueError("empty PSD block")
-        if self.F0.shape != (n, n) or self.F.shape != (m, n, n):
-            raise ValueError("F0 must be (n, n) and F (len(c), n, n)")
-        if self.eq_A.ndim != 2 or self.eq_A.shape[1] != m:
+        if eq_A.ndim != 2 or eq_A.shape[1] != len(F):
             raise ValueError("eq_A must have one column per variable")
-        if self.eq_b.shape != (len(self.eq_A),):
-            raise ValueError("eq_b must have one entry per row of eq_A")
-        if not all(np.isfinite(a).all()
-                   for a in (self.c, self.F0, self.F, self.eq_A, self.eq_b)):
+        if not (np.isfinite(F).all() and np.isfinite(eq_A).all()):
             raise ValueError("problem data must be finite")
-
-    @property
-    def nvars(self):
-        return len(self.c)
+        if len(eq_A) == 0:
+            N = np.eye(len(F))
+        else:
+            _, sig, Vt = np.linalg.svd(eq_A)
+            rank = int(np.sum(sig > max(eq_A.shape) * np.finfo(float).eps * sig[0]))
+            N = Vt[rank:].copy().T  # a copy, so the rows of the range are freed
+        self.F, self.eq_A, self.N = F, eq_A, N
+        self.A = -np.tensordot(N, F, axes=(0, 0))
 
 
 # Relative primal and dual residual at which an iterate counts as feasible,
@@ -142,21 +142,6 @@ def psd_truncate(M, tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-
-
-def _eliminate_equalities(prob):
-    """Reduce E z = d to z = z0 + N w, with the rank and the null space N of E
-    from one SVD. Returns (z0, N), or None when the system is inconsistent."""
-    E, d = prob.eq_A, prob.eq_b
-    m = prob.nvars
-    if E.shape[0] == 0:
-        return np.zeros(m), np.eye(m)
-    z0 = np.linalg.lstsq(E, d, rcond=None)[0]
-    if np.linalg.norm(E @ z0 - d) > _FEAS_TOL * (1 + np.linalg.norm(d)):
-        return None
-    _, sig, Vt = np.linalg.svd(E)
-    rank = int(np.sum(sig > max(E.shape) * np.finfo(float).eps * sig[0]))
-    return z0, Vt[rank:].T
 
 
 def _step(s, Dh):
@@ -337,16 +322,28 @@ def _ipm(C, A, b, settings):
     return dict(status=status, X=X, y=y, S=S, iterates=iterates, message=message)
 
 
-def solve(prob, settings=None):
-    """Solve an LMI-form SDP. See module docstring for conventions."""
+def solve(prob, c, F0, eq_b, settings=None):
+    """Solve the SDP of the compiled structure prob with objective c, of
+    shape (m,), constant matrix F0, of shape (n, n), and right-hand side
+    eq_b, one entry per row of prob.eq_A. See the module docstring."""
+    c, F0, eq_b = (np.asarray(a, dtype=float) for a in (c, F0, eq_b))
+    m, n = prob.F.shape[:2]
+    if c.shape != (m,) or F0.shape != (n, n):
+        raise ValueError("c must be (m,) and F0 (n, n) for F of shape (m, n, n)")
+    if eq_b.shape != (len(prob.eq_A),):
+        raise ValueError("eq_b must have one entry per row of eq_A")
+    if not all(np.isfinite(a).all() for a in (c, F0, eq_b)):
+        raise ValueError("problem data must be finite")
     settings = settings or SdpSettings()
-    reduced = _eliminate_equalities(prob)
-    if reduced is None:
-        return SdpSolution(status="Infeasible", z=None, duals=None,
-                           violation=float("inf"),
-                           message="inconsistent equality system")
-    z0, N = reduced
-    C = prob.F0 + np.tensordot(z0, prob.F, axes=(0, 0))
+    E, N = prob.eq_A, prob.N
+    z0 = np.zeros(m)
+    if len(E):
+        z0 = np.linalg.lstsq(E, eq_b, rcond=None)[0]
+        if np.linalg.norm(E @ z0 - eq_b) > _FEAS_TOL * (1 + np.linalg.norm(eq_b)):
+            return SdpSolution(status="Infeasible", z=None, duals=None,
+                               violation=float("inf"),
+                               message="inconsistent equality system")
+    C = F0 + np.tensordot(z0, prob.F, axes=(0, 0))
     if N.shape[1] == 0:
         lam = min_eig(C)
         ok = lam >= -_FEAS_TOL
@@ -358,13 +355,12 @@ def solve(prob, settings=None):
             message="fully determined by equalities",
         )
 
-    A = -np.tensordot(N, prob.F, axes=(0, 0))
-    res = _ipm(C, A, -(N.T @ prob.c), settings)
+    res = _ipm(C, prob.A, -(N.T @ c), settings)
     z = z0 + N @ res["y"]
-    Z = prob.F0 + np.tensordot(z, prob.F, axes=(0, 0))
+    Z = F0 + np.tensordot(z, prob.F, axes=(0, 0))
     violation = max(0.0, -min_eig(Z))
-    if prob.eq_A.shape[0]:
-        violation = max(violation, float(np.max(np.abs(prob.eq_A @ z - prob.eq_b))))
+    if len(E):
+        violation = max(violation, float(np.max(np.abs(E @ z - eq_b))))
 
     status = res["status"]
     return SdpSolution(
@@ -377,11 +373,11 @@ def solve(prob, settings=None):
     )
 
 
-def equality_multipliers(prob, sol):
+def equality_multipliers(prob, c, sol):
     """Recover multipliers for E z = d from stationarity:
     c_i - tr(F_i X) + (E' lam)_i = 0."""
     if sol.duals is None:
         raise ValueError("no dual matrix")
-    g = prob.c - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
+    g = np.asarray(c, dtype=float) - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
     lam, *_ = np.linalg.lstsq(prob.eq_A.T, -g, rcond=None)
     return lam

@@ -8,6 +8,7 @@ runs return the same certificate.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -110,19 +111,21 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums, rank_cut=1e-3):
     return G, s1_coeffs
 
 
-def _gram_problem(target, k, p=None):
-    """max t s.t. target = s0 + s1*p with Gram(s0) - t*I PSD, as an SdpProblem.
+@functools.lru_cache(maxsize=32)
+def _gram_problem(k, p):
+    """max t s.t. target = s0 + s1*p with Gram(s0) - t*I PSD, compiled once
+    per (k, p): the target enters a solve only as eq_b (_gram_solve).
 
     Variables: upper-triangle Gram entries of s0 over the monomials of degree
-    <= k (row-major), then, when p is given, the coefficients of s1 over the
-    monomials of degree <= 2(k-2), then t. Without p this is the plain SOS
-    search for target. The optimal t is >= 0 exactly when such a certificate
-    exists and is a continuous infeasibility margin otherwise.
+    <= k (row-major), then, when p is not None, the coefficients of s1 over
+    the monomials of degree <= 2(k-2), then t. With p None this is the plain
+    SOS search for target. The optimal t is >= 0 exactly when such a
+    certificate exists and is a continuous infeasibility margin otherwise.
 
     Coefficient matching, one row per moment position, is the adjoint of
     the moment side: the Gram columns are M_k's 0/1 coefficient tensor at
     the upper-triangle entries, doubled off the diagonal, and the s1 columns
-    are the transposed localizing rows. Returns (problem, M_k form).
+    are the transposed localizing rows. Returns (program, M_k form).
     """
     form = build_moment_matrix(k)
     nb = form.size
@@ -133,16 +136,21 @@ def _gram_problem(target, k, p=None):
         columns.append(build_localizing_matrix(p, k).rows.T)
     columns.append(np.zeros((form.nvars, 1)))  # t
     A = np.hstack(columns)
-    m = A.shape[1]
-    F = np.zeros((m, nb, nb))
+    F = np.zeros((A.shape[1], nb, nb))
     F[np.arange(ng), iu, ju] = F[np.arange(ng), ju, iu] = 1.0
     F[-1] = -np.eye(nb)
+    return SdpProblem(F, A), form
 
-    c = np.zeros(m)
+
+def _gram_solve(target, k, p=None, settings=None):
+    """Solve the Gram program of _gram_problem for target:
+    (program, M_k form, eq_b, solution)."""
+    prob, form = _gram_problem(k, p)
+    c = np.zeros(len(prob.F))
     c[-1] = -1.0  # maximize t
-    b = np.array([target.coeff(*s) for s in monomials_upto(2 * k)])
-    prob = SdpProblem(c=c, F0=np.zeros((nb, nb)), F=F, eq_A=A, eq_b=b)
-    return prob, form
+    b = np.array([target.coeff(*s) for s in monomials_upto(2 * k)], dtype=float)
+    sol = solve(prob, c, np.zeros(prob.F.shape[1:]), b, settings)
+    return prob, form, b, sol
 
 
 def _certificate(target, k, p=None):
@@ -154,8 +162,7 @@ def _certificate(target, k, p=None):
     and an iterate meeting that looser test is already returned as Optimal
     by the solver's reduced-accuracy fallback.
     """
-    prob, form = _gram_problem(target, k, p)
-    sol = solve(prob, _GRAM_SETTINGS)
+    prob, form, b, sol = _gram_solve(target, k, p, _GRAM_SETTINGS)
     if sol.status in ("Numerical", "MaxIter"):
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:
@@ -168,7 +175,7 @@ def _certificate(target, k, p=None):
     G[iu, ju] = G[ju, iu] = sol.z[:ng]
     s1_vec = sol.z[ng:-1].copy()
     p_shift = prob.eq_A[:, ng:-1].T.copy()
-    G, s1_vec = _refine_lowrank(G, s1_vec, p_shift, prob.eq_b, form.sums)
+    G, s1_vec = _refine_lowrank(G, s1_vec, p_shift, b, form.sums)
     s1_basis = monomials_upto(2 * (k - 2)) if p is not None else ()
     s1 = BivarPoly({g: s1_vec[i] for i, g in enumerate(s1_basis)})
     basis = monomials_upto(k)
@@ -195,8 +202,7 @@ def sos_margin(q, k=2):
     One solve at the generic tolerance: sweeps call this once per angle."""
     if q.degree > 2 * k:
         raise ValueError("degree of q exceeds 2k")
-    prob, _ = _gram_problem(q, k)
-    sol = solve(prob)
+    sol = _gram_solve(q, k)[3]
     if sol.status != "Optimal":
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     return float(sol.z[-1])

@@ -59,6 +59,13 @@ def test_usage_errors(capsys):
     assert run(capsys, "singularities", "--poly", "1e400*x1^2-x2")[0] == 64
     assert run(capsys, "minimize", "1e400*x1", "--curve", "egg")[0] == 64
     assert run(capsys, "singularities", "--poly", "(1e200*x1)^2-x2")[0] == 64
+    # an output file that cannot be written
+    code, _, err = run(capsys, "singularities", "--curve", "bean",
+                       "--out", "/nonexistent/dir/x.json")
+    assert code == 64 and "cannot write output file" in err
+    code, _, err = run(capsys, "minimize", "x1", "--curve", "egg", "-k", "2",
+                       "--out", "/nonexistent/x.csv")
+    assert code == 64 and "cannot write output file" in err
 
 
 def test_minimize_csv(capsys):

@@ -8,7 +8,6 @@ from quartichull.moments import (
     MomentIndex,
     build_localizing_matrix,
     build_moment_matrix,
-    hankel3,
     localizing_constraints,
     monomial_vector,
     point_moments,
@@ -104,17 +103,6 @@ def test_localizing_matrix_entries_are_localizing_rows():
                     row = rows[sums.index((u[0] + v[0], u[1] + v[1]))]
                     expect = sum(c * y[pos] for pos, c in row.items())
                     assert L[i, j] == pytest.approx(expect, rel=1e-12, abs=1e-12)
-
-
-def test_hankel3():
-    y = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    H = hankel3(y)
-    assert H.shape == (3, 3)
-    for i in range(3):
-        for j in range(3):
-            assert H[i, j] == y[i + j]
-    with pytest.raises(ValueError):
-        hankel3(np.ones(4))
 
 
 def test_degree_validation():

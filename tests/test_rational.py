@@ -9,7 +9,6 @@ from quartichull.rational import (
     fermat_block_membership,
     format_affine,
     hankel_representation,
-    moment_relations,
     point_mass_moments,
     rational_membership,
     validate_param,
@@ -43,13 +42,6 @@ def test_param_constructor_validation():
 def test_point_mass_moments():
     y = point_mass_moments(2.0)
     assert list(y) == [1.0, 2.0, 4.0, 8.0, 16.0]
-
-
-def test_moment_relations_shape():
-    rel = moment_relations(curves.lookup("bean").param)
-    assert len(rel) == 3 and all(len(r) == 5 for r in rel)
-    # x0 relation for the bean: y0 + y2 + y4
-    assert rel[0] == (1, 0, 1, 0, 1)
 
 
 def test_folium_matrix_entries():

@@ -7,7 +7,8 @@ from quartichull import curves, exactness
 from quartichull.poly import monomials_upto
 from quartichull.relaxation import (
     BOUNDARY_CSV_HEADER,
-    RelaxationProblem,
+    _program,
+    _reductions,
     boundary_csv,
     boundary_points,
     membership,
@@ -21,17 +22,18 @@ BOUNDED = ("egg", "bean", "lemniscate", "folium", "fermat")
 
 def test_lifting_count_first_relaxation():
     p = curves.lookup("egg").implicit
-    prob = RelaxationProblem(p, 2)
+    moments = len(_program(p, 2, False).F)
+    pins = _program(p, 2, True).eq_A[:3]
     # 15 moments, 3 pinned to (1, x1, x2): 12 auxiliary liftings
-    assert prob.nmoments == 15
-    assert prob.lifting_count == 12
-    assert prob.pin_positions == (0, 1, 2)
+    assert moments == 15
+    assert moments - len(pins) == 12
+    assert np.array_equal(pins, np.eye(3, moments + 1))
 
 
 def test_order_validation():
     p = curves.lookup("egg").implicit
     with pytest.raises(ValueError):
-        RelaxationProblem(p, 1)
+        _reductions(p, 1)
     with pytest.raises(ValueError):
         minimize_linear(p, (1.0, 0.0), [1])
 
@@ -104,23 +106,23 @@ def test_dual_reduction_drops_rows_at_infinity():
     for name in curves.curve_names():
         p = curves.lookup(name).implicit
         for k in range(2, 6):
-            prob = RelaxationProblem(p, k)
-            rows = len(monomials_upto(k))
+            prob = _program(p, k, False)
+            rows = monomials_upto(k)
             kernel = len(monomials_upto(k - 4)) if k >= 4 else 0
-            size = prob.moment_block(with_margin=False).shape[1]
-            A, _ = prob.equality_system([(0, 1.0)], with_margin=False)
+            kept = _reductions(p, k)[0]
+            dropped = tuple(e for i, e in enumerate(rows) if i not in kept)
+            size = prob.F.shape[1]
             # pin, localizing rows, then rows fixing what the block lost
-            fixing = len(A) - 1 - len(monomials_upto(2 * k - 4))
+            fixing = len(prob.eq_A) - 1 - len(monomials_upto(2 * k - 4))
             if name == "egg":
-                assert prob.dropped_rows == ((1, k - 1), (0, k)), k
-                assert size == rows - 3 - kernel, k
+                assert dropped == ((1, k - 1), (0, k)), k
+                assert size == len(rows) - 3 - kernel, k
                 assert fixing > 0
             else:
-                assert prob.dropped_rows == (), (name, k)
-                assert size == rows - kernel, (name, k)
+                assert dropped == (), (name, k)
+                assert size == len(rows) - kernel, (name, k)
                 assert fixing == 0
-    prob = RelaxationProblem(curves.lookup("egg").implicit, 2)
-    assert prob.lifting_count == 12
+    assert len(_program(curves.lookup("egg").implicit, 2, False).F) - 3 == 12
 
 
 def test_egg_membership_high_orders_match_the_curve():
@@ -138,7 +140,7 @@ def test_egg_membership_high_orders_match_the_curve():
         for x in pts:
             res = membership(p, k, x)
             assert res.solution.status == "Optimal", (k, x)
-            assert len(res.moments) == RelaxationProblem(p, k).nmoments
+            assert len(res.moments) == len(_program(p, k, False).F)
             iters.append(len(res.solution.iterates))
             if abs(res.margin) > 1e-5:
                 assert res.inside == (p(*x) > 0), (k, x, res.margin)
@@ -269,3 +271,36 @@ def test_boundary_convex_position():
         cross = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
         hullside.append(cross)
     assert min(hullside) >= -1e-5
+
+
+def test_each_family_compiles_once(monkeypatch):
+    # every solve of one family (a sweep, points at one (p, k), targets at
+    # one order, points on one representation) reads one compiled program
+    from quartichull import rational, relaxation, sos
+    from quartichull.poly import parse_poly
+
+    seen = []
+
+    def recorded(prob, *args, **kwargs):
+        seen.append(prob)
+        return solve(prob, *args, **kwargs)
+
+    solve = relaxation.solve
+    for mod in (relaxation, sos, rational):
+        monkeypatch.setattr(mod, "solve", recorded)
+
+    def programs(calls):
+        seen.clear()
+        for call in calls:
+            call()
+        return len(seen), len({id(prob) for prob in seen})
+
+    bean = curves.lookup("bean").implicit
+    assert programs([lambda: boundary_points(bean, 2, 12)]) == (12, 1)
+    points = [(0.1 * j, 0.05) for j in range(5)]
+    assert programs([lambda x=x: membership(bean, 3, x) for x in points]) == (5, 1)
+    targets = [parse_poly(f"{1 + j} + x1^4 + x2^4 - x1*x2") for j in range(5)]
+    assert programs([lambda q=q: sos.sos_margin(q, 2) for q in targets]) == (5, 1)
+    rep = rational.hankel_representation(curves.lookup("folium").param)
+    assert programs([lambda x=x: rational.rational_membership(rep, x)
+                     for x in points]) == (5, 1)

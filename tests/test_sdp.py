@@ -15,15 +15,12 @@ from quartichull.sdp import (
 
 
 def _lmi(F0, Fs, c, eq_A=None, eq_b=None):
-    n = len(c)
-    F = np.array(Fs)
+    """The arguments of solve: (program, c, F0, eq_b)."""
     if eq_A is None:
-        eq_A = np.zeros((0, n))
-        eq_b = np.zeros(0)
-    return SdpProblem(c=np.array(c, dtype=float),
-                      F0=np.array(F0, dtype=float), F=F,
-                      eq_A=np.asarray(eq_A, dtype=float),
-                      eq_b=np.asarray(eq_b, dtype=float))
+        eq_A, eq_b = np.zeros((0, len(c))), np.zeros(0)
+    return (SdpProblem(np.array(Fs), np.asarray(eq_A, dtype=float)),
+            np.array(c, dtype=float), np.array(F0, dtype=float),
+            np.asarray(eq_b, dtype=float))
 
 
 def test_min_eig_and_truncate():
@@ -45,7 +42,7 @@ def test_max_min_eigenvalue_of_interval():
         [np.diag([-1.0, 1.0]), -np.eye(2)],
         [0.0, -1.0],
     )
-    sol = solve(prob)
+    sol = solve(*prob)
     assert sol.status == "Optimal"
     assert sol.z[1] == pytest.approx(1.0, abs=1e-6)
     assert sol.z[0] == pytest.approx(0.0, abs=1e-5)
@@ -54,14 +51,14 @@ def test_max_min_eigenvalue_of_interval():
 def test_infeasible_lmi():
     # -I + z * 0 >= 0 is infeasible
     prob = _lmi(-np.eye(2), [np.zeros((2, 2)), ], [1.0])
-    sol = solve(prob)
+    sol = solve(*prob)
     assert sol.status == "Infeasible"
 
 
 def test_unbounded_direction():
     # maximize z subject to [[1, 0], [0, 1 + z]] >= 0: z can grow forever
     prob = _lmi(np.eye(2), [np.diag([0.0, 1.0])], [-1.0])
-    sol = solve(prob)
+    sol = solve(*prob)
     assert sol.status == "Unbounded"
 
 
@@ -69,18 +66,18 @@ def test_equalities_only():
     # block fully pinned by the equality system
     prob = _lmi(np.zeros((2, 2)), [np.eye(2)], [1.0],
                 eq_A=[[1.0]], eq_b=[2.0])
-    sol = solve(prob)
+    sol = solve(*prob)
     assert sol.status == "Optimal"
     assert sol.z[0] == pytest.approx(2.0)
     bad = _lmi(np.zeros((2, 2)), [np.eye(2)], [1.0],
                eq_A=[[1.0]], eq_b=[-1.0])
-    assert solve(bad).status == "Infeasible"
+    assert solve(*bad).status == "Infeasible"
 
 
 def test_inconsistent_equalities():
     prob = _lmi(np.eye(2), [np.eye(2)], [1.0],
                 eq_A=[[1.0], [1.0]], eq_b=[0.0, 1.0])
-    assert solve(prob).status == "Infeasible"
+    assert solve(*prob).status == "Infeasible"
 
 
 def test_weak_duality_on_logged_iterates():
@@ -104,7 +101,7 @@ def test_weak_duality_on_logged_iterates():
             box = [np.diag([1.0, -1.0]) if j == i else np.zeros((2, 2)) for j in range(3)]
             F.append(scipy.linalg.block_diag(Fi, *box))
         prob = _lmi(scipy.linalg.block_diag(F0, *[5.0 * np.eye(2)] * 3), F, c)
-        sol = solve(prob)
+        sol = solve(*prob)
         assert sol.status == "Optimal"
         assert sol.iterates, "no iterates logged"
         for rec in sol.iterates:
@@ -118,35 +115,54 @@ def test_weak_duality_on_logged_iterates():
 
 def test_equality_multipliers_stationarity():
     # minimize z2 s.t. diag(z1, z2) >= 0 and z1 + z2 = 2
-    prob = _lmi(np.zeros((2, 2)),
+    args = _lmi(np.zeros((2, 2)),
                 [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])],
                 [0.0, 1.0],
                 eq_A=[[1.0, 1.0]], eq_b=[2.0])
-    sol = solve(prob)
+    prob, c = args[:2]
+    sol = solve(*args)
     assert sol.status == "Optimal"
     assert sol.z[1] == pytest.approx(0.0, abs=1e-5)
-    lam = equality_multipliers(prob, sol)
+    lam = equality_multipliers(prob, c, sol)
     # stationarity: c - A*(X) + E' lam = 0 componentwise
-    g = prob.c - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
+    g = c - np.tensordot(prob.F, sol.duals, axes=([1, 2], [0, 1]))
     assert np.max(np.abs(g + prob.eq_A.T @ lam)) <= 1e-5
 
 
 def test_problem_shapes_are_checked():
+    # the structure is checked when it is compiled, the data of each solve
+    # when it is solved
     c, F0, F = np.zeros(2), np.eye(2), np.zeros((2, 2, 2))
-    no_rows = dict(eq_A=np.zeros((0, 2)), eq_b=np.zeros(0))
-    SdpProblem(c=c, F0=F0, F=F, **no_rows)
+    no_rows = np.zeros((0, 2))
+    prob = SdpProblem(F, no_rows)
     with pytest.raises(ValueError):
-        SdpProblem(c=np.zeros(3), F0=F0, F=F, **no_rows)  # F has 2 matrices
+        solve(prob, np.zeros(3), F0, np.zeros(0))  # F has 2 matrices
     with pytest.raises(ValueError):
-        SdpProblem(c=c, F0=np.eye(3), F=F, **no_rows)  # F0 is 3x3
+        solve(prob, c, np.eye(3), np.zeros(0))  # F0 is 3x3
     with pytest.raises(ValueError):
-        SdpProblem(c=c, F0=np.zeros((0, 0)), F=np.zeros((2, 0, 0)), **no_rows)
+        solve(prob, c, F0, np.zeros(1))  # eq_A has no rows
     with pytest.raises(ValueError):
-        SdpProblem(c=c, F0=F0, F=F, eq_A=np.zeros((1, 3)), eq_b=np.zeros(1))
+        SdpProblem(np.zeros((2, 0, 0)), no_rows)
+    with pytest.raises(ValueError):
+        SdpProblem(np.zeros((2, 2, 3)), no_rows)
+    with pytest.raises(ValueError):
+        SdpProblem(np.zeros((2, 2)), no_rows)
+    with pytest.raises(ValueError):
+        SdpProblem(F, np.zeros((1, 3)))
+    with pytest.raises(ValueError):
+        SdpProblem(F, np.zeros(2))
     with pytest.raises(ValueError, match="finite"):
-        SdpProblem(c=c, F0=np.array([[1.0, np.nan], [np.nan, 1.0]]), F=F, **no_rows)
+        SdpProblem(np.full((2, 2, 2), np.nan), no_rows)
     with pytest.raises(ValueError, match="finite"):
-        SdpProblem(c=c, F0=F0, F=F, eq_A=np.ones((1, 2)), eq_b=np.array([np.inf]))
+        SdpProblem(F, np.array([[np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        solve(prob, np.array([np.nan, 0.0]), F0, np.zeros(0))
+    with pytest.raises(ValueError, match="finite"):
+        solve(prob, c, np.array([[1.0, np.nan], [np.nan, 1.0]]), np.zeros(0))
+    with pytest.raises(ValueError, match="finite"):
+        solve(prob, c, np.diag([np.inf, 1.0]), np.zeros(0))
+    with pytest.raises(ValueError, match="finite"):
+        solve(SdpProblem(F, np.ones((1, 2))), c, F0, np.array([np.inf]))
 
 
 def test_nt_step_matches_generalized_eigenvalues():
