@@ -13,7 +13,8 @@ and verdicts label copies of the singular points.
 
 Tangency and singularity systems are solved by resultant elimination; the
 seeds of one elimination pass, or of the grid fallback, are polished in one
-batch by `_newton_polish`, each seed with its own stop rule.
+batch by `_newton_polish`, each seed with its own stop rule. A facet of the
+hull is solved exactly from the bitangent system (`_bitangent`).
 """
 
 from __future__ import annotations
@@ -203,16 +204,6 @@ def _complex_slice_roots(q, axis, v):
     return np.roots(c[: nz[-1] + 1][::-1])
 
 
-def _slice_roots(q, axis, v):
-    """Root seeds of q with value v substituted for the other variable.
-    Double roots of the elimination resultant shift v by the square root of
-    the interpolation noise, which can push exact real roots of the slice
-    well off the real axis; real parts of all slice roots are kept as seeds
-    and the two-variable polish plus residual filter sorts them out."""
-    return [float(z.real) for z in _complex_slice_roots(q, axis, v)
-            if abs(z.real) <= _BOX]
-
-
 def _solve_pair(q1, q2):
     """All real common zeros of two bivariate polynomials, by resultant
     elimination plus Newton polish."""
@@ -225,9 +216,14 @@ def _solve_pair(q1, q2):
             continue
         if np.max(np.abs(r)) <= 1e-10 * scale ** 2:
             continue  # shared component; try the other variable, else fall back
+        # Double roots of the resultant shift v by the square root of the
+        # interpolation noise, which can push exact real roots of a slice well
+        # off the real axis: the real parts of all slice roots seed the polish
+        # and the residual filter sorts them out.
         seeds = [(v, w) if other == 1 else (w, v)
                  for v in real_roots(r, interval=(-_BOX, _BOX))
-                 for w in _slice_roots(q1, axis, v) + _slice_roots(q2, axis, v)]
+                 for q in eqs for w in np.real(_complex_slice_roots(q, axis, v))
+                 if abs(w) <= _BOX]
         pts = map(tuple, _newton_polish(eqs, seeds))
         return _merge_points([pt for pt in pts if _on_curves(eqs, pt)]), True
     # non-generic pencil: grid search fallback, flagged non-certified
@@ -261,12 +257,10 @@ def _infinity_singularities(p):
     scale = max(1.0, p.coeff_norm())
     dirs = []
     # roots of the binary form pd: (1, t) directions plus possibly (0, 1)
-    lead = pd.univariate_in(2, 1.0)  # pd(1, t) as a polynomial in t
-    if not pd.is_zero():
-        if np.max(np.abs(lead)) > 0:
-            dirs.extend((1.0, t) for t in real_roots(lead))
-        if abs(pd.coeff(0, d)) <= 1e-12 * scale:
-            dirs.append((0.0, 1.0))
+    # pd is nonzero, and so is pd(1, t) as a polynomial in t
+    dirs.extend((1.0, t) for t in real_roots(pd.univariate_in(2, 1.0)))
+    if abs(pd.coeff(0, d)) <= 1e-12 * scale:
+        dirs.append((0.0, 1.0))
     out = []
     for (a, b) in dirs:
         n = math.hypot(a, b)
@@ -405,6 +399,40 @@ def tangent_support(p, f):
     return TangentSupport(value=h, points=pts)
 
 
+def _far(a, b):
+    """Whether two contacts lie on different arcs (a missing one does)."""
+    return a is None or b is None or \
+        math.hypot(a[0] - b[0], a[1] - b[1]) > 0.05 * (1 + math.hypot(*b))
+
+
+def _bitangent(rec, a, b):
+    """Newton's method from the contacts a and b on the bitangent system
+    p(P) = p(Q) = 0, grad p(P).(Q - P) = grad p(Q).(Q - P) = 0: the contacts
+    (P, Q) of a facet, or None when it fails or P and Q end on one arc (a
+    flat vertex moves the contact fast, but has no facet)."""
+    if a is None or b is None:
+        return None
+    (h11, h12), (_, h22) = hessian(rec.p)
+    x = np.array([a, b], dtype=float)  # rows P and Q
+    for _ in range(50):
+        v, g1, g2, e11, e12, e22 = (q.eval_many(x[:, 0], x[:, 1]) for q in
+                                    (rec.p, rec.d1, rec.d2, h11, h12, h22))
+        d, g = x[1] - x[0], np.array([g1, g2]).T  # g: rows grad p(P), grad p(Q)
+        Hd = np.array([[e11, e12], [e12, e22]]).transpose(2, 0, 1) @ d
+        F = np.concatenate([v, g @ d])
+        J = np.array([[*g[0], 0, 0], [0, 0, *g[1]],
+                      [*(Hd[0] - g[0]), *g[0]], [*-g[1], *(Hd[1] + g[1])]])
+        step = np.linalg.lstsq(J, -F, rcond=None)[0].reshape(2, 2)
+        x = x + step
+        if np.max(np.abs(x)) > _BOX:
+            return None
+        if np.linalg.norm(step) <= 1e-15 * (1 + np.linalg.norm(x)):
+            break
+    P, Q = map(tuple, x)
+    ok = np.max(np.abs(F)) <= _RESIDUAL_TOL * max(1.0, rec.p.coeff_norm()) and _far(P, Q)
+    return (P, Q) if ok else None
+
+
 def _tangent_cone_normals(p, pt):
     """Unit normals of the real tangent lines of the curve at a point,
     read off the linear factors of the lowest graded part of p translated
@@ -518,123 +546,94 @@ def curve_points(p):
 
 def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     """Full decision procedure: concavity fast path, boundary smoothness,
-    then a supporting-line sweep testing p_f >= 0 at n angles, with local
-    refinement around near-zero margin minima (bitangents). Every phase
-    reads the support function of the curve record over the inward-normal
-    angle. When a solve cannot decide, the verdict is Inconclusive and keeps
-    the singular points and sweep rows computed before."""
+    then a supporting-line sweep testing p_f >= 0 at n angles and at the
+    hull facets solved between them (see _bitangent). Every phase reads the
+    support function of the curve record over the inward-normal angle. When
+    a solve cannot decide, the verdict is Inconclusive and keeps the
+    singular points and sweep rows computed before."""
     if n < 8:
         raise ValueError("need at least 8 sweep angles")
     evidence = {"resolution": n}
     sing, sweep = [], []
+
+    def verdict(kind, witness=None):
+        return ExactnessVerdict(kind, witness, sing, sweep=sweep, evidence=evidence)
+
     try:
-        if check_concave(p):
-            evidence["concave"] = True
-            return ExactnessVerdict("Exact", None, find_singularities(p),
-                                    evidence=evidence)
-        evidence["concave"] = False
+        evidence["concave"] = check_concave(p)
         sing = find_singularities(p)
+        if evidence["concave"]:
+            return verdict("Exact")
         if not all(s.certified for s in sing if not s.at_infinity):
             # the partials share a component, so the singular locus may be a
             # whole curve, which no finite set of points classifies
             evidence["reason"] = "singular points from the grid fallback (non-certified)"
-            return ExactnessVerdict("Inconclusive", None, sing, evidence=evidence)
+            return verdict("Inconclusive")
         sing, smooth, witness = classify_boundary(p, n)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:
             evidence["reason"] = "singular point on the hull boundary"
-            return ExactnessVerdict("NotExact", witness, sing, evidence=evidence)
+            return verdict("NotExact", witness)
         if smooth is None:
-            return ExactnessVerdict("Inconclusive", None, sing, evidence=evidence)
+            return verdict("Inconclusive")
 
-        support = _curve(p).support
-
-        def margin_of(theta):
-            line, pt = support(theta)[2:]
-            if line is None:
-                return None, None, None
-            return sos_margin(comparison_quartic(line, p), 2), line, pt
-
-        def _far(a, b):
-            return a is None or b is None or \
-                math.hypot(a[0] - b[0], a[1] - b[1]) > 0.05 * (1 + math.hypot(*b))
-
+        rec = _curve(p)
         step = 2 * math.pi / n
+
+        def margin_of(line):
+            return sos_margin(comparison_quartic(line, p), 2)
+
+        def sample(i):  # at the sweep's own angles, which key the support memo
+            return rec.support((i % n) * step)
+
+        def failing_facet(i):
+            """(normal angle, sweep line) of the facet between the samples i
+            and i + 1 when its comparison quartic fails, else None."""
+            pq = _bitangent(rec, sample(i).point, sample(i + 1).point)
+            if pq:
+                (a, b), lo = pq[1], (i % n) * step
+                g1, g2 = rec.d1(a, b), rec.d2(a, b)
+                theta = math.atan2(g2, g1) % (2 * math.pi)
+                line = SupportLine((-(g1 * a + g2 * b), g1, g2))
+                # its normal must lie between the two sample angles
+                if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
+                    return theta, line
+
         for j in range(n):
             th = j * step
-            m, line, pt = margin_of(th)
-            if m is None:
-                return ExactnessVerdict("Inconclusive", None, sing,
-                                        sweep=sweep, evidence=evidence)
+            line = sample(j).line
+            if line is None:
+                return verdict("Inconclusive")
+            m = margin_of(line)
             pf_min = quartic_minimizer(comparison_quartic(line, p))[1]
             sweep.append((th, m, pf_min))
             if m < -feas_tol:
                 evidence["reason"] = "comparison quartic negative on sweep"
-                # inside the failing band the hull often has a facet: the
-                # support point jumps between curve arcs as the angle passes
-                # the bitangent, and the support line at that jump is the
-                # bitangent itself, the canonical witness
-                prev = pt
-                for fwd in range(1, max(2, n // 4)):
-                    th2 = th + fwd * step
-                    pt2 = support(th2).point
-                    if pt2 is None:
+                # the hull often has a facet at the failing band, the canonical
+                # witness: try the pair of samples before j, then the band up
+                # to its first jump of the contact between arcs
+                for i in range(j - 1, j + max(2, n // 4) - 1):
+                    if _far(sample(i).point, sample(i + 1).point):
+                        facet = failing_facet(i)
+                        if facet:
+                            evidence["facet_angle"], line = facet
+                        if facet or i >= j:
+                            break
+                    elif i >= j and margin_of(sample(i + 1).line) >= -feas_tol:
                         break
-                    if _far(pt2, prev):
-                        lo, hi = th2 - step, th2
-                        for _ in range(50):
-                            mid = 0.5 * (lo + hi)
-                            pm = support(mid).point
-                            if pm is None:
-                                break
-                            if _far(pm, prev):
-                                hi = mid
-                            else:
-                                lo, prev = mid, pm
-                        # a flat vertex also moves the contact point fast; a
-                        # real facet keeps the two arcs apart across the angle
-                        pa = support(hi - 1e-9).point
-                        pb = support(hi + 1e-9).point
-                        if _far(pa, pb):
-                            m2, line2, _ = margin_of(hi)
-                            if m2 is not None and m2 < -feas_tol:
-                                evidence["facet_angle"] = hi
-                                m, line = m2, line2
-                        break
-                    m2, _, _ = margin_of(th2)
-                    if m2 is None or m2 >= -feas_tol:
-                        break
-                    prev = pt2
-                return ExactnessVerdict("NotExact", line.normalized(), sing,
-                                        sweep=sweep, evidence=evidence)
+                return verdict("NotExact", line.normalized())
 
-        # refine local minima: a bad bitangent straddled by the sampling
-        # shows up as a narrow dip that never goes negative at the samples
-        ms = [m for _, m, _ in sweep]
-        for j in range(n):
-            if ms[j] > 1e-3:
-                continue
-            dip = min(ms[(j - 1) % n], ms[(j + 1) % n]) - ms[j]
-            # flat near-zero margins are solver noise on an exact arc; only a
-            # genuine dip relative to the neighbors is worth refining
-            if dip > 1e-6:
-                res = scipy.optimize.minimize_scalar(
-                    lambda th: margin_of(th)[0],
-                    bounds=(sweep[j][0] - step, sweep[j][0] + step),
-                    method="bounded", options={"xatol": 1e-9},
-                )
-                if res.fun < -feas_tol:
-                    m, line, _ = margin_of(res.x)
-                    evidence["reason"] = "comparison quartic negative near bitangent"
-                    evidence["refined_angle"] = float(res.x)
-                    return ExactnessVerdict("NotExact", line.normalized(), sing,
-                                            sweep=sweep, evidence=evidence)
-        return ExactnessVerdict("Exact", None, sing, sweep=sweep,
-                                evidence=evidence)
+        # every sample passes: try the facet at each jump of the contact
+        for i in range(n):
+            facet = _far(sample(i).point, sample(i + 1).point) and failing_facet(i)
+            if facet:
+                evidence["reason"] = "comparison quartic negative near bitangent"
+                evidence["facet_angle"], line = facet
+                return verdict("NotExact", line.normalized())
+        return verdict("Exact")
     except IndeterminateResult as exc:
         evidence["error"] = str(exc)
-        return ExactnessVerdict("Inconclusive", None, sing, sweep=sweep,
-                                evidence=evidence)
+        return verdict("Inconclusive")
 
 
 def quartic_minimizer(q, span=3.0, grid=41):

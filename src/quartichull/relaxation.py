@@ -6,9 +6,9 @@ M_k(y) >= 0 and M_{k-2}(p y) = 0, with y00, y10, y01 pinned to the
 queried point. Membership margins come from maximizing t subject to
 M_k(y) - t I >= 0, so the margin is a continuous proxy for signed
 distance to the relaxed set. The LMI is facially reduced on both sides
-before it is solved (see _reductions). Each (p, k) has two programs, the
-margin program and the support program, each compiled once and shared by
-every point and direction (see _program).
+before it is solved (see _reductions). Each (p, k) has two programs (see
+_program): the margin program, compiled once and shared by every point,
+and the support program, compiled once per sweep of directions.
 """
 
 from __future__ import annotations
@@ -125,16 +125,16 @@ def _reductions(p, k):
     return tuple(kept.tolist()), form, basis, np.vstack([loc, fixed])
 
 
-@functools.lru_cache(maxsize=64)
 def _program(p, k, margin):
-    """The order-k program, compiled on first use: the margin program over
+    """The order-k program, compiled on every call: the margin program over
     z = (moments, t) when margin is true, with M_k(y) - t I >= 0, else the
     support program over z = moments, with M_k(y) >= 0. The block is
     facially reduced on both sides (see _reductions). Equality rows: the
     pins first (y00, y10, y01 for the margin program, y00 alone for the
     support program), then the localizing rows, then one row fixing at 0
-    each moment direction that the reduced block no longer sees. Call it
-    with positional arguments, so that every caller shares one program."""
+    each moment direction that the reduced block no longer sees.
+    _support_sweep compiles the support program once per call and lets it
+    go with the call; _margin_program keeps the margin program."""
     _, form, basis, zero_rows = _reductions(p, k)
     F = form.coefficients()
     if margin:
@@ -148,6 +148,13 @@ def _program(p, k, margin):
     eq_A[range(pins), range(pins)] = 1.0
     eq_A[pins:, :form.nvars] = zero_rows
     return SdpProblem(F, eq_A)
+
+
+@functools.lru_cache(maxsize=64)
+def _margin_program(p, k):
+    """The margin program of (p, k), memoized: membership and
+    separating_line arrive one point at a time."""
+    return _program(p, k, True)
 
 
 def _dd_face(F, E, tol=1e-6):
@@ -229,7 +236,7 @@ class BoundaryRow:
 def _margin_solve(p, k, point):
     """The membership margin solve at point: (program, c, result).
     Any status but Optimal raises IndeterminateResult."""
-    prob = _program(p, k, True)
+    prob = _margin_program(p, k)
     c = np.zeros(len(prob.F))
     c[-1] = -1.0
     b = np.zeros(len(prob.eq_A))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import math
 import time
 
@@ -281,3 +282,79 @@ def test_inconclusive_verdict_keeps_partial_results(monkeypatch):
     assert len(verdict.singular_points) == len(found) == 1
     assert verdict.singular_points[0].location.close_to(found[0].location, tol=1e-9)
     assert len(verdict.sweep) == 2
+
+
+# the folium's facet: the bitangent 4/9 + x1/3 + (2 sqrt 2/3) x2 = 0, with
+# inward normal angle atan(2 sqrt 2)
+_FOLIUM_FACET = (4 / 9, 1 / 3, 2 * math.sqrt(2) / 3)
+_FOLIUM_FACET_ANGLE = math.atan(2 * math.sqrt(2))  # 1.2309594173407747
+
+
+@pytest.mark.parametrize("n", [8, 12, 24, 360])
+def test_folium_witness_is_the_exact_bitangent(n):
+    # n=8 and 12 pass at every sample: only the facet fails
+    p = curves.lookup("folium").implicit
+    verdict = sweep_verdict("folium")[0] if n == 360 else sweep_exactness(p, n=n)
+    assert verdict.verdict == "NotExact"
+    assert verdict.witness.normalized().coeffs == pytest.approx(_FOLIUM_FACET,
+                                                                rel=0, abs=1e-12)
+    assert verdict.evidence["facet_angle"] == pytest.approx(_FOLIUM_FACET_ANGLE,
+                                                            rel=0, abs=1e-12)
+
+
+def test_smoothconvex_flat_vertex_is_not_a_facet(monkeypatch):
+    # the contact moves fast across the flat vertex at the origin, where
+    # the first sample fails; the sweep tries it as a facet, finds none, and
+    # solves no direction between the samples. A fresh curve record counts
+    # every direction the sweep solves.
+    calls = []
+    original = exactness.tangent_support
+
+    def counted(p, f):
+        calls.append(f)
+        return original(p, f)
+
+    monkeypatch.setattr(exactness, "tangent_support", counted)
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    verdict = sweep_exactness(curves.lookup("smoothconvex").implicit, n=360)
+    assert verdict.verdict == "NotExact"
+    assert verdict.witness.normalized().coeffs == pytest.approx((0.0, 1.0, 0.0),
+                                                                rel=0, abs=1e-12)
+    assert "facet_angle" not in verdict.evidence
+    assert len(calls) <= 5
+
+
+@pytest.mark.parametrize("n", [8, 12, 36])
+def test_lemniscate_facets_pass(n):
+    # its two bitangents are facets whose comparison quartics are SOS
+    verdict = sweep_exactness(curves.lookup("lemniscate").implicit, n=n)
+    assert verdict.verdict == "Exact"
+    assert "facet_angle" not in verdict.evidence
+
+
+def test_bitangent_solves_the_lemniscate_facets():
+    # from the contacts on either side of every jump at the sweep's angles
+    rec = exactness._curve(curves.lookup("lemniscate").implicit)
+    step = 2 * math.pi / 36
+    contacts = [rec.support(i * step).point for i in range(36)]
+    jumps = [(a, b) for a, b in zip(contacts, contacts[1:] + contacts[:1])
+             if exactness._far(a, b)]
+    facets = [exactness._bitangent(rec, a, b) for a, b in jumps]
+    facets = [pq for pq in facets if pq is not None]
+    assert len(facets) == 2
+    x, y = math.sqrt(6) / 4, math.sqrt(2) / 4
+    for P, Q in facets:
+        side = math.copysign(y, P[1])
+        assert np.array(sorted([P, Q])) == pytest.approx(
+            np.array([(-x, side), (x, side)]), rel=0, abs=1e-12)
+    assert {math.copysign(1, P[1]) for P, _ in facets} == {-1.0, 1.0}
+
+
+def test_bitangent_rejects_a_flat_vertex():
+    p = curves.lookup("smoothconvex").implicit
+    rec = exactness._curve(p)
+    step = 2 * math.pi / 360
+    below, at, above = (rec.support((j % 360) * step).point for j in (-1, 0, 1))
+    for a, b in ((below, at), (at, above)):
+        assert exactness._far(a, b)
+        assert exactness._bitangent(rec, a, b) is None

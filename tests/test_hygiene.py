@@ -1,6 +1,7 @@
 """Checks on the package source: no module imports a name it never uses,
 no module defines a private function or class that nothing in the package
-reads, and every name a module lists in __all__ exists."""
+reads, every name a module lists in __all__ exists, and so does every
+function that the benchmark's tracer wraps."""
 
 import ast
 import importlib
@@ -99,3 +100,20 @@ def test_every_public_name_resolves():
         if absent:
             missing[name] = absent
     assert missing == {}
+
+
+def test_traced_targets_resolve():
+    # the benchmark traces these functions by name, and a target that the
+    # package no longer has drops the per-layer metrics declared for it
+    source = (SRC.parent.parent / "perfbench" / "layertrace.py").read_text()
+    [targets] = [ast.literal_eval(node.value) for node in ast.parse(source).body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)]
+    assert targets
+    missing = []
+    for target in targets:
+        module, name = target.rsplit(".", 1)
+        attr = getattr(importlib.import_module(f"quartichull.{module}"), name, None)
+        if not callable(attr):
+            missing.append(target)
+    assert missing == []
