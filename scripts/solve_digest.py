@@ -6,12 +6,14 @@ check that a refactor which moves the last digits leaves them unchanged.
 Usage: python3 scripts/solve_digest.py sweep-smooth|sweep-singular|hierarchy
 
 Runs the workload once through perfbench/one_pass.py (seed 1, one BLAS
-thread) with quartichull.sdp.solve rebound to a recording wrapper, as
-perfbench/layertrace.py rebinds it. Prints three lines: the solve count,
-a SHA-256 over (c, F0, F, eq_A, eq_b, status, message, iteration count, z,
-violation) of every solve in call order, with F and eq_A read from the
-compiled SdpProblem, and a SHA-256 of the workload's outputs with the
-timing fields removed. Two trees whose three lines agree ran the same
+thread) with quartichull.sdp.solve_stack, the entry that every solve goes
+through (solve is its one-member case), rebound to a recording wrapper, as
+perfbench/layertrace.py rebinds its targets. Prints three lines: the solve
+count, a SHA-256 over (c, F0, F, eq_A, eq_b, status, message, iteration
+count, z, violation) of every solve in call order, a stack contributing one
+solve per member with its own row of each stacked argument, with F and eq_A
+read from the compiled SdpProblem, and a SHA-256 of the workload's outputs
+with the timing fields removed. Two trees whose three lines agree ran the same
 problems to the same answers. Then prints one line per (status, message up
 to its first "(", PSD block size) with its solve count, and the total
 number of interior-point iterations.
@@ -49,25 +51,30 @@ def _array(h, a):
 
 
 def _install(h, count, tally):
-    """Rebind sdp.solve in every package module that holds it."""
-    solve = sdp.solve
+    """Rebind sdp.solve_stack in every package module that holds it."""
+    solve_stack = sdp.solve_stack
 
     def recorded(prob, c, F0, eq_b, settings=None):
-        sol = solve(prob, c, F0, eq_b, settings)
-        count[0] += 1
-        count[1] += len(sol.iterates)
-        tally[(sol.status, sol.message.split("(")[0].strip(), prob.F.shape[1])] += 1
-        for a in (c, F0, prob.F, prob.eq_A, eq_b):
-            _array(h, a)
-        h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
-        _array(h, sol.z)
-        h.update(repr(float(sol.violation)).encode())
-        return sol
+        sols = solve_stack(prob, c, F0, eq_b, settings)
+        n = prob.F.shape[1]
+        member = [np.broadcast_to(a, (len(sols),) + a.shape[a.ndim - nd:])
+                  for a, nd in ((np.asarray(c), 1), (np.asarray(F0), 2),
+                                (np.asarray(eq_b), 1))]
+        for sol, c1, F1, b1 in zip(sols, *member):
+            count[0] += 1
+            count[1] += len(sol.iterates)
+            tally[(sol.status, sol.message.split("(")[0].strip(), n)] += 1
+            for a in (c1, F1, prob.F, prob.eq_A, b1):
+                _array(h, a)
+            h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
+            _array(h, sol.z)
+            h.update(repr(float(sol.violation)).encode())
+        return sols
 
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("quartichull"):
             for attr, val in list(vars(mod).items()):
-                if val is solve:
+                if val is solve_stack:
                     setattr(mod, attr, recorded)
 
 

@@ -39,7 +39,7 @@ from .poly import (
     resultant,
 )
 from .sdp import min_eig
-from .sos import FEAS_MARGIN, IndeterminateResult, nonneg_quartic, sos_margin
+from .sos import FEAS_MARGIN, IndeterminateResult, nonneg_quartic, sos_margin, sos_margins
 
 __all__ = [
     "SingularPoint",
@@ -59,6 +59,10 @@ _RESIDUAL_TOL = 1e-8
 _CLASSIFY_TOL = 1e-6
 # half-width of the box that holds every curve point the solvers look for
 _BOX = 50.0
+# The sweep solves its sample margins ahead in chunks of 1, 2, 4, ... rows,
+# at most this many: a chunk shares the solver's per-call overhead, and the
+# cap bounds the margins solved in vain after the first failing row.
+_LOOKAHEAD = 32
 
 
 @dataclass(frozen=True)
@@ -599,13 +603,31 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
                     return theta, line
 
+        ahead, size = {}, 1  # (comparison quartic, margin) solved ahead, by row
         for j in range(n):
+            if j not in ahead:
+                # the next chunk of rows, up to the first without a line; a
+                # row is acted on only when the loop reaches it
+                qs = []
+                for i in range(j, min(n, j + size)):
+                    try:
+                        line = sample(i).line
+                    except IndeterminateResult:
+                        break
+                    if line is None:
+                        break
+                    qs.append(comparison_quartic(line, p))
+                if qs:
+                    ahead.update(zip(range(j, n), zip(qs, sos_margins(qs, 2))))
+                size = min(2 * size, _LOOKAHEAD)
             th = j * step
             line = sample(j).line
             if line is None:
                 return verdict("Inconclusive")
-            m = margin_of(line)
-            pf_min = quartic_minimizer(comparison_quartic(line, p))[1]
+            q, m = ahead.pop(j)
+            if isinstance(m, IndeterminateResult):
+                raise m
+            pf_min = quartic_minimizer(q)[1]
             sweep.append((th, m, pf_min))
             if m < -feas_tol:
                 evidence["reason"] = "comparison quartic negative on sweep"

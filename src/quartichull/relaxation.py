@@ -23,7 +23,7 @@ import scipy.sparse
 
 from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
 from .poly import SupportLine, monomials_upto
-from .sdp import SdpProblem, equality_multipliers, solve
+from .sdp import SdpProblem, equality_multipliers, solve, solve_stack
 from .sos import FEAS_MARGIN, IndeterminateResult
 
 __all__ = [
@@ -276,18 +276,17 @@ def separating_line(p, k, point):
 
 def _support_sweep(p, k, directions, settings=None):
     """One support solve per direction (f1, f2) over the order-k support
-    program: a SupportResult per direction, with the statuses of
-    support(). A failed solve keeps the solver's status, with value nan."""
+    program, the directions solved as stacks (see sdp.solve_stack): a
+    SupportResult per direction, with the statuses of support(). A failed
+    solve keeps the solver's status, with value nan."""
     prob = _program(p, k, False)
     F0 = np.zeros(prob.F.shape[1:])
     b = np.zeros(len(prob.eq_A))
     b[0] = 1.0
+    c = np.zeros((len(directions), len(prob.F)))
+    c[:, 1:3] = -np.reshape(directions, (-1, 2))
     out = []
-    for f1, f2 in directions:
-        c = np.zeros(len(prob.F))
-        c[1] = -f1
-        c[2] = -f2
-        sol = solve(prob, c, F0, b, settings)
+    for (f1, f2), sol in zip(directions, solve_stack(prob, c, F0, b, settings)):
         message = f"{sol.status}: {sol.message}"
         # High orders are barely strictly feasible (the moment body of a
         # 1-dimensional curve thins out exponentially with the degree) and

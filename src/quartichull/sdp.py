@@ -21,9 +21,23 @@ Internally the LMI is treated as the dual side of a standard-form pair
 with C = F0 + z0.F, A = -N.F, b = -N'c and y = w.
 
 Each iterate works in its NT frame, where X and S both become diag(lam), and
-takes its step lengths from the directions scaled into that frame. All data
-is checked for finite entries on entry, the structure in SdpProblem and the
-rest in solve; inner solves skip the check.
+takes its step lengths from the directions scaled into that frame.
+
+One interior-point core serves every solve. solve_stack(prob, c, F0, d)
+takes a stack of B members of one compiled structure (c, F0 and d may each
+carry a leading stack axis) and iterates them in lockstep: X, S and C are
+(B, n, n) arrays, y and b are (B, m), and numpy's stacked cholesky, svd,
+inv, eigvalsh and matmul do the linear algebra, so the per-call overhead is
+paid once per stack and not once per member. Each member keeps its own NT
+step lengths and its own stop tests; a member that stops is written out
+and leaves the stack. The Schur complement is factored once per iteration,
+and the inverse of its Cholesky factor serves both directions and every
+refinement step. A stack holds at most 32 members, fewer when the
+(B, m, n, n) intermediate of the Schur complement would pass 2^18 floats;
+solve_stack splits longer stacks. solve(prob, c, F0, d) is the one-member
+stack. All data is checked for finite entries on entry, the structure in
+SdpProblem and the rest once per stack in solve_stack; inner solves skip
+the check.
 
 SdpSettings has two fields: gap_tol, which Gram solves tighten, and
 max_iter. The other tolerances are module constants, each with the reason
@@ -33,15 +47,16 @@ for its value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "SdpProblem",
     "SdpSettings",
     "SdpSolution",
     "solve",
+    "solve_stack",
     "min_eig",
     "psd_truncate",
     "NotPsdError",
@@ -58,8 +73,9 @@ class SdpProblem:
         minimize c'z  s.t.  F0 + sum_i z_i F[i] >= 0,  eq_A z = eq_b,
 
     with F of shape (m, n, n) and eq_A of shape (r, m), r >= 0. Built once
-    per family of problems: it keeps F, eq_A, the null space N of eq_A (one
-    SVD) and the standard-form tensor A = -N.F; solve takes c, F0 and eq_b."""
+    per family of problems: it keeps F, eq_A, the null space N and the
+    pseudo-inverse of eq_A (one SVD) and the standard-form tensor A = -N.F;
+    solve takes c, F0 and eq_b."""
 
     def __init__(self, F, eq_A):
         F = np.asarray(F, dtype=float)
@@ -73,12 +89,13 @@ class SdpProblem:
         if not (np.isfinite(F).all() and np.isfinite(eq_A).all()):
             raise ValueError("problem data must be finite")
         if len(eq_A) == 0:
-            N = np.eye(len(F))
+            N, pinv = np.eye(len(F)), np.zeros((len(F), 0))
         else:
-            _, sig, Vt = np.linalg.svd(eq_A)
+            U, sig, Vt = np.linalg.svd(eq_A)
             rank = int(np.sum(sig > max(eq_A.shape) * np.finfo(float).eps * sig[0]))
             N = Vt[rank:].copy().T  # a copy, so the rows of the range are freed
-        self.F, self.eq_A, self.N = F, eq_A, N
+            pinv = (Vt[:rank].T / sig[:rank]) @ U[:, :rank].T
+        self.F, self.eq_A, self.N, self.pinv = F, eq_A, N, pinv
         self.A = -np.tensordot(N, F, axes=(0, 0))
 
 
@@ -124,12 +141,15 @@ class SdpSolution:
 
 
 def min_eig(M, sym_tol=1e-12):
-    """Smallest eigenvalue of a symmetric matrix."""
+    """Smallest eigenvalue of a symmetric matrix, or of each matrix of a
+    stack of shape (B, n, n)."""
     M = np.asarray(M, dtype=float)
-    scale = max(1.0, float(np.max(np.abs(M))) if M.size else 0.0)
-    if np.max(np.abs(M - M.T)) > sym_tol * scale:
+    Mt = np.swapaxes(M, -1, -2)
+    scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
+    if np.any(np.abs(M - Mt).max(axis=(-2, -1), initial=0.0) > sym_tol * scale):
         raise ValueError("matrix is not symmetric")
-    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+    low = np.linalg.eigvalsh(0.5 * (M + Mt))[..., 0]
+    return float(low) if low.ndim == 0 else low
 
 
 def psd_truncate(M, tol=1e-8):
@@ -143,234 +163,331 @@ def psd_truncate(M, tol=1e-8):
 
 # ---------------------------------------------------------------------------
 
+# The stop of a member of a stack: (status, message) by stop code; 0 means
+# the member iterates on.
+_STOPS = (
+    None,
+    ("Optimal", ""),
+    ("Infeasible", "primal improving ray found"),
+    ("Unbounded", "dual improving ray found"),
+    ("Numerical", "no progress on the barrier parameter"),
+    ("Numerical", "iterate left the cone"),
+    ("Numerical", "singular Schur complement"),
+    ("Numerical", "step length collapsed"),
+    ("MaxIter", ""),
+)
+_FALLBACKS = ("converged to reduced accuracy", "converged on the feasible side only")
+_ITERATE_KEYS = ("pobj", "dobj", "gap", "mu", "rp", "rd")
+# A stack holds at most _STACK_MAX members: at 32 the per-call overhead of
+# numpy is already spread thin. It holds fewer when the (B, m, n, n)
+# intermediate of the Schur complement would pass _STACK_FLOATS floats.
+_STACK_MAX = 32
+_STACK_FLOATS = 2 ** 18
+
 
 def _step(s, Dh):
     """min(1, _STEP_FRAC * the largest alpha with diag(lam) + alpha*Dh psd),
-    for a direction Dh in the NT frame and s = lam^(-1/2)."""
-    Dh = s[:, None] * Dh * s
-    low = np.linalg.eigvalsh(0.5 * (Dh + Dh.T))[0]
-    if low >= -1e-14:
-        return 1.0
-    return min(1.0, -_STEP_FRAC / low)
+    for a direction Dh in the NT frame and s = lam^(-1/2); s of shape
+    (..., n) and Dh of shape (..., n, n), one step per leading index."""
+    Dh = s[..., :, None] * Dh * s[..., None, :]
+    low = np.linalg.eigvalsh(0.5 * (Dh + Dh.swapaxes(-1, -2)))[..., 0]
+    return _STEP_FRAC / np.fmax(-low, _STEP_FRAC)
+
+
+def _factor(M, retries=0):
+    """Cholesky factors of a stack of matrices, and the mask of the members
+    that have none. A member that fails is retried up to `retries` times
+    with a growing diagonal jitter; a member that still fails gets the
+    identity as a stand-in factor."""
+    try:
+        return np.linalg.cholesky(M), np.zeros(len(M), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    L, bad = np.empty_like(M), np.zeros(len(M), dtype=bool)
+    eye = np.eye(M.shape[-1])
+    for j, Mj in enumerate(M):
+        jitter = 0.0
+        for attempt in range(retries + 1):
+            try:
+                L[j] = np.linalg.cholesky(Mj + jitter * eye)
+                break
+            except np.linalg.LinAlgError:
+                jitter = max(1e-14 * (np.trace(Mj) / len(Mj)), 10 * jitter, 1e-300)
+        else:
+            L[j], bad[j] = eye, True
+    return L, bad
 
 
 def _ipm(C, A, b, settings):
-    """Core primal-dual IPM on the standard-form pair, with C of shape
-    (n, n), n >= 1, and A of shape (m, n, n), m >= 1. Returns dict."""
-    m = len(b)
-    n = C.shape[0]
+    """Core primal-dual IPM on a stack of standard-form pairs that share A:
+    C of shape (B, n, n), n >= 1, A of shape (m, n, n), m >= 1, and b of
+    shape (B, m). The members iterate in lockstep, each with its own step
+    lengths and stop tests; a member that stops is written out and leaves
+    the stack. Returns one dict per member."""
+    B, n = C.shape[:2]
+    m = len(A)
+    A2 = A.reshape(m, n * n)
+    At = A.transpose(1, 0, 2).reshape(n, m * n)  # At[r, (i, q)] = A[i, r, q]
+    diag = np.arange(n)
 
-    scale = max(1.0, float(np.max(np.abs(C))), float(np.max(np.abs(A))),
-                float(np.max(np.abs(b))))
-    X = scale * np.eye(n)
-    S = scale * np.eye(n)
-    y = np.zeros(m)
+    scale = np.maximum(np.maximum(1.0, np.abs(A).max()),
+                       np.maximum(np.abs(C).max(axis=(1, 2)), np.abs(b).max(axis=1)))
+    X0 = scale[:, None, None] * np.eye(n)
+    # st holds the members still iterating, each array with the member axis
+    # first. best holds the merit, X, y and S of the most accurate iterate
+    # seen (slot 0) and of the one judged on the y/S side only (slot 1):
+    # S >= 0 holds throughout, so small rd and gap make y near-feasible and
+    # near-optimal for the LMI even when the X side has drifted (degenerate
+    # problems).
+    st = SimpleNamespace(
+        ids=np.arange(B), C=C, b=b, X=X0, S=X0.copy(), y=np.zeros((B, m)),
+        bnorm=1 + np.sqrt((b * b).sum(axis=1)), Cnorm=1 + np.sqrt((C * C).sum(axis=(1, 2))),
+        best=np.full((B, 2), np.inf), best_X=np.zeros((B, 2, n, n)),
+        best_y=np.zeros((B, 2, m)), best_S=np.zeros((B, 2, n, n)),
+    )
+    iterates = [[] for _ in range(B)]
+    out = [None] * B
 
-    bnorm = 1 + np.linalg.norm(b)
-    Cnorm = 1 + np.sqrt(np.sum(C * C))
+    def keep(mask, *arrays):
+        vars(st).update({k: v[mask] for k, v in vars(st).items()})
+        return [a[mask] for a in arrays]
 
-    iterates = []
-    status = "MaxIter"
-    message = ""
-    mu_history = []
-    best = None  # (merit, X, y, S) of the most accurate iterate seen
-    # best iterate judged on the y/S side only: S >= 0 holds throughout, so
-    # small rd and gap make y near-feasible and near-optimal for the LMI even
-    # when the X side has drifted (degenerate problems)
-    best_lmi = None
+    def finish(codes):
+        """Write out the members with a nonzero stop code."""
+        for j in np.flatnonzero(codes):
+            status, message = _STOPS[codes[j]]
+            X, y, S = st.X[j], st.y[j], st.S[j]
+            if status in ("Numerical", "MaxIter"):
+                # strict tolerances unreachable (degenerate optimal face is
+                # common for moment problems) but an iterate of acceptable
+                # merit exists
+                for slot, text in enumerate(_FALLBACKS):
+                    if st.best[j, slot] < _ACCEPT_TOL:
+                        status = "Optimal"
+                        message = f"{text} (merit {st.best[j, slot]:.2e})"
+                        X, y, S = st.best_X[j, slot], st.best_y[j, slot], st.best_S[j, slot]
+                        break
+            i = st.ids[j]
+            out[i] = dict(status=status, X=X.copy(), y=y.copy(), S=S.copy(),
+                          iterates=iterates[i], message=message)
 
     for it in range(settings.max_iter):
-        ax = np.tensordot(A, X, axes=([1, 2], [0, 1]))
+        X, S, y, C, b = st.X, st.S, st.y, st.C, st.b
+        ax = (A2 @ X.reshape(-1, n * n, 1))[..., 0]
         rp = b - ax
-        yA = np.tensordot(y, A, axes=(0, 0))
+        yA = (y[:, None] @ A2).reshape(X.shape)
         Rd = C - S - yA
-        gap = np.sum(X * S)
+        gap = (X * S).sum(axis=(1, 2))
         mu = gap / n
-        pobj = np.sum(C * X)
-        dobj = float(b @ y)
-        rp_norm = np.linalg.norm(rp)
-        rd_norm = np.sqrt(np.sum(Rd * Rd))
+        pobj = (C * X).sum(axis=(1, 2))
+        dobj = (b * y).sum(axis=1)
+        rp_norm = np.sqrt((rp * rp).sum(axis=1))
+        rd_norm = np.sqrt((Rd * Rd).sum(axis=(1, 2)))
+        rows = np.array([pobj, dobj, gap, mu, rp_norm, rd_norm]).T.tolist()
+        for i, row in zip(st.ids.tolist(), rows):
+            iterates[i].append({"iter": it, **dict(zip(_ITERATE_KEYS, row))})
 
-        iterates.append(
-            dict(iter=it, pobj=float(pobj), dobj=dobj, gap=float(gap), mu=float(mu),
-                 rp=float(rp_norm), rd=float(rd_norm))
-        )
+        rp_rel, rd_rel = rp_norm / st.bnorm, rd_norm / st.Cnorm
+        gap_rel = gap / (1 + np.abs(pobj) + np.abs(dobj))
+        merit_lmi = np.maximum(rd_rel, gap_rel)
+        merit = np.array([np.maximum(rp_rel, merit_lmi),
+                          np.where(rp_rel < 1e-2, merit_lmi, np.inf)]).T
+        better = merit < st.best
+        np.copyto(st.best, merit, where=better)
+        np.copyto(st.best_X, X[:, None], where=better[..., None, None])
+        np.copyto(st.best_y, y[:, None], where=better[..., None])
+        np.copyto(st.best_S, S[:, None], where=better[..., None, None])
 
-        gap_rel = gap / (1 + abs(pobj) + abs(dobj))
-        merit = max(rp_norm / bnorm, rd_norm / Cnorm, gap_rel)
-        # X, y and S are rebound each iteration, never changed in place
-        if best is None or merit < best[0]:
-            best = (merit, X, y, S)
-        merit_lmi = max(rd_norm / Cnorm, gap_rel)
-        if (rp_norm / bnorm < 1e-2
-                and (best_lmi is None or merit_lmi < best_lmi[0])):
-            best_lmi = (merit_lmi, X, y, S)
-
-        if (rp_norm / bnorm < _FEAS_TOL
-                and rd_norm / Cnorm < _FEAS_TOL
-                and gap_rel < settings.gap_tol):
-            status = "Optimal"
-            break
-
-        # divergence: improving-ray tests
-        xnorm = np.sqrt(np.sum(X * X))
-        ynorm = np.linalg.norm(y)
-        if xnorm > 0 and pobj < 0:
-            # X/|X| tends to a ray proving LMI infeasibility
-            ray_res = np.linalg.norm(ax) / xnorm
-            if -pobj / xnorm > _RAY_THRESHOLD * max(ray_res, 1e-16):
-                status = "Infeasible"
-                message = "primal improving ray found"
-                break
-        if ynorm > 0 and dobj > 0:
-            res = np.sqrt(np.sum((yA + S) ** 2)) / ynorm
-            if dobj / ynorm > _RAY_THRESHOLD * max(res, 1e-16):
-                status = "Unbounded"
-                message = "dual improving ray found"
-                break
-
-        mu_history.append(mu)
+        # divergence: improving-ray tests. X/|X| tends to a ray proving LMI
+        # infeasibility, y/|y| to one proving unboundedness (both tests
+        # multiplied through by the norm of the ray)
+        ray = yA + S
+        tests = [
+            (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < settings.gap_tol),
+            (pobj < 0) & (-pobj > _RAY_THRESHOLD * np.maximum(
+                np.sqrt((ax * ax).sum(axis=1)), 1e-16 * np.sqrt((X * X).sum(axis=(1, 2))))),
+            (dobj > 0) & (dobj > _RAY_THRESHOLD * np.maximum(
+                np.sqrt((ray * ray).sum(axis=(1, 2))), 1e-16 * np.sqrt((y * y).sum(axis=1)))),
+        ]
         w = _STALL_WINDOW
-        if len(mu_history) > w and mu > 0.5 * mu_history[-w] and rp_norm / bnorm < 1e2:
-            status = "Numerical"
-            message = "no progress on the barrier parameter"
-            break
+        if it >= w:
+            past = np.array([iterates[i][it + 1 - w]["mu"] for i in st.ids])
+            tests.append((mu > 0.5 * past) & (rp_rel < 1e2))
+        stop = np.logical_or.reduce(tests)
+        if stop.any():
+            # the code of the first test that holds, in the order above
+            stop = np.where(stop, np.argmax(tests, axis=0) + 1, 0)
+            finish(stop)
+            if stop.all():
+                break
+            rp, Rd, mu, gap = keep(stop == 0, rp, Rd, mu, gap)
+            X, S, C = st.X, st.S, st.C
 
         # NT scaling: W = R R' with W S W = X; in the scaled space
-        # R^{-1} X R^{-T} = R' S R = diag(lam).
-        try:
-            Lx = np.linalg.cholesky(X)
-            Ls = np.linalg.cholesky(S)
-        except np.linalg.LinAlgError:
-            status = "Numerical"
-            message = "iterate left the cone"
-            break
-        _, lam, Vt = np.linalg.svd(Ls.T @ Lx)
-        R = Lx @ Vt.T / np.sqrt(lam)
-        Rinv = (np.sqrt(lam)[:, None] * Vt) @ np.linalg.inv(Lx)
+        # R^{-1} X R^{-T} = R' S R = diag(lam). A member without Cholesky
+        # factors has left the cone; it rides along on stand-in factors
+        # until it is written out at the end of the iteration.
+        Lx, bad_x = _factor(X)
+        Ls, bad_s = _factor(S)
+        _, lam, Vt = np.linalg.svd(Ls.transpose(0, 2, 1) @ Lx)
+        root = np.sqrt(lam)
+        R = Lx @ Vt.transpose(0, 2, 1) / root[:, None, :]
+        Rinv = (root[:, :, None] * Vt) @ np.linalg.inv(Lx)
+        RT, RinvT = R.transpose(0, 2, 1), Rinv.transpose(0, 2, 1)
         s = lam ** -0.5
-        W = R @ R.T
+        W = R @ RT
+        WRdW = W @ Rd @ W
 
-        # Schur complement M_ij = tr(A_i W A_j W)
-        M = np.tensordot(A, W @ A @ W, axes=([1, 2], [1, 2]))
-        M = 0.5 * (M + M.T)
-
-        jitter = 0.0
-        for attempt in range(5):
-            try:
-                Lm = np.linalg.cholesky(M + jitter * np.eye(m))
-                break
-            except np.linalg.LinAlgError:
-                jitter = max(1e-14 * (np.trace(M) / max(m, 1)), 10 * jitter, 1e-300)
-        else:
-            status = "Numerical"
-            message = "singular Schur complement"
-            break
+        # Schur complement M_ij = tr(A_i W A_j W), factored once; the inverse
+        # of its factor serves both directions and every refinement step
+        WA = (W @ At).reshape(-1, n, m, n).transpose(0, 2, 1, 3).reshape(-1, m * n, n)
+        M = A2 @ (WA @ W).reshape(-1, m, n * n).transpose(0, 2, 1)
+        M = 0.5 * (M + M.transpose(0, 2, 1))
+        Lm, bad_m = _factor(M, retries=4)
+        Li = np.linalg.inv(Lm)
+        LiT = Li.transpose(0, 2, 1)
 
         def solve_direction(Rc):
-            rhs = rp - np.tensordot(A, Rc - W @ Rd @ W, axes=([1, 2], [0, 1]))
-            dy = scipy.linalg.cho_solve((Lm, True), rhs, check_finite=False)
+            rhs = rp - (A2 @ (Rc - WRdW).reshape(-1, n * n, 1))[..., 0]
+            dy = (LiT @ (Li @ rhs[..., None]))[..., 0]
             # iterative refinement: the Schur complement is increasingly
             # ill-conditioned as mu -> 0 and lost digits show up directly
-            # as primal infeasibility
+            # as primal infeasibility; each member stops on its own
+            tol = 1e-14 * np.maximum(1.0, np.sqrt((rhs * rhs).sum(axis=1)))
             for _ in range(3):
-                r = rhs - M @ dy
-                if np.linalg.norm(r) < 1e-14 * max(1.0, np.linalg.norm(rhs)):
+                r = rhs - (M @ dy[..., None])[..., 0]
+                more = np.sqrt((r * r).sum(axis=1)) >= tol
+                if not more.any():
                     break
-                dy = dy + scipy.linalg.cho_solve((Lm, True), r, check_finite=False)
-            dS = Rd - np.tensordot(dy, A, axes=(0, 0))
+                dy = np.where(more[:, None], dy + (LiT @ (Li @ r[..., None]))[..., 0], dy)
+            dS = Rd - (dy[:, None] @ A2).reshape(Rd.shape)
             d = Rc - W @ dS @ W
-            return 0.5 * (d + d.T), dy, dS
+            return 0.5 * (d + d.transpose(0, 2, 1)), dy, dS
 
         # predictor: target X S -> 0; scaled rhs is -lam^2 (gives Rc = -X)
         dXa, _, dSa = solve_direction(-X)
-        dXh, dSh = Rinv @ dXa @ Rinv.T, R.T @ dSa @ R
+        dXh, dSh = Rinv @ dXa @ RinvT, RT @ dSa @ R
         ap, ad = _step(s, dXh), _step(s, dSh)
-        gap_aff = np.sum((X + ap * dXa) * (S + ad * dSa))
-        sigma = min(1.0, max(0.0, (max(gap_aff, 0.0) / gap) ** 3)) if gap > 0 else 0.0
+        gap_aff = ((X + ap[:, None, None] * dXa) * (S + ad[:, None, None] * dSa)).sum(axis=(1, 2))
+        ratio = np.maximum(gap_aff, 0.0) / np.where(gap > 0, gap, np.inf)
+        sigma = np.minimum(1.0, ratio ** 3)
 
         # corrector with the Mehrotra second-order term in scaled space; the
         # scaled rhs maps back to Rc with dX + W dS W = Rc through the
         # Lyapunov scaling (lam_i + lam_j)/2
-        corr = 0.5 * (dXh @ dSh + dSh @ dXh)
-        rhs = sigma * mu * np.eye(n) - np.diag(lam**2) - corr
-        denom = 0.5 * (lam[:, None] + lam[None, :])
-        dX, dy, dS = solve_direction(R @ (rhs / denom) @ R.T)
-        ap, ad = _step(s, Rinv @ dX @ Rinv.T), _step(s, R.T @ dS @ R)
-        if min(ap, ad) < 1e-10:
-            status = "Numerical"
-            message = "step length collapsed"
-            break
+        rhs = -0.5 * (dXh @ dSh + dSh @ dXh)
+        rhs[:, diag, diag] += (sigma * mu)[:, None] - lam ** 2
+        denom = 0.5 * (lam[:, :, None] + lam[:, None, :])
+        dX, dy, dS = solve_direction(R @ (rhs / denom) @ RT)
+        ap, ad = _step(s, Rinv @ dX @ RinvT), _step(s, RT @ dS @ R)
 
-        X = X + ap * dX
-        y = y + ad * dy
-        S = S + ad * dS
+        stop = np.where(np.minimum(ap, ad) < 1e-10, 7, 0)
+        stop[bad_m] = 6
+        stop[bad_x | bad_s] = 5
+        if stop.any():
+            finish(stop)
+            if stop.all():
+                break
+            ap, ad, dX, dy, dS = keep(stop == 0, ap, ad, dX, dy, dS)
+        st.X = st.X + ap[:, None, None] * dX
+        st.y = st.y + ad[:, None] * dy
+        st.S = st.S + ad[:, None, None] * dS
+    else:
+        finish(np.full(len(st.ids), 8))
+    return out
 
-    if status in ("Numerical", "MaxIter"):
-        # strict tolerances unreachable (degenerate optimal face is common
-        # for moment problems) but an iterate of acceptable merit exists
-        if best is not None and best[0] < _ACCEPT_TOL:
-            status = "Optimal"
-            message = f"converged to reduced accuracy (merit {best[0]:.2e})"
-            _, X, y, S = best
-        elif best_lmi is not None and best_lmi[0] < _ACCEPT_TOL:
-            status = "Optimal"
-            message = ("converged on the feasible side only "
-                       f"(merit {best_lmi[0]:.2e})")
-            _, X, y, S = best_lmi
 
-    return dict(status=status, X=X, y=y, S=S, iterates=iterates, message=message)
+def _stack_size(m, n):
+    """Members per stack for m variables and an n x n block (see _STACK_MAX)."""
+    return max(1, min(_STACK_MAX, _STACK_FLOATS // (m * n * n)))
+
+
+def solve_stack(prob, c, F0, eq_b, settings=None):
+    """Solve a stack of SDPs of the compiled structure prob in lockstep.
+
+    c is of shape (m,), F0 of shape (n, n) and eq_b has one entry per row of
+    prob.eq_A; each may carry a leading stack axis of B members, and an
+    argument without one is shared by every member. Returns one SdpSolution
+    per member, each as solve would return it. Shapes and finiteness are
+    checked once per stack; the members run in stacks of _stack_size."""
+    c, F0, eq_b = (np.asarray(a, dtype=float) for a in (c, F0, eq_b))
+    m, n = prob.F.shape[:2]
+    E, N = prob.eq_A, prob.N
+    if c.shape[-1:] != (m,) or c.ndim > 2 or F0.shape[-2:] != (n, n) or F0.ndim > 3:
+        raise ValueError("c must be (m,) and F0 (n, n) for F of shape (m, n, n)")
+    if eq_b.shape[-1:] != (len(E),) or eq_b.ndim > 2:
+        raise ValueError("eq_b must have one entry per row of eq_A")
+    sizes = {a.shape[0] for a, nd in ((c, 2), (F0, 3), (eq_b, 2)) if a.ndim == nd}
+    if len(sizes) > 1:
+        raise ValueError("stacked arguments must have the same number of members")
+    if not all(np.isfinite(a).all() for a in (c, F0, eq_b)):
+        raise ValueError("problem data must be finite")
+    B = sizes.pop() if sizes else 1
+    if B == 0:
+        return []
+    settings = settings or SdpSettings()
+    # every product below is a stack of one product per member, so that a
+    # member's numbers do not depend on the other members of its stack
+    c = np.broadcast_to(c[..., None, :], (B, 1, m))
+    F0 = np.broadcast_to(F0, (B, n, n))
+    eq_b = np.broadcast_to(eq_b[..., None, :], (B, 1, len(E)))
+    F2 = prob.F.reshape(m, n * n)
+
+    z0 = eq_b @ prob.pinv.T  # (B, 1, m): the minimum-norm solutions
+    consistent = (np.linalg.norm(z0 @ E.T - eq_b, axis=(1, 2))
+                  <= _FEAS_TOL * (1 + np.linalg.norm(eq_b, axis=(1, 2))))
+    C = F0 + (z0 @ F2).reshape(B, n, n)
+    out = [None if ok else SdpSolution(status="Infeasible", z=None, duals=None,
+                                       violation=float("inf"),
+                                       message="inconsistent equality system")
+           for ok in consistent]
+    live = np.flatnonzero(consistent)
+    if N.shape[1] == 0:
+        for j, lam in zip(live, min_eig(C[live])):
+            ok = lam >= -_FEAS_TOL
+            out[j] = SdpSolution(
+                status="Optimal" if ok else "Infeasible",
+                z=z0[j, 0] if ok else None,
+                duals=None,
+                violation=max(0.0, -lam),
+                message="fully determined by equalities",
+            )
+        return out
+
+    b = -(c @ N)[:, 0]
+    size = _stack_size(N.shape[1], n)
+    res = []
+    for lo in range(0, len(live), size):
+        part = live[lo:lo + size]
+        res += _ipm(C[part], prob.A, b[part], settings)
+    if not res:
+        return out
+    z = z0[live] + np.array([r["y"] for r in res])[:, None] @ N.T
+    violation = np.maximum(0.0, -min_eig(F0[live] + (z @ F2).reshape(-1, n, n)))
+    if len(E):
+        violation = np.maximum(violation, np.abs(z @ E.T - eq_b[live]).max(axis=(1, 2)))
+    for j, r, zj, v in zip(live, res, z[:, 0], violation):
+        status = r["status"]
+        out[j] = SdpSolution(
+            status=status,
+            z=zj if status in ("Optimal", "MaxIter", "Numerical") else None,
+            duals=r["X"],
+            violation=float(v),
+            iterates=r["iterates"],
+            message=r["message"],
+        )
+    return out
 
 
 def solve(prob, c, F0, eq_b, settings=None):
     """Solve the SDP of the compiled structure prob with objective c, of
     shape (m,), constant matrix F0, of shape (n, n), and right-hand side
-    eq_b, one entry per row of prob.eq_A. See the module docstring."""
-    c, F0, eq_b = (np.asarray(a, dtype=float) for a in (c, F0, eq_b))
-    m, n = prob.F.shape[:2]
-    if c.shape != (m,) or F0.shape != (n, n):
-        raise ValueError("c must be (m,) and F0 (n, n) for F of shape (m, n, n)")
-    if eq_b.shape != (len(prob.eq_A),):
-        raise ValueError("eq_b must have one entry per row of eq_A")
-    if not all(np.isfinite(a).all() for a in (c, F0, eq_b)):
-        raise ValueError("problem data must be finite")
-    settings = settings or SdpSettings()
-    E, N = prob.eq_A, prob.N
-    z0 = np.zeros(m)
-    if len(E):
-        z0 = np.linalg.lstsq(E, eq_b, rcond=None)[0]
-        if np.linalg.norm(E @ z0 - eq_b) > _FEAS_TOL * (1 + np.linalg.norm(eq_b)):
-            return SdpSolution(status="Infeasible", z=None, duals=None,
-                               violation=float("inf"),
-                               message="inconsistent equality system")
-    C = F0 + np.tensordot(z0, prob.F, axes=(0, 0))
-    if N.shape[1] == 0:
-        lam = min_eig(C)
-        ok = lam >= -_FEAS_TOL
-        return SdpSolution(
-            status="Optimal" if ok else "Infeasible",
-            z=z0 if ok else None,
-            duals=None,
-            violation=max(0.0, -lam),
-            message="fully determined by equalities",
-        )
-
-    res = _ipm(C, prob.A, -(N.T @ c), settings)
-    z = z0 + N @ res["y"]
-    Z = F0 + np.tensordot(z, prob.F, axes=(0, 0))
-    violation = max(0.0, -min_eig(Z))
-    if len(E):
-        violation = max(violation, float(np.max(np.abs(E @ z - eq_b))))
-
-    status = res["status"]
-    return SdpSolution(
-        status=status,
-        z=z if status in ("Optimal", "MaxIter", "Numerical") else None,
-        duals=res["X"],
-        violation=violation,
-        iterates=res["iterates"],
-        message=res["message"],
-    )
+    eq_b, one entry per row of prob.eq_A: the one-member stack of
+    solve_stack. See the module docstring."""
+    if np.ndim(c) != 1 or np.ndim(F0) != 2 or np.ndim(eq_b) != 1:
+        raise ValueError("solve takes one problem; solve_stack takes a stack")
+    [sol] = solve_stack(prob, c, F0, eq_b, settings)
+    return sol
 
 
 def equality_multipliers(prob, c, sol):

@@ -16,13 +16,14 @@ import numpy as np
 
 from .moments import build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpProblem, SdpSettings, psd_truncate, solve
+from .sdp import SdpProblem, SdpSettings, psd_truncate, solve_stack
 
 __all__ = [
     "SosCertificate",
     "IndeterminateResult",
     "sos_decompose",
     "sos_margin",
+    "sos_margins",
     "certify_in_fk",
     "nonneg_quartic",
 ]
@@ -142,15 +143,17 @@ def _gram_problem(k, p):
     return SdpProblem(F, A), form
 
 
-def _gram_solve(target, k, p=None, settings=None):
-    """Solve the Gram program of _gram_problem for target:
-    (program, M_k form, eq_b, solution)."""
+def _gram_solve(targets, k, p=None, settings=None):
+    """Solve the Gram program of _gram_problem for each of targets, as one
+    stack: (program, M_k form, eq_b with one row per target, solutions)."""
     prob, form = _gram_problem(k, p)
     c = np.zeros(len(prob.F))
     c[-1] = -1.0  # maximize t
-    b = np.array([target.coeff(*s) for s in monomials_upto(2 * k)], dtype=float)
-    sol = solve(prob, c, np.zeros(prob.F.shape[1:]), b, settings)
-    return prob, form, b, sol
+    monomials = monomials_upto(2 * k)
+    b = np.array([[t.coeff(*s) for s in monomials] for t in targets],
+                 dtype=float).reshape(len(targets), len(monomials))
+    sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b, settings)
+    return prob, form, b, sols
 
 
 def _certificate(target, k, p=None):
@@ -162,7 +165,7 @@ def _certificate(target, k, p=None):
     and an iterate meeting that looser test is already returned as Optimal
     by the solver's reduced-accuracy fallback.
     """
-    prob, form, b, sol = _gram_solve(target, k, p, _GRAM_SETTINGS)
+    prob, form, [b], [sol] = _gram_solve([target], k, p, _GRAM_SETTINGS)
     if sol.status in ("Numerical", "MaxIter"):
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:
@@ -199,13 +202,22 @@ def sos_margin(q, k=2):
     """Max-min-eigenvalue margin of the Gram search for q: nonnegative iff
     q is SOS at order k, continuously negative with the depth of failure.
 
-    One solve at the generic tolerance: sweeps call this once per angle."""
-    if q.degree > 2 * k:
+    One solve at the generic tolerance."""
+    [margin] = sos_margins([q], k)
+    if isinstance(margin, IndeterminateResult):
+        raise margin
+    return margin
+
+
+def sos_margins(qs, k=2):
+    """sos_margin of each q in qs, solved as one stack (sweeps pass the
+    angles of one chunk): a list holding each margin, or the
+    IndeterminateResult that sos_margin raises for that q."""
+    if any(q.degree > 2 * k for q in qs):
         raise ValueError("degree of q exceeds 2k")
-    sol = _gram_solve(q, k)[3]
-    if sol.status != "Optimal":
-        raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
-    return float(sol.z[-1])
+    return [float(sol.z[-1]) if sol.status == "Optimal" else
+            IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
+            for sol in _gram_solve(qs, k)[3]]
 
 
 def sos_decompose(q, k):

@@ -265,15 +265,17 @@ def test_classification_reads_the_sweep_envelope(monkeypatch):
 
 def test_inconclusive_verdict_keeps_partial_results(monkeypatch):
     calls = []
-    original = exactness.sos_margin
+    original = exactness.sos_margins
 
-    def failing(q, k):
-        calls.append(q)
-        if len(calls) > 2:
-            raise IndeterminateResult("forced solver failure")
-        return original(q, k)
+    def failing(qs, k):
+        out = original(qs, k)
+        for i, q in enumerate(qs):
+            calls.append(q)
+            if len(calls) > 2:
+                out[i] = IndeterminateResult("forced solver failure")
+        return out
 
-    monkeypatch.setattr(exactness, "sos_margin", failing)
+    monkeypatch.setattr(exactness, "sos_margins", failing)
     egg = curves.lookup("egg").implicit
     verdict = sweep_exactness(egg, n=8)
     assert verdict.verdict == "Inconclusive"
@@ -282,6 +284,66 @@ def test_inconclusive_verdict_keeps_partial_results(monkeypatch):
     assert len(verdict.singular_points) == len(found) == 1
     assert verdict.singular_points[0].location.close_to(found[0].location, tol=1e-9)
     assert len(verdict.sweep) == 2
+
+
+def _reflected_smoothconvex():
+    """smoothconvex under x1 -> -x1: at n=12 its first failing sample is row
+    4, inside the sweep's third chunk of margins (rows 3 to 6)."""
+    p = curves.lookup("smoothconvex").implicit
+    return BivarPoly({(a, b): c * (-1) ** a for (a, b), c in p.terms.items()})
+
+
+def test_sweep_acts_on_rows_in_order(monkeypatch):
+    # a solve that fails after the first failing row of its chunk does not
+    # turn the NotExact verdict into an Inconclusive one
+    p = _reflected_smoothconvex()
+    plain = sweep_exactness(p, n=12)
+    assert plain.verdict == "NotExact" and len(plain.sweep) == 5
+    spoiled = []
+    original = exactness.sos_margins
+
+    def failing_after_the_first_failure(qs, k):
+        out = original(qs, k)
+        for i in range(len(out)):
+            if any(m < -exactness.FEAS_MARGIN for m in out[:i]):
+                out[i] = IndeterminateResult("forced solver failure")
+                spoiled.append(i)
+        return out
+
+    monkeypatch.setattr(exactness, "sos_margins", failing_after_the_first_failure)
+    verdict = sweep_exactness(p, n=12)
+    assert spoiled == [2, 3]  # rows 5 and 6
+    assert verdict.verdict == "NotExact"
+    assert verdict.witness.coeffs == plain.witness.coeffs
+    assert verdict.sweep == plain.sweep
+
+
+def test_sweep_stops_at_a_missing_line_in_mid_chunk(monkeypatch):
+    # row 4 has no sweep line: the chunk of rows 3 to 6 solves row 3 only,
+    # and the verdict is Inconclusive when the loop reaches row 4
+    egg = curves.lookup("egg").implicit
+    plain = sweep_exactness(egg, n=8)
+    step = 2 * math.pi / 8
+    support = exactness._Curve.support
+
+    def no_line_at_row_4(self, theta):
+        s = support(self, theta)
+        return s._replace(line=None, point=None) if theta == 4 * step else s
+
+    chunks = []
+    margins = exactness.sos_margins
+
+    def counted(qs, k):
+        chunks.append(len(qs))
+        return margins(qs, k)
+
+    monkeypatch.setattr(exactness._Curve, "support", no_line_at_row_4)
+    monkeypatch.setattr(exactness, "sos_margins", counted)
+    verdict = sweep_exactness(egg, n=8)
+    assert verdict.verdict == "Inconclusive"
+    assert chunks == [1, 2, 1]
+    # row 3 is solved alone here and in a stack of four in the plain sweep
+    assert np.allclose(verdict.sweep, plain.sweep[:4], rtol=0, atol=1e-9)
 
 
 # the folium's facet: the bitangent 4/9 + x1/3 + (2 sqrt 2/3) x2 = 0, with

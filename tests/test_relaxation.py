@@ -276,18 +276,20 @@ def test_boundary_convex_position():
 def test_each_family_compiles_once(monkeypatch):
     # every solve of one family (a sweep, points at one (p, k), targets at
     # one order, points on one representation) reads one compiled program
-    from quartichull import rational, relaxation, sos
+    from quartichull import rational, relaxation, sdp, sos
     from quartichull.poly import parse_poly
 
     seen = []
 
     def recorded(prob, *args, **kwargs):
-        seen.append(prob)
-        return solve(prob, *args, **kwargs)
+        sols = solve_stack(prob, *args, **kwargs)
+        seen.extend([prob] * len(sols))
+        return sols
 
-    solve = relaxation.solve
-    for mod in (relaxation, sos, rational):
-        monkeypatch.setattr(mod, "solve", recorded)
+    # every solve goes through solve_stack, one solution per stacked member
+    solve_stack = sdp.solve_stack
+    for mod in (sdp, relaxation, sos):
+        monkeypatch.setattr(mod, "solve_stack", recorded)
 
     def programs(calls):
         seen.clear()

@@ -11,6 +11,7 @@ from quartichull.sdp import (
     min_eig,
     psd_truncate,
     solve,
+    solve_stack,
 )
 
 
@@ -193,3 +194,82 @@ def test_nt_step_matches_generalized_eigenvalues():
                 assert expected == 1.0
             else:
                 assert expected < 1.0
+
+
+def _stack_family(size, seed=5):
+    """One compiled structure and the data of `size` members: max t s.t.
+    F0 + sum z_i F_i - t I >= 0 on a 4x4 block, with the free z_i boxed by
+    2x2 blocks, z_1 pinned by an equality row, and one 1x1 block that no
+    variable touches."""
+    rng = np.random.default_rng(seed)
+    Fs = []
+    for _ in range(3):
+        B = rng.standard_normal((4, 4))
+        Fs.append(0.5 * (B + B.T))
+    Fs.append(-np.eye(4))
+    F = []
+    for i, Fi in enumerate(Fs):
+        box = [np.diag([1.0, -1.0]) if j == i else np.zeros((2, 2)) for j in range(3)]
+        F.append(scipy.linalg.block_diag(Fi, *box, np.zeros((1, 1))))
+    prob = SdpProblem(np.array(F), np.array([[1.0, 0.0, 0.0, 0.0]]))
+    F0, c, eq_b = [], [], []
+    for j in range(size):
+        A = rng.standard_normal((4, 4))
+        F0.append(scipy.linalg.block_diag(A @ A.T + (0.1 + j) * np.eye(4),
+                                          *[5.0 * np.eye(2)] * 3, [[1.0]]))
+        c.append([0.0, 0.0, 0.0, -1.0])
+        eq_b.append([0.3 * j - 0.5])
+    return prob, np.array(c), np.array(F0), np.array(eq_b)
+
+
+@pytest.mark.parametrize("max_iter", [200, 10])
+def test_stack_members_match_single_solves(max_iter):
+    # one stack whose members stop at different iterations for different
+    # reasons; each member is its own one-member solve
+    prob, c, F0, eq_b = _stack_family(6)
+    F0[3, -1, -1] = -1.0  # the untouched block is negative: infeasible
+    c[4] = [0.0, 0.0, 0.0, 1.0]  # minimize t: unbounded below
+    settings = SdpSettings(max_iter=max_iter)
+    stack = solve_stack(prob, c, F0, eq_b, settings)
+    assert len(stack) == 6
+    for j, sol in enumerate(stack):
+        one = solve(prob, c[j], F0[j], eq_b[j], settings)
+        assert sol.status == one.status
+        assert sol.message.split("(")[0] == one.message.split("(")[0]
+        assert len(sol.iterates) == len(one.iterates)
+        if one.z is None:
+            assert sol.z is None
+        else:
+            assert np.max(np.abs(sol.z - one.z)) <= 1e-9
+    statuses = [sol.status for sol in stack]
+    assert statuses[3:5] == ["Infeasible", "Unbounded"]
+    assert stack[3].message == "primal improving ray found"
+    optimal = {len(sol.iterates) for sol in stack if sol.status == "Optimal"}
+    if max_iter == 10:
+        # member 1 ends on the reduced-accuracy fallback, 0, 2 and 5 do not
+        assert statuses.count("MaxIter") == 3 and optimal == {10}
+        assert stack[1].message.startswith("converged to reduced accuracy")
+    else:
+        assert statuses.count("Optimal") == 4 and len(optimal) > 1
+
+
+def test_stack_arguments(monkeypatch):
+    prob, c, F0, eq_b = _stack_family(3)
+    # an argument without the stack axis is shared by every member
+    shared = solve_stack(prob, c[0], F0, eq_b[0])
+    for j, sol in enumerate(shared):
+        assert sol.z == pytest.approx(solve(prob, c[0], F0[j], eq_b[0]).z, abs=1e-9)
+    assert solve_stack(prob, c[:0], F0[:0], eq_b[:0]) == []
+    with pytest.raises(ValueError):
+        solve_stack(prob, c[:2], F0, eq_b)  # two members against three
+    with pytest.raises(ValueError):
+        solve(prob, c, F0[0], eq_b[0])  # solve takes one member
+
+    # one non-finite member stops the stack before any member is solved
+    def no_solve(*args):
+        raise AssertionError("solved a stack with non-finite data")
+
+    monkeypatch.setattr(sdp, "_ipm", no_solve)
+    F0[1, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="problem data must be finite"):
+        solve_stack(prob, c, F0, eq_b)
