@@ -4,15 +4,18 @@ tree, run in alternating pairs, with per-pair metrics, medians and quartiles.
 
 Usage:
     python3 scripts/bench_file.py --parent DIR --out BENCH_N.json
-        --claim WORKLOAD:METRIC --pairs WORKLOAD=COUNT [--pairs ...]
-        [--seed 1] [--seconds 20] [--parent-label TEXT] [--note TEXT]
+        --parent-label HASH --claim WORKLOAD:METRIC
+        --pairs WORKLOAD=COUNT [--pairs ...]
 
 DIR is a source checkout of the parent commit (`git archive` or `git clone`
-of it). For every --pairs entry the script runs
-`perfbench/run.py --workload W --seed S --seconds T --trace 0` COUNT times in
-each tree, one run at a time, the parent first in even-numbered pairs, and
-reads the record that run.py writes to perfbench/results/. The file is
-rewritten after every pair, so an interrupted run keeps the pairs it made.
+of it) and HASH that commit's hash. For every --pairs entry the script runs
+`perfbench/run.py --workload W --seed 1 --seconds T --trace 0` COUNT times in
+each tree, T being BENCHMARK.json's `run_seconds`, one run at a time, the
+parent first in even-numbered pairs, and reads the record that run.py writes
+to perfbench/results/. Each record's `environment.commit` is set to its
+side: HASH for the parent, "change" for this tree, which may be uncommitted.
+The file is rewritten after every pair, so an interrupted run keeps the pairs
+it made.
 
 The layout: `about`; `claim` (workload and metric); then per workload and
 seed `summary` (median, quartiles and count per side for every end-to-end
@@ -30,21 +33,32 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
 
 
-def _metrics():
-    with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        return [m["name"] for m in json.load(f)["end_to_end"]]
-
-
-def _run(tree, workload, seed, seconds):
-    """One perfbench run in `tree`; returns the record it wrote."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+def _run(tree, workload, seconds, label):
+    """One perfbench run in `tree`; returns the record it wrote, its commit
+    set to `label`."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
            "--seconds", str(seconds), "--trace", "0"]
     subprocess.run(cmd, cwd=tree, check=True, stdout=subprocess.DEVNULL)
-    path = os.path.join(tree, "perfbench", "results", f"{workload}-seed{seed}-trace0.json")
+    path = os.path.join(tree, "perfbench", "results", f"{workload}-seed{SEED}-trace0.json")
     with open(path) as f:
-        return json.load(f)
+        record = json.load(f)
+    record["environment"]["commit"] = label
+    return record
+
+
+def _about(parent_label, seconds):
+    """The `about` text of a BENCH file."""
+    return (f"Parent ({parent_label}) and change records of perfbench/run.py "
+            f"--workload W --seed {SEED} --seconds {seconds:g} --trace 0, "
+            "run in alternating pairs on one machine (the parent first in "
+            "even-numbered pairs), written by scripts/bench_file.py. `records` hold "
+            "the JSON that run.py writes to perfbench/results/, with "
+            "`environment.commit` set to the side: the parent's hash, or \"change\" "
+            "for the tree under test; `pairs` list the end-to-end metrics of each "
+            "pair; `summary` gives the median and quartiles per side.")
 
 
 def _stats(values):
@@ -74,30 +88,24 @@ def _entry(records, metrics, claim_metric, better_lower):
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
+    ap.add_argument("--parent-label", required=True, help="the parent's commit hash")
     ap.add_argument("--out", required=True)
     ap.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
     ap.add_argument("--pairs", action="append", required=True, help="WORKLOAD=COUNT")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=20.0)
-    ap.add_argument("--parent-label", default="parent")
-    ap.add_argument("--note", default="")
     args = ap.parse_args()
 
-    claim_workload, claim_metric = args.claim.split(":")
-    metrics = _metrics()
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        better_lower = {m["name"]: m["better"] == "lower"
-                        for m in json.load(f)["end_to_end"]}[claim_metric]
+        bench = json.load(f)
+    seconds = bench["run_seconds"]
+    metrics = [m["name"] for m in bench["end_to_end"]]
+    claim_workload, claim_metric = args.claim.split(":")
+    better_lower = {m["name"]: m["better"] == "lower"
+                    for m in bench["end_to_end"]}[claim_metric]
     plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
+    labels = {"parent": args.parent_label, "change": "change"}
     out = {
-        "about": (f"Parent ({args.parent_label}) and change records of perfbench/run.py "
-                  f"--workload W --seed {args.seed} --seconds {args.seconds:g} --trace 0, "
-                  "run in alternating pairs on one machine (the parent first in "
-                  "even-numbered pairs), written by scripts/bench_file.py. `records` hold "
-                  "the JSON that run.py writes to perfbench/results/; `pairs` list the "
-                  "end-to-end metrics of each pair; `summary` gives the median and "
-                  "quartiles per side." + (" " + args.note if args.note else "")),
+        "about": _about(args.parent_label, seconds),
         "claim": {"workload": claim_workload, "metric": claim_metric},
         "workloads": {},
     }
@@ -106,9 +114,9 @@ def main():
         for i in range(count):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
-                records[side].append(_run(trees[side], workload, args.seed, args.seconds))
+                records[side].append(_run(trees[side], workload, seconds, labels[side]))
             entry = _entry(records, metrics, claim_metric, better_lower)
-            out["workloads"].setdefault(workload, {})[f"seed{args.seed}"] = entry
+            out["workloads"].setdefault(workload, {})[f"seed{SEED}"] = entry
             with open(args.out, "w") as f:
                 json.dump(out, f, indent=1)
                 f.write("\n")

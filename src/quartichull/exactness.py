@@ -604,6 +604,15 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                     return theta, line
 
         ahead, size = {}, 1  # (comparison quartic, margin) solved ahead, by row
+
+        def band_margin(i):
+            """Row i's margin: the one solved ahead, else a single solve (so
+            a lookahead member that failed does not end the sweep)."""
+            m = ahead.get(i, (None, None))[1]
+            if m is None or isinstance(m, IndeterminateResult):
+                return margin_of(sample(i).line)
+            return m
+
         for j in range(n):
             if j not in ahead:
                 # the next chunk of rows, up to the first without a line; a
@@ -641,7 +650,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                             evidence["facet_angle"], line = facet
                         if facet or i >= j:
                             break
-                    elif i >= j and margin_of(sample(i + 1).line) >= -feas_tol:
+                    elif i >= j and band_margin(i + 1) >= -feas_tol:
                         break
                 return verdict("NotExact", line.normalized())
 

@@ -318,6 +318,30 @@ def test_sweep_acts_on_rows_in_order(monkeypatch):
     assert verdict.sweep == plain.sweep
 
 
+def test_band_scan_reads_the_margins_solved_ahead(monkeypatch):
+    # at n=72 the band after the failing row runs into rows that the
+    # lookahead chunk already solved; none of them is solved again
+    p = _reflected_smoothconvex()
+    plain = sweep_exactness(p, n=72)
+    stacked, single = [], []
+    margins, margin = exactness.sos_margins, exactness.sos_margin
+
+    def stack(qs, k):
+        stacked.extend(tuple(sorted(q.terms.items())) for q in qs)
+        return margins(qs, k)
+
+    def one(q, k):
+        single.append(tuple(sorted(q.terms.items())))
+        return margin(q, k)
+
+    monkeypatch.setattr(exactness, "sos_margins", stack)
+    monkeypatch.setattr(exactness, "sos_margin", one)
+    verdict = sweep_exactness(p, n=72)
+    assert verdict.verdict == "NotExact"
+    assert verdict.witness.coeffs == plain.witness.coeffs
+    assert single and not set(single) & set(stacked)
+
+
 def test_sweep_stops_at_a_missing_line_in_mid_chunk(monkeypatch):
     # row 4 has no sweep line: the chunk of rows 3 to 6 solves row 3 only,
     # and the verdict is Inconclusive when the loop reaches row 4
