@@ -11,10 +11,13 @@ Each curve has one cached record (`_curve`) that owns its singular points
 and its memoized support function; every phase of every verdict reads it,
 and verdicts label copies of the singular points.
 
-Tangency and singularity systems are solved by resultant elimination; the
-seeds of one elimination pass, or of the grid fallback, are polished in one
-batch by `_newton_polish`, each seed with its own stop rule. A facet of the
-hull is solved exactly from the bitangent system (`_bitangent`).
+Tangency and singularity systems are solved by resultant elimination in
+stacks (`_solve_pairs`) whose members share each step, from the Sylvester
+determinants to the Gauss-Newton polish, and keep their own trimming, shape,
+fallback and stop rules; one direction is a one-member stack. A stack holds
+at most _STACK_FLOATS floats of Sylvester matrices, so its memory is bounded.
+A facet of the hull is solved exactly from the bitangent system
+(`_bitangent`).
 """
 
 from __future__ import annotations
@@ -32,11 +35,14 @@ from .poly import (
     BivarPoly,
     ProjPoint,
     SupportLine,
+    _dense,
+    _real_roots_stack,
+    _resultant_stack,
+    _slice_roots,
     comparison_quartic,
     gradient,
     hessian,
     real_roots,
-    resultant,
 )
 from .sdp import min_eig
 from .sos import FEAS_MARGIN, IndeterminateResult, nonneg_quartic, sos_margin, sos_margins
@@ -63,6 +69,9 @@ _BOX = 50.0
 # at most this many: a chunk shares the solver's per-call overhead, and the
 # cap bounds the margins solved in vain after the first failing row.
 _LOOKAHEAD = 32
+# A stack holds at most about this many floats in its largest arrays: the
+# Sylvester matrices of tangency pairs, the companion matrices of slices.
+_STACK_FLOATS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -144,39 +153,41 @@ def curve_is_bounded(p):
     return _curve(p).far.shape[0] == 0
 
 
-def _newton_polish(eqs, seeds, iters=80):
-    """Gauss-Newton polish of an (N, 2) array of seeds against a pair of
-    BivarPoly equations, all seeds at once; returns the (N, 2) polished
-    points. Each seed stops on its own: on a non-finite step (left where
-    it was), on a step below 1e-15 (1 + |x|), past |x| > 1e4, or after
-    `iters` steps. The step is the least-squares one: Cramer's rule when J
-    has full rank at lstsq's default cutoff, else the minimum-norm rank-one
-    step -J^T F / |J|_F^2 (at a node or a triple point)."""
-    q1, q2 = eqs
-    polys = (q1, q2) + gradient(q1) + gradient(q2)
-    d = max(q1.degree, q2.degree, 0)
-    C = np.zeros((6, d + 1, d + 1))
-    for k, q in enumerate(polys):
-        for (a, b), c in q.terms.items():
-            C[k, a, b] = c
+def _newton_polish(eqs, seeds, iters=80, weights=None):
+    """Gauss-Newton polish of an (N, 2) array of seeds, all seeds at once;
+    returns the (N, 2) polished points. Seed n solves q1 = q2 = 0, with
+    q_k = sum_j weights[n, k, j] eqs[j] (by default eqs is the pair): eqs
+    and their partials are evaluated once per step for all seeds. Each seed
+    stops on its own: on a non-finite step (left where it was), on a step
+    below 1e-15 (1 + |x|), past |x| > 1e4, or after `iters` steps. The step
+    is the least-squares one: Cramer's rule when J has full rank at lstsq's
+    default cutoff, else the minimum-norm step -J^T F / |J|_F^2."""
+    cols = [list(eqs), [q.diff(1) for q in eqs], [q.diff(2) for q in eqs]]
+    polys = list(dict.fromkeys(sum(cols, [])))  # each polynomial once
+    rows = np.array([[polys.index(q) for q in col] for col in cols])
+    d = max(max(q.degree for q in polys), 0)
+    C = np.array([_dense(q, d) for q in polys]).reshape(len(polys), -1)
     x = np.array(seeds, dtype=float).reshape(-1, 2)
-    live = np.arange(len(x))
-    powers = np.arange(d + 1)
+    W = np.broadcast_to(np.eye(2), (len(x), 2, 2)) if weights is None else weights
+    W = np.moveaxis(W, 0, -1)  # [k, j, seed]
+    live, powers, eps = np.arange(len(x)), np.arange(d + 1)[:, None], np.finfo(float).eps
     for _ in range(iters):
         if live.size == 0:
             break
         xl = x[live]
-        f1, f2, a, b, c, e = np.einsum("kab,na,nb->kn", C, xl[:, :1] ** powers,
-                                       xl[:, 1:] ** powers)
+        p1, p2 = xl.T[:, None] ** powers
+        # einsum, unlike BLAS, sums each seed's terms alike in any stack
+        v = np.einsum("ka,an->kn", C, (p1[:, None] * p2).reshape(-1, len(xl)))
+        # values, x1-partials and x2-partials of the pair of each seed
+        (f1, f2), (a, c), (b, e) = (W[:, :, live] * v[rows][:, None]).sum(2)
         det, fro = a * e - b * c, a * a + b * b + c * c + e * e
         with np.errstate(divide="ignore", invalid="ignore"):
-            regular = np.abs(det) > 2 * np.finfo(float).eps * fro
+            regular = np.abs(det) > 2 * eps * fro
             den = np.where(regular, det, -fro)
             step = np.where(regular, [b * f2 - e * f1, c * f1 - a * f2],
                             [a * f1 + c * f2, b * f1 + e * f2]) / den
         finite = np.isfinite(step).all(axis=0)
-        xl = xl + step.T
-        x[live[finite]] = xl[finite]
+        x[live] = xl = xl + np.where(finite, step, 0.0).T
         nx = np.hypot(xl[:, 0], xl[:, 1])
         done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > 1e4)
         live = live[~done]
@@ -192,50 +203,54 @@ def _merge_points(points, tol=1e-7):
     return out
 
 
-def _on_curves(eqs, pt):
-    """Whether pt solves every equation in eqs to the residual tolerance."""
-    return all(abs(q(pt[0], pt[1])) <= _RESIDUAL_TOL * max(1.0, q.coeff_norm())
-               for q in eqs)
-
-
-def _complex_slice_roots(q, axis, v):
-    """All complex roots of q in the variable `axis` with value v substituted
-    for the other variable (none when the slice is constant)."""
-    c = np.asarray(q.univariate_in(axis, v), dtype=float)
-    nz = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.max(np.abs(c))))[0]
-    if len(nz) == 0 or nz[-1] == 0:
-        return []
-    return np.roots(c[: nz[-1] + 1][::-1])
-
-
-def _solve_pair(q1, q2):
-    """All real common zeros of two bivariate polynomials, by resultant
-    elimination plus Newton polish."""
-    eqs = (q1, q2)
-    scale = max(q1.coeff_norm(), q2.coeff_norm(), 1.0)
-    for axis, other in ((2, 1), (1, 2)):
-        try:
-            r = resultant(q1, q2, axis=axis)
-        except ValueError:
-            continue
-        if np.max(np.abs(r)) <= 1e-10 * scale ** 2:
-            continue  # shared component; try the other variable, else fall back
+def _solve_pairs(eqs, weights, extra):
+    """All real common zeros of each pair q_k = sum_j weights[m, k, j] eqs[j]
+    of a stack: per pair the merged points and whether elimination (not the
+    grid fallback) found them. The `extra` seeds, one per pair or none, come
+    back polished, with whether each solves its pair inside the box."""
+    # the coefficient grids [m, k, a, b] of the pairs, each product and the
+    # sum rounded to zero at 1e-14 as in BivarPoly arithmetic
+    clean = lambda t: np.where(np.abs(t) > 1e-14, t, 0.0)  # noqa: E731
+    d = max(q.degree for q in eqs)
+    C = clean(clean(weights[..., None, None] * np.array([_dense(q, d) for q in eqs])).sum(axis=2))
+    norm = np.maximum(np.abs(C).max(axis=(2, 3)), 1.0)  # of each equation, at least 1
+    seeds, owner, pending = [np.zeros((0, 2))], [np.zeros(0, int)], np.arange(len(C))
+    for axis in (2, 1):
+        G = C[pending] if axis == 1 else C[pending].swapaxes(2, 3)  # [m, k, eliminated, kept]
+        rs = _resultant_stack(G[:, 0], G[:, 1])
+        # a resultant that vanishes means a shared component: the other
+        # variable, else the grid fallback
+        ok = [i for i, r in enumerate(rs) if not isinstance(r, ValueError)
+              and np.max(np.abs(r)) > 1e-10 * norm[pending[i]].max() ** 2]
         # Double roots of the resultant shift v by the square root of the
         # interpolation noise, which can push exact real roots of a slice well
         # off the real axis: the real parts of all slice roots seed the polish
         # and the residual filter sorts them out.
-        seeds = [(v, w) if other == 1 else (w, v)
-                 for v in real_roots(r, interval=(-_BOX, _BOX))
-                 for q in eqs for w in np.real(_complex_slice_roots(q, axis, v))
-                 if abs(w) <= _BOX]
-        pts = map(tuple, _newton_polish(eqs, seeds))
-        return _merge_points([pt for pt in pts if _on_curves(eqs, pt)]), True
-    # non-generic pencil: grid search fallback, flagged non-certified
+        roots = _real_roots_stack([rs[i] for i in ok], interval=(-_BOX, _BOX))
+        at = [(i, v, k) for i, vs in zip(ok, roots) for v in vs for k in (0, 1)]
+        i, v, k = (np.array(col) for col in zip(*at)) if at else (np.zeros(0, int),) * 3
+        w, t = _slice_roots(np.einsum("tab,tb->ta", G[i, k], v[:, None] ** np.arange(G.shape[3])))
+        inside = np.abs(w.real) <= _BOX
+        w, t = w.real[inside], t[inside]
+        seeds.append(np.column_stack([v[t], w] if axis == 2 else [w, v[t]]))
+        owner.append(pending[i[t]])
+        pending = np.delete(pending, ok)
+    # non-generic pencils: grid search fallback, flagged non-certified
     grid = np.linspace(-2.0, 2.0, 41)
-    seeds = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    pts = map(tuple, _newton_polish(eqs, seeds))
-    return _merge_points([pt for pt in pts
-                          if _on_curves(eqs, pt) and max(map(abs, pt)) < _BOX]), False
+    grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    seeds = np.concatenate(seeds + [grid] * len(pending) + [extra])
+    owner = np.concatenate(owner + [np.repeat(pending, len(grid)), np.arange(len(extra))])
+    pts = _newton_polish(eqs, seeds, weights=weights[owner])
+    vals = np.array([q.eval_many(pts[:, 0], pts[:, 1]) for q in eqs])
+    res = np.abs(np.einsum("nkj,jn->nk", weights[owner], vals))
+    good = (res <= _RESIDUAL_TOL * norm[owner]).all(axis=1)
+    big, n = np.abs(pts).max(axis=1), len(pts) - len(extra)
+    good[:n] &= (big[:n] < _BOX) | ~np.isin(owner[:n], pending)
+    out = [[] for _ in C]
+    for m, pt in zip(owner[:n][good[:n]], pts[:n][good[:n]]):
+        out[m].append(tuple(pt))
+    sols = [(_merge_points(o), m not in pending) for m, o in enumerate(out)]
+    return sols, (pts[n:], good[n:] & (big[n:] <= _BOX))
 
 
 def find_singularities(p):
@@ -309,24 +324,31 @@ class _Curve:
         degrade near singular root clusters."""
         levels = np.concatenate([np.linspace(-_BOX, _BOX, 401),
                                  np.linspace(-2.0, 2.0, 1601)])
-        pts = []
-        for axis in (1, 2):
-            for v in levels:
-                for z in _complex_slice_roots(self.p, axis, v):
-                    if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= _BOX:
-                        w = float(z.real)
-                        pts.append((w, v) if axis == 1 else (v, w))
-        return np.array(pts) if pts else np.zeros((0, 2))
+        # the rows of p.univariate_in(axis, v), with its operations
+        powers = [np.array([v ** k for v in levels]) for k in range(self.p.degree + 1)]
+        rows = np.zeros((2, len(levels), self.p.degree + 1))
+        for (a, b), c in self.p.terms.items():
+            rows[0, :, a] += c * powers[b]
+            rows[1, :, b] += c * powers[a]
+        rows, pts = rows.reshape(-1, self.p.degree + 1), []
+        step = _STACK_FLOATS // rows.shape[1] ** 2
+        for r0 in range(0, len(rows), step):
+            z, row = _slice_roots(rows[r0:r0 + step])
+            ok = (np.abs(z.imag) <= 1e-9 * (1 + np.abs(z.real))) & (np.abs(z.real) <= _BOX)
+            w, row = z.real[ok], row[ok] + r0
+            v = levels[row % len(levels)]
+            pts.append(np.where((row < len(levels))[:, None], np.c_[w, v], np.c_[v, w]))
+        return np.concatenate(pts)
 
     @functools.cached_property
     def singular(self):
         """The unlabelled singular points (see find_singularities). Without a
         generic pencil of partials (a multiple component, or p in one
-        variable only) _solve_pair returns grid points, flagged
+        variable only) _solve_pairs returns grid points, flagged
         non-certified."""
         p, p1, p2 = self.p, self.d1, self.d2
         out = []
-        cand, certified = _solve_pair(p1, p2)
+        [(cand, certified)], _ = _solve_pairs((p1, p2), np.eye(2)[None], np.zeros((0, 2)))
         for (a, b) in cand:
             rp = abs(p(a, b))
             rg = math.hypot(p1(a, b), p2(a, b))
@@ -337,24 +359,33 @@ class _Curve:
                 ))
         return tuple(out + _infinity_singularities(p))
 
+    def supports(self, thetas):
+        """Memoize the supports at the inward-normal angles theta (direction
+        u = -(cos theta, sin theta)), solved in stacks. The sweep line goes
+        through the first smooth outer support point, normalized so that the
+        curve multiplier of the comparison quartic is one. A solve that
+        raised is kept, and raised when `support` reads its angle."""
+        todo = [th for th in dict.fromkeys(thetas) if th not in self._supports]
+        d = self.p.degree  # a pair's 2d(d - 1) + 1 Sylvester matrices of size 2d - 1
+        size = max(1, _STACK_FLOATS // ((2 * d * (d - 1) + 1) * (2 * d - 1) ** 2))
+        for i in range(0, len(todo), size):
+            us = [(-math.cos(th), -math.sin(th)) for th in todo[i:i + size]]
+            for th, u, ts in zip(todo[i:i + size], us, _tangent_supports(self.p, us)):
+                found = ts if isinstance(ts, Exception) else _Support(u, ts.value, None, None)
+                for (a, b) in getattr(ts, "points", []):
+                    g = np.array([self.d1(a, b), self.d2(a, b)])
+                    if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
+                        continue  # singular (see classify_boundary) or inner branch
+                    line = SupportLine((0.0 - (g[0] * a + g[1] * b), g[0], g[1]))
+                    found = found._replace(line=line, point=(a, b))
+                    break
+                self._supports[th] = found
+
     def support(self, theta):
-        """The support of the curve at the inward-normal angle theta (support
-        direction u = -(cos theta, sin theta)), memoized. The sweep line goes
-        through the first smooth outer support point, with the gradient
-        normalization that makes the curve multiplier equal one in the
-        comparison quartic."""
-        if theta not in self._supports:
-            u = (-math.cos(theta), -math.sin(theta))
-            ts = tangent_support(self.p, u)
-            found = _Support(u, ts.value, None, None)
-            for (a, b) in ts.points:
-                g = np.array([self.d1(a, b), self.d2(a, b)])
-                if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
-                    continue  # singular (see classify_boundary) or inner branch
-                line = SupportLine((-(g[0] * a + g[1] * b), g[0], g[1]))
-                found = _Support(u, ts.value, line, (a, b))
-                break
-            self._supports[theta] = found
+        """The memoized support at one angle (see supports)."""
+        self.supports([theta])
+        if isinstance(self._supports[theta], Exception):
+            raise self._supports[theta]
         return self._supports[theta]
 
 
@@ -369,38 +400,47 @@ def tangent_support(p, f):
     Solves the tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants and
     from the best cloud point; singular points satisfy the second equation
     and are included. Returns +inf when the curve is unbounded in the
-    direction, which the far points of the curve record decide.
+    direction, which the far points of the curve record decide. The
+    one-direction case of _tangent_supports.
     """
-    u = np.asarray(f, dtype=float)
-    n = np.linalg.norm(u)
-    if n == 0:
-        raise ValueError("direction must be nonzero")
-    u = u / n
+    (ts,) = _tangent_supports(p, [f])
+    if isinstance(ts, Exception):
+        raise ts
+    return ts
+
+
+def _tangent_supports(p, dirs):
+    """tangent_support of a stack of directions, solved together: per
+    direction its TangentSupport or the exception tangent_support raises.
+    The pairs share p, d1 and d2, each weighed with its own direction."""
     rec = _curve(p)
-    tangency = rec.d1 * u[1] - rec.d2 * u[0]
-    if tangency.is_zero():
-        raise ValueError("degenerate tangency system")
-    sols, _ = _solve_pair(p, tangency)
-    if rec.cloud.shape[0]:
-        seed = rec.cloud[int(np.argmax(rec.cloud @ u))]
-        pt = tuple(_newton_polish((p, tangency), seed[None])[0])
-        if _on_curves((p, tangency), pt) and max(map(abs, pt)) <= _BOX:
-            sols.append(pt)
+    out, live, us = [None] * len(dirs), [], []
+    for m, f in enumerate(dirs):
+        u = np.asarray(f, dtype=float)
+        n = np.linalg.norm(u)
+        if n == 0 or (rec.d1 * (u[1] / n) - rec.d2 * (u[0] / n)).is_zero():
+            out[m] = ValueError("degenerate tangency system" if n else "direction must be nonzero")
         else:
-            # the raw curve point still bounds the support from below
-            sols.append(tuple(seed))
-    if not sols:
-        if rec.far.shape[0]:
-            return TangentSupport(value=math.inf, points=[])
-        raise IndeterminateResult("no tangency point found on a bounded curve")
-    vals = [u[0] * a + u[1] * b for (a, b) in sols]
-    h = max(vals)
-    # a finite critical value does not bound an unbounded curve
-    if rec.far.shape[0] and np.max(rec.far @ u) > h:
-        return TangentSupport(value=math.inf, points=[])
-    pts = _merge_points([s for s, v in zip(sols, vals)
-                         if v >= h - 1e-8 * (1 + abs(h))])
-    return TangentSupport(value=h, points=pts)
+            live.append(m)
+            us.append(u / n)
+    weights = np.array([[[1.0, 0.0, 0.0], [0.0, u1, -u0]] for u0, u1 in us]).reshape(-1, 2, 3)
+    seeds = np.array([rec.cloud[np.argmax(rec.cloud @ u)] for u in us] if len(rec.cloud) else [])
+    sols, (polished, good) = _solve_pairs((p, rec.d1, rec.d2), weights, seeds.reshape(-1, 2))
+    for i, (m, u) in enumerate(zip(live, us)):
+        pts = sols[i][0]
+        if len(seeds):  # the raw curve point still bounds the support from below
+            pts.append(tuple(polished[i] if good[i] else seeds[i]))
+        vals = [u[0] * a + u[1] * b for (a, b) in pts]
+        h = max(vals, default=math.inf)
+        # a finite critical value does not bound an unbounded curve
+        if rec.far.shape[0] and (not pts or np.max(rec.far @ u) > h):
+            out[m] = TangentSupport(value=math.inf, points=[])
+        elif not pts:
+            out[m] = IndeterminateResult("no tangency point found on a bounded curve")
+        else:
+            out[m] = TangentSupport(value=h, points=_merge_points(
+                [s for s, v in zip(pts, vals) if v >= h - 1e-8 * (1 + abs(h))]))
+    return out
 
 
 def _far(a, b):
@@ -485,7 +525,7 @@ def classify_boundary(p, n):
 
     step = 2 * math.pi / n
     angles = [j * step for j in range(n)]
-
+    _curve(p).supports(angles)
     support = _curve(p).support
 
     def margin_at(pt, th):
@@ -520,14 +560,23 @@ def classify_boundary(p, n):
                 snaps.append((m_snap, th_snap))
         if snaps and min(s[0] for s in snaps) <= m + _CLASSIFY_TOL:
             m, th_best = min(snaps)
+        else:
+            # the middle of a run of samples whose lines all touch the point
+            # (a cusp) does not depend on rounding, unlike the argmin
+            low = np.roll(np.asarray(vals) <= _CLASSIFY_TOL, -j)  # low[0]: sample j
+            right, left = np.argmin(low), np.argmin(low[::-1])  # run: j - left .. j + right - 1
+            if low[0] and not low.all() and right + left > 1:
+                th_best = (j + (right - 1 - left) / 2) * step
         if m > _CLASSIFY_TOL:
             label = "interior"
         elif m >= -_CLASSIFY_TOL:
             label = "on_boundary"
             smooth = False
             if witness is None:
-                e = support(th_best)
-                witness = SupportLine((e.value, -e.u[0], -e.u[1])).normalized()
+                # the line through the point, not at the noisy support value;
+                # adding 0.0 turns -0.0 into 0.0
+                c, d = math.cos(th_best) + 0.0, math.sin(th_best) + 0.0
+                witness = SupportLine((0.0 - c * pt[0] - d * pt[1], c, d)).normalized()
         else:
             label = "outside_hull"  # numerically impossible for C
             smooth = None
@@ -615,8 +664,10 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
 
         for j in range(n):
             if j not in ahead:
-                # the next chunk of rows, up to the first without a line; a
-                # row is acted on only when the loop reaches it
+                # the next chunk of rows, their supports solved as one stack,
+                # up to the first without a line; a row is acted on only when
+                # the loop reaches it
+                rec.supports([i * step for i in range(j, min(n, j + size))])
                 qs = []
                 for i in range(j, min(n, j + size)):
                     try:

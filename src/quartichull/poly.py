@@ -7,6 +7,7 @@ the ordering used for moment vectors elsewhere in the package.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -288,30 +289,68 @@ def comparison_quartic(f, p):
 # resultants and univariate real roots
 
 
-def _coeffs_in_axis(p, axis):
-    """Coefficient list of p seen as univariate in `axis`; entries are numpy
-    coeff arrays (low-to-high) in the other variable."""
-    if axis == 1:
-        da = max((a for a, _ in p.terms), default=0)
-        db = max((b for _, b in p.terms), default=0)
-        out = [np.zeros(db + 1) for _ in range(da + 1)]
-        for (a, b), c in p.terms.items():
-            out[a][b] += c
-    else:
-        da = max((b for _, b in p.terms), default=0)
-        db = max((a for a, _ in p.terms), default=0)
-        out = [np.zeros(db + 1) for _ in range(da + 1)]
-        for (a, b), c in p.terms.items():
-            out[b][a] += c
+def _dense(p, d):
+    """The coefficients of p in a (d + 1, d + 1) array, [a, b] for x1^a x2^b."""
+    out = np.zeros((d + 1, d + 1))
+    for (a, b), c in p.terms.items():
+        out[a, b] = c
     return out
 
 
-def _trim_poly_list(coeffs, tol=1e-12):
-    scale = max((float(np.max(np.abs(c))) for c in coeffs), default=0.0)
-    d = len(coeffs) - 1
-    while d > 0 and np.max(np.abs(coeffs[d])) <= tol * scale:
-        d -= 1
-    return coeffs[: d + 1]
+def _last_above(mag, tol, floor=0.0):
+    """Per row of mag (..., L), the index of its last entry above tol times
+    the larger of floor and the row's largest, or 0 when there is none."""
+    keep = mag > tol * np.maximum(floor, mag.max(axis=-1, keepdims=True))
+    return np.where(keep.any(-1), mag.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1), 0)
+
+
+def _horner(c, x):
+    """polyval over the stacks c[..., L] of coefficients (low-to-high)."""
+    return np.polynomial.polynomial.polyval(x, np.moveaxis(c, -1, 0), tensor=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _interpolation(bound):
+    """The nodes of `resultant`, and its chebfit, cheb2poly and node scaling
+    t -> t/2 in one matrix, from the values at the nodes to the monomial
+    coefficients of the degree-`bound` interpolant."""
+    cheb, k = np.polynomial.chebyshev, np.arange(bound + 1)
+    x = np.cos(np.pi * (2 * k + 1) / (2 * (bound + 1)))
+    fit = cheb.chebfit(x, np.eye(bound + 1), bound)
+    mono = np.array([np.pad(c, (0, bound + 1 - len(c))) for c in map(cheb.cheb2poly, fit.T)])
+    return x * 2.0, mono.T * 0.5 ** k[:, None]
+
+
+def _resultant_stack(ca, cb):
+    """`resultant` of each pair of a stack: ca[m, i, j] and cb[m, i, j] hold
+    the coefficients of x^i y^j, x eliminated. An entry is the resultant in
+    y, or the ValueError for a pair constant in x. Each pair is trimmed on
+    its own; the pairs of one Sylvester shape share one stacked det."""
+    ma, mb = np.abs(ca), np.abs(cb)
+    da, db = _last_above(ma.max(axis=2), 1e-12), _last_above(mb.max(axis=2), 1e-12)
+    # degree bound in y of the kept rows, as the interpolation needs it
+    dega, degb = (_last_above(((m > 0) & (np.arange(m.shape[1]) <= top[:, None])[..., None])
+                              .any(axis=1), 0.0) for m, top in ((ma, da), (mb, db)))
+    out, groups = [None] * len(ca), {}
+    for m, (a, b) in enumerate(zip(da, db)):
+        if a == 0 == b:
+            out[m] = ValueError("both polynomials constant in the eliminated variable")
+        elif a == 0 or b == 0:
+            out[m] = np.polynomial.polynomial.polypow(ca[m, 0] if a == 0 else cb[m, 0], a + b)
+        else:
+            groups.setdefault((a, b, b * dega[m] + a * degb[m]), []).append(m)
+    for (a, b, bound), idx in groups.items():
+        nodes, to_monomial = _interpolation(bound)
+        syl = np.zeros((len(idx), bound + 1, a + b, a + b))
+        for c, rows, first, width in ((ca, b, 0, a), (cb, a, b, b)):
+            vals = _horner(c[idx, width::-1, None, :], nodes).transpose(0, 2, 1)
+            for i in range(rows):
+                syl[:, :, first + i, i:i + width + 1] = vals
+        coeffs = np.einsum("gk,mk->gm", np.linalg.det(syl), to_monomial)  # stack-independent
+        small = np.abs(coeffs) <= 1e-11 * np.abs(coeffs).max(axis=1, keepdims=True)
+        for m, c in zip(idx, np.where(small, 0.0, coeffs)):
+            out[m] = c
+    return out
 
 
 def resultant(a, b, axis):
@@ -320,105 +359,95 @@ def resultant(a, b, axis):
     Returns the coefficient array (low-to-high) of a univariate polynomial in
     the remaining variable. Computed by evaluating the Sylvester determinant
     at Chebyshev nodes and interpolating, which is robust for the degree-<=12
-    outputs occurring here.
+    outputs occurring here. The one-pair case of the stacked form.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of zero polynomial")
-    ca = _trim_poly_list(_coeffs_in_axis(a, axis))
-    cb = _trim_poly_list(_coeffs_in_axis(b, axis))
-    da, db = len(ca) - 1, len(cb) - 1
-    if da == 0 and db == 0:
-        raise ValueError("both polynomials constant in the eliminated variable")
-    if da == 0:
-        return np.polynomial.polynomial.polypow(ca[0], db) if db else ca[0].copy()
-    if db == 0:
-        return np.polynomial.polynomial.polypow(cb[0], da)
-
-    # degree bound for the resultant in the kept variable
-    dega = max(int(np.max(np.nonzero(np.abs(c) > 0)[0], initial=0)) for c in ca)
-    degb = max(int(np.max(np.nonzero(np.abs(c) > 0)[0], initial=0)) for c in cb)
-    bound = db * dega + da * degb
-    nodes = np.cos(np.pi * (2 * np.arange(bound + 1) + 1) / (2 * (bound + 1))) * 2.0
-
-    vals = np.empty(bound + 1)
-    n = da + db
-    for idx, t in enumerate(nodes):
-        arow = np.array([np.polynomial.polynomial.polyval(t, c) for c in ca])
-        brow = np.array([np.polynomial.polynomial.polyval(t, c) for c in cb])
-        syl = np.zeros((n, n))
-        for i in range(db):
-            syl[i, i : i + da + 1] = arow[::-1]
-        for i in range(da):
-            syl[db + i, i : i + db + 1] = brow[::-1]
-        vals[idx] = np.linalg.det(syl)
-
-    if bound == 0:
-        return np.array([vals[0]])
-    cheb = np.polynomial.chebyshev.chebfit(nodes / 2.0, vals, bound)
-    coeffs = np.polynomial.chebyshev.cheb2poly(cheb)
-    # undo the node scaling t -> t/2
-    coeffs = coeffs * (0.5 ** np.arange(len(coeffs)))
-    scale = np.max(np.abs(coeffs))
-    if scale > 0:
-        coeffs = np.where(np.abs(coeffs) > 1e-11 * scale, coeffs, 0.0)
-    return coeffs
+    d = max(a.degree, b.degree)
+    ca, cb = (_dense(q, d) if axis == 1 else _dense(q, d).T for q in (a, b))
+    r = _resultant_stack(ca[None], cb[None])[0]
+    if isinstance(r, ValueError):
+        raise r
+    return r
 
 
-def _trim_coeffs(q, tol=1e-12):
-    q = np.asarray(q, dtype=float)
-    scale = np.max(np.abs(q)) if q.size else 0.0
-    if scale == 0.0:
-        return np.zeros(1)
-    d = len(q) - 1
-    while d > 0 and abs(q[d]) <= tol * scale:
-        d -= 1
-    return q[: d + 1]
+def _companion(c):
+    """np.roots' companion matrices of the rows of c (high-to-low, c[:, 0]
+    nonzero); their transposes are polyroots' ones."""
+    n = c.shape[1] - 1
+    A = np.zeros((len(c), n, n))
+    A[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    A[:, 0, :] = -c[:, 1:] / c[:, :1]
+    return A
+
+
+def _slice_roots(c):
+    """np.roots of each row of c (low-to-high), cut above its last entry
+    beyond 1e-12 max(1, largest); none for a row constant after the cut.
+    Returns the roots, row after row, and the row of each."""
+    top = _last_above(np.abs(c), 1e-12, floor=1.0)
+    low = np.argmax(c != 0, axis=1)
+    z, row = [np.zeros(0, complex)], [np.zeros(0, int)]
+    for n in set((top - low)[top > 0].tolist()):
+        idx = np.flatnonzero((top > 0) & (top - low == n))
+        if n:
+            cut = c[idx[:, None], (low[idx] + n)[:, None] - np.arange(n + 1)]
+            z.append(np.linalg.eigvals(_companion(cut)).ravel())
+            row.append(np.repeat(idx, n))
+        # the zero roots np.roots appends for the stripped low zeros
+        row.append(np.repeat(idx, low[idx]))
+        z.append(np.zeros(len(row[-1]), complex))
+    z, row = np.concatenate(z), np.concatenate(row)
+    order = np.argsort(row, kind="stable")
+    return z[order], row[order]
+
+
+def _real_roots_stack(qs, interval=None, tol=1e-9):
+    """real_roots of each array of the list qs: the companion eigenvalues in
+    one call per degree, and one Newton loop over all the candidates."""
+    qs = [q[:_last_above(np.abs(q), 1e-12) + 1] for q in (np.asarray(q, float) for q in qs)]
+    if any(len(q) == 1 and q[0] == 0.0 for q in qs):
+        raise ValueError("identically zero polynomial")
+    deg = np.array([len(q) - 1 for q in qs], dtype=int)
+    Q = np.zeros((len(qs), max(deg.max(initial=0), 1) + 1))
+    for m, q in enumerate(qs):
+        Q[m, :len(q)] = q
+    xs, owner = [np.zeros(0)], [np.zeros(0, int)]
+    for n in set(deg.tolist()) - {0}:
+        idx = np.flatnonzero(deg == n)
+        # np.polynomial.polynomial.polyroots, sorted per polynomial
+        r = np.sort(np.linalg.eigvals(_companion(Q[idx, n::-1]).swapaxes(1, 2)), axis=1)
+        real = np.abs(r.imag) <= 1e-7 * (1 + np.abs(r.real))
+        xs.append(r.real[real])
+        owner.append(np.broadcast_to(idx[:, None], r.shape)[real])
+    x, owner = np.concatenate(xs), np.concatenate(owner)
+    c, dc = Q[owner], Q[owner, 1:] * np.arange(1, Q.shape[1])
+    live = np.arange(len(x))
+    for _ in range(20):  # Newton, each root with its own stop
+        xl = x[live]
+        fx, dfx = _horner(c[live], xl), _horner(dc[live], xl)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = fx / dfx
+        go = (np.abs(dfx) >= 1e-300) & np.isfinite(step)
+        x[live] = xl = xl - np.where(go, step, 0.0)
+        live = live[go & ~(np.abs(step) < 1e-15 * (1 + np.abs(xl)))]
+    bad = np.abs(_horner(c, x)) > (1e-8 * np.abs(Q).max(axis=1)[owner]
+                                   * np.maximum(1.0, np.abs(x)) ** deg[owner])
+    out, (lo, hi) = [[] for _ in qs], interval or (-math.inf, math.inf)
+    for m, v in sorted(zip(owner[~bad].tolist(), x[~bad])):
+        if not (out[m] and abs(v - out[m][-1]) <= tol * max(1.0, abs(v))):
+            out[m].append(v)
+    return [[v for v in o if lo - tol <= v <= hi + tol] for o in out]
 
 
 def real_roots(q, interval=None, tol=1e-9):
     """Real roots of a univariate polynomial (coeff array, low-to-high).
 
     Roots come from companion-matrix eigenvalues, are polished with Newton
-    steps, filtered by residual, merged within tol and sorted.
+    steps, filtered by residual, merged within tol and sorted. The
+    one-polynomial case of the stacked form.
     """
-    q = _trim_coeffs(np.asarray(q, dtype=float))
-    if len(q) == 1:
-        if q[0] == 0.0:
-            raise ValueError("identically zero polynomial")
-        return []
-    scale = np.max(np.abs(q))
-    roots = np.polynomial.polynomial.polyroots(q)
-    dq = np.polynomial.polynomial.polyder(q)
-    out = []
-    for r in roots:
-        if abs(r.imag) > 1e-7 * (1 + abs(r.real)):
-            continue
-        x = r.real
-        for _ in range(20):
-            fx = np.polynomial.polynomial.polyval(x, q)
-            dfx = np.polynomial.polynomial.polyval(x, dq)
-            if abs(dfx) < 1e-300:
-                break
-            step = fx / dfx
-            if not np.isfinite(step):
-                break
-            x -= step
-            if abs(step) < 1e-15 * (1 + abs(x)):
-                break
-        res = abs(np.polynomial.polynomial.polyval(x, q))
-        if res > 1e-8 * scale * max(1.0, abs(x)) ** (len(q) - 1):
-            continue
-        out.append(x)
-    out.sort()
-    merged = []
-    for x in out:
-        if merged and abs(x - merged[-1]) <= tol * max(1.0, abs(x)):
-            continue
-        merged.append(x)
-    if interval is not None:
-        lo, hi = interval
-        merged = [x for x in merged if lo - tol <= x <= hi + tol]
-    return merged
+    return _real_roots_stack([q], interval, tol)[0]
 
 
 # ---------------------------------------------------------------------------

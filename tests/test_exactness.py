@@ -48,6 +48,97 @@ def test_curve_points_lie_on_curve():
         assert np.array_equal(curve_points(p), kept)
 
 
+_SLICE_LEVELS = np.concatenate([np.linspace(-50.0, 50.0, 401), np.linspace(-2.0, 2.0, 1601)])
+
+
+def _slice_points(p):
+    """The curve sample, one np.roots call per axis-aligned slice."""
+    pts = []
+    for axis in (1, 2):
+        for v in _SLICE_LEVELS:
+            c = np.asarray(p.univariate_in(axis, v), dtype=float)
+            nz = np.nonzero(np.abs(c) > 1e-12 * max(1.0, np.max(np.abs(c))))[0]
+            if len(nz) == 0 or nz[-1] == 0:
+                continue
+            for z in np.roots(c[: nz[-1] + 1][::-1]):
+                if abs(z.imag) <= 1e-9 * (1 + abs(z.real)) and abs(z.real) <= 50.0:
+                    w = float(z.real)
+                    pts.append((w, v) if axis == 1 else (v, w))
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", curves.curve_names())
+def test_curve_points_equal_per_slice_roots(name):
+    # the stacked companion eigenvalues give the per-slice roots bit for bit
+    p = curves.lookup(name).implicit
+    got, ref = curve_points(p), _slice_points(p)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def _directions(js, n=360):
+    return [(-math.cos(j * 2 * math.pi / n), -math.sin(j * 2 * math.pi / n)) for j in js]
+
+
+def _assert_same_support(got, want):
+    assert got.value == pytest.approx(want.value, rel=0, abs=1e-12)
+    assert len(got.points) == len(want.points)
+    for a, b in zip(got.points, want.points):
+        assert a == pytest.approx(b, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bean", "lemniscate", "egg"])
+def test_stacked_members_equal_one_direction_solves(name):
+    # the axis-aligned angles have a Sylvester shape of their own; they share
+    # a stack with the others
+    p = curves.lookup(name).implicit
+    dirs = _directions([0, 7, 45, 90, 133, 180, 211, 270, 301, 359])
+    for f, got in zip(dirs, exactness._tangent_supports(p, dirs)):
+        _assert_same_support(got, tangent_support(p, f))
+
+
+def test_stacked_special_members(monkeypatch):
+    parabola = parse_poly("x2 - x1^2")
+    dirs = [(0.0, 1.0), (0.0, -1.0), (0.0, 0.0), (1.0, 0.0)]
+    got = exactness._tangent_supports(parabola, dirs)
+    assert [g.value for g in got if not isinstance(g, Exception)] == \
+        [math.inf, pytest.approx(0.0, abs=1e-8), math.inf]
+    assert isinstance(got[2], ValueError)
+    with pytest.raises(ValueError):
+        tangent_support(parabola, (0.0, 0.0))
+    for f, g in zip(dirs, got):
+        if f != (0.0, 0.0):
+            _assert_same_support(g, tangent_support(parabola, f))
+
+    # one member without a tangency point on a bounded curve: a fresh record
+    # without its curve sample, and no solution for that member
+    egg = curves.lookup("egg").implicit
+    dirs = _directions([0, 30, 90, 200])
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    exactness._curve(egg).__dict__["cloud"] = np.zeros((0, 2))
+    kept = exactness._tangent_supports(egg, dirs)
+    original = exactness._solve_pairs
+
+    def drop_second(eqs, weights, extra):
+        sols, polished = original(eqs, weights, extra)
+        sols[1] = ([], True)
+        return sols, polished
+
+    monkeypatch.setattr(exactness, "_solve_pairs", drop_second)
+    got = exactness._tangent_supports(egg, dirs)
+    assert isinstance(got[1], IndeterminateResult)
+    for i in (0, 2, 3):
+        assert got[i] == kept[i]
+    # the curve record keeps the exception for that angle and raises it only
+    # when the angle is read
+    rec = exactness._curve(egg)
+    angles = [j * 2 * math.pi / 360 for j in (0, 30, 90, 200)]
+    rec.supports(angles)
+    with pytest.raises(IndeterminateResult):
+        rec.support(angles[1])
+    assert rec.support(angles[2]).value == pytest.approx(kept[2].value, abs=1e-12)
+
+
 def test_tangent_support_known_values():
     egg = curves.lookup("egg").implicit
     res = tangent_support(egg, (0.0, 1.0))
@@ -248,13 +339,13 @@ def test_classification_reads_the_sweep_envelope(monkeypatch):
     # the singular point is classified at the sweep's n angles, and the
     # sweep reads the same supporting lines instead of solving them again
     calls = []
-    original = exactness.tangent_support
+    original = exactness._tangent_supports
 
-    def counted(p, f):
-        calls.append(f)
-        return original(p, f)
+    def counted(p, dirs):
+        calls.extend(dirs)
+        return original(p, dirs)
 
-    monkeypatch.setattr(exactness, "tangent_support", counted)
+    monkeypatch.setattr(exactness, "_tangent_supports", counted)
     n = 36
     verdict = sweep_exactness(curves.lookup("lemniscate").implicit, n=n)
     assert verdict.verdict == "Exact"
@@ -388,19 +479,30 @@ def test_folium_witness_is_the_exact_bitangent(n):
                                                             rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [36, 360])
+def test_waterdrop_witness_is_the_line_through_the_cusp(n):
+    # the margins at the cusp vanish over a run of samples; the witness is
+    # the middle of the run, x2 <= 0, whatever the rounding
+    p = curves.lookup("waterdrop").implicit
+    verdict = sweep_verdict("waterdrop")[0] if n == 360 else sweep_exactness(p, n=n)
+    assert verdict.verdict == "NotExact"
+    assert verdict.witness.normalized().coeffs == pytest.approx((0.0, 0.0, -1.0),
+                                                                rel=0, abs=1e-12)
+
+
 def test_smoothconvex_flat_vertex_is_not_a_facet(monkeypatch):
     # the contact moves fast across the flat vertex at the origin, where
     # the first sample fails; the sweep tries it as a facet, finds none, and
     # solves no direction between the samples. A fresh curve record counts
     # every direction the sweep solves.
     calls = []
-    original = exactness.tangent_support
+    original = exactness._tangent_supports
 
-    def counted(p, f):
-        calls.append(f)
-        return original(p, f)
+    def counted(p, dirs):
+        calls.extend(dirs)
+        return original(p, dirs)
 
-    monkeypatch.setattr(exactness, "tangent_support", counted)
+    monkeypatch.setattr(exactness, "_tangent_supports", counted)
     monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
     verdict = sweep_exactness(curves.lookup("smoothconvex").implicit, n=360)
     assert verdict.verdict == "NotExact"

@@ -16,6 +16,9 @@ from quartichull.poly import (
     hessian,
     monomials_upto,
     parse_poly,
+    _dense,
+    _real_roots_stack,
+    _resultant_stack,
     real_roots,
     resultant,
 )
@@ -156,3 +159,20 @@ def test_comparison_quartic():
     pf = comparison_quartic(f, p)
     # f(x) - p(x) at a sample point
     assert pf(0.5, 0.5) == pytest.approx((2 - 2 * 0.5) - p(0.5, 0.5))
+
+
+def test_stacked_resultants_and_roots_equal_one_member_calls():
+    # pairs of different Sylvester shapes and degrees in one stack; each
+    # member equals its one-pair call bit for bit
+    pairs = [(parse_poly("x1^4 + x2^4 - 1"), parse_poly("x1^3 - 2*x2^3 + x1")),
+             (parse_poly("x1^2 + x2^2 - 1"), parse_poly("x1 - x2")),
+             (parse_poly("x1^3 - x2^2"), parse_poly("3*x1^2 + 0.5*x2")),
+             (parse_poly("x1^4 + x2^4 - 1"), parse_poly("x1^3 + x1"))]
+    ca = np.array([_dense(a, 4).T for a, _ in pairs])
+    cb = np.array([_dense(b, 4).T for _, b in pairs])
+    stacked = _resultant_stack(ca, cb)
+    for (a, b), r in zip(pairs, stacked):
+        assert np.array_equal(r, resultant(a, b, axis=2))
+    roots = _real_roots_stack(stacked, interval=(-50.0, 50.0))
+    assert roots == [real_roots(r, interval=(-50.0, 50.0)) for r in stacked]
+    assert any(roots)
