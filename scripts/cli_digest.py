@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Run a fixed set of CLI invocations and print, for each, its exit code,
+the SHA-256 of its stdout and its argv, one line per invocation.
+
+Usage: python3 scripts/cli_digest.py > OUT.txt
+
+The invocations: `check` (text and json) and `singularities` for the seven
+registry curves, `check --poly` on three polynomials (the Fermat quartic, a
+parabola and a non-reduced circle), `sos --curve egg --line 2,0,-2`,
+`rational` on folium (text) and bean (json), `minimize x1 --curve bean -k
+2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this
+tree's src/ in a fresh interpreter with one BLAS thread. Two trees print
+the same bytes for these invocations exactly when their outputs diff clean.
+"""
+
+import hashlib
+import os
+import shlex
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+CURVES = ("egg", "bean", "waterdrop", "lemniscate", "folium", "smoothconvex", "fermat")
+POLYS = ("1 - x1^4 - x2^4", "x2 - x1^2", "-(x1^2 + x2^2 - 1)^2")
+
+
+def invocations():
+    for name in CURVES:
+        yield ["check", "--curve", name]
+        yield ["check", "--curve", name, "--format", "json"]
+        yield ["singularities", "--curve", name]
+    for text in POLYS:
+        yield ["check", f"--poly={text}"]  # '=' keeps a leading '-' a value
+    yield ["sos", "--curve", "egg", "--line", "2,0,-2"]
+    yield ["rational", "--curve", "folium"]
+    yield ["rational", "--curve", "bean", "--format", "json"]
+    yield ["minimize", "x1", "--curve", "bean", "-k", "2..8"]
+    yield ["boundary", "--curve", "bean", "-k", "2..3", "-n", "90"]
+
+
+def main():
+    if len(sys.argv) != 1:
+        raise SystemExit(__doc__)
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    for argv in invocations():
+        run = subprocess.run([sys.executable, "-m", "quartichull.cli", *argv],
+                             env=env, capture_output=True, check=False)
+        digest = hashlib.sha256(run.stdout).hexdigest()
+        print(f"{run.returncode:3d}  {digest}  {shlex.join(argv)}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

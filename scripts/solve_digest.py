@@ -54,8 +54,8 @@ def _install(h, count, tally):
     """Rebind sdp.solve_stack in every package module that holds it."""
     solve_stack = sdp.solve_stack
 
-    def recorded(prob, c, F0, eq_b, settings=None):
-        sols = solve_stack(prob, c, F0, eq_b, settings)
+    def recorded(prob, c, F0, eq_b, gap_tol=1e-8):
+        sols = solve_stack(prob, c, F0, eq_b, gap_tol)
         n = prob.F.shape[1]
         member = [np.broadcast_to(a, (len(sols),) + a.shape[a.ndim - nd:])
                   for a, nd in ((np.asarray(c), 1), (np.asarray(F0), 2),

@@ -153,13 +153,13 @@ def curve_is_bounded(p):
     return _curve(p).far.shape[0] == 0
 
 
-def _newton_polish(eqs, seeds, iters=80, weights=None):
+def _newton_polish(eqs, seeds, weights=None):
     """Gauss-Newton polish of an (N, 2) array of seeds, all seeds at once;
     returns the (N, 2) polished points. Seed n solves q1 = q2 = 0, with
     q_k = sum_j weights[n, k, j] eqs[j] (by default eqs is the pair): eqs
     and their partials are evaluated once per step for all seeds. Each seed
     stops on its own: on a non-finite step (left where it was), on a step
-    below 1e-15 (1 + |x|), past |x| > 1e4, or after `iters` steps. The step
+    below 1e-15 (1 + |x|), past |x| > 1e4, or after 80 steps. The step
     is the least-squares one: Cramer's rule when J has full rank at lstsq's
     default cutoff, else the minimum-norm step -J^T F / |J|_F^2."""
     cols = [list(eqs), [q.diff(1) for q in eqs], [q.diff(2) for q in eqs]]
@@ -171,7 +171,7 @@ def _newton_polish(eqs, seeds, iters=80, weights=None):
     W = np.broadcast_to(np.eye(2), (len(x), 2, 2)) if weights is None else weights
     W = np.moveaxis(W, 0, -1)  # [k, j, seed]
     live, powers, eps = np.arange(len(x)), np.arange(d + 1)[:, None], np.finfo(float).eps
-    for _ in range(iters):
+    for _ in range(80):
         if live.size == 0:
             break
         xl = x[live]
@@ -194,10 +194,10 @@ def _newton_polish(eqs, seeds, iters=80, weights=None):
     return x
 
 
-def _merge_points(points, tol=1e-7):
+def _merge_points(points):
     out = []
     for pt in points:
-        if not any(math.hypot(pt[0] - q[0], pt[1] - q[1]) <= tol * (1 + math.hypot(*pt))
+        if not any(math.hypot(pt[0] - q[0], pt[1] - q[1]) <= 1e-7 * (1 + math.hypot(*pt))
                    for q in out):
             out.append(pt)
     return out
@@ -718,11 +718,11 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         return verdict("Inconclusive")
 
 
-def quartic_minimizer(q, span=3.0, grid=41):
-    """Approximate global minimizer of a bivariate polynomial over a box,
-    by grid seeding plus local descent. Used to locate the negative value
-    witnessing a failed nonnegativity test."""
-    xs = np.linspace(-span, span, grid)
+def quartic_minimizer(q):
+    """Approximate global minimizer of a bivariate polynomial, by seeding on
+    a 41 x 41 grid over [-3, 3]^2 plus local descent. Used to locate the
+    negative value witnessing a failed nonnegativity test."""
+    xs = np.linspace(-3.0, 3.0, 41)
     X, Y = np.meshgrid(xs, xs)
     vals = q.eval_many(X.ravel(), Y.ravel())
     j = int(np.argmin(vals))

@@ -45,6 +45,36 @@ def _clean_terms(terms):
     return {e: float(c) for e, c in terms.items() if abs(c) > _ZERO_TOL}
 
 
+# Arithmetic on term maps {(a1, a2): coefficient}, for BivarPoly and the parser.
+
+
+def _tadd(a, b):
+    t = dict(a)
+    for e, c in b.items():
+        t[e] = t.get(e, 0.0) + c
+    return t
+
+
+def _tmul_const(a, c):
+    return {e: v * c for e, v in a.items()}
+
+
+def _tmul(a, b):
+    t = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1[0] + e2[0], e1[1] + e2[1])
+            t[e] = t.get(e, 0.0) + c1 * c2
+    return t
+
+
+def _tpow(a, n):
+    out = {(0, 0): 1.0}
+    for _ in range(n):
+        out = _tmul(out, a)
+    return out
+
+
 class BivarPoly:
     """Sparse real polynomial in x1, x2.
 
@@ -98,15 +128,12 @@ class BivarPoly:
     def __add__(self, other):
         if isinstance(other, (int, float)):
             other = BivarPoly.const(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            t[e] = t.get(e, 0.0) + c
-        return BivarPoly(t)
+        return BivarPoly(_tadd(self.terms, other.terms))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return BivarPoly({e: -c for e, c in self.terms.items()})
+        return BivarPoly(_tmul_const(self.terms, -1.0))
 
     def __sub__(self, other):
         if isinstance(other, (int, float)):
@@ -118,13 +145,8 @@ class BivarPoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            return BivarPoly({e: c * other for e, c in self.terms.items()})
-        t = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                e = (a1 + a2, b1 + b2)
-                t[e] = t.get(e, 0.0) + c1 * c2
-        return BivarPoly(t)
+            return BivarPoly(_tmul_const(self.terms, other))
+        return BivarPoly(_tmul(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -402,7 +424,7 @@ def _slice_roots(c):
     return z[order], row[order]
 
 
-def _real_roots_stack(qs, interval=None, tol=1e-9):
+def _real_roots_stack(qs, interval=None):
     """real_roots of each array of the list qs: the companion eigenvalues in
     one call per degree, and one Newton loop over all the candidates."""
     qs = [q[:_last_above(np.abs(q), 1e-12) + 1] for q in (np.asarray(q, float) for q in qs)]
@@ -435,19 +457,19 @@ def _real_roots_stack(qs, interval=None, tol=1e-9):
                                    * np.maximum(1.0, np.abs(x)) ** deg[owner])
     out, (lo, hi) = [[] for _ in qs], interval or (-math.inf, math.inf)
     for m, v in sorted(zip(owner[~bad].tolist(), x[~bad])):
-        if not (out[m] and abs(v - out[m][-1]) <= tol * max(1.0, abs(v))):
+        if not (out[m] and abs(v - out[m][-1]) <= 1e-9 * max(1.0, abs(v))):
             out[m].append(v)
-    return [[v for v in o if lo - tol <= v <= hi + tol] for o in out]
+    return [[v for v in o if lo - 1e-9 <= v <= hi + 1e-9] for o in out]
 
 
-def real_roots(q, interval=None, tol=1e-9):
+def real_roots(q, interval=None):
     """Real roots of a univariate polynomial (coeff array, low-to-high).
 
     Roots come from companion-matrix eigenvalues, are polished with Newton
-    steps, filtered by residual, merged within tol and sorted. The
+    steps, filtered by residual, merged within a relative 1e-9 and sorted. The
     one-polynomial case of the stacked form.
     """
-    return _real_roots_stack([q], interval, tol)[0]
+    return _real_roots_stack([q], interval)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -560,33 +582,6 @@ class _Parser:
         if kind == "-":
             return _tmul_const(self.factor(), -1.0)
         raise PolyParseError(f"unexpected token {kind!r}")
-
-
-def _tadd(a, b):
-    t = dict(a)
-    for e, c in b.items():
-        t[e] = t.get(e, 0.0) + c
-    return t
-
-
-def _tmul_const(a, c):
-    return {e: v * c for e, v in a.items()}
-
-
-def _tmul(a, b):
-    t = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = (e1[0] + e2[0], e1[1] + e2[1])
-            t[e] = t.get(e, 0.0) + c1 * c2
-    return t
-
-
-def _tpow(a, n):
-    out = {(0, 0): 1.0}
-    for _ in range(n):
-        out = _tmul(out, a)
-    return out
 
 
 def parse_poly(text):

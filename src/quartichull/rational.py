@@ -16,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .moments import LinearMatrixForm
 from .sdp import SdpProblem, min_eig, solve
 from .sos import FEAS_MARGIN, IndeterminateResult
 
@@ -142,37 +143,32 @@ class HankelRepresentation:
             for row in self.entries
         )
 
+    @functools.cached_property
+    def _form(self):
+        """The matrix as a LinearMatrixForm over (x0, x1, x2, retained...):
+        entry (i, j) is the affine moment y_{i+j}, one float row per moment."""
+        syms = _SYMS[:3] + self.retained
+        moment = {i + j: e for i, row in enumerate(self.entries)
+                  for j, e in enumerate(row)}
+        rows = np.array([[float(moment[a].get(s, 0)) for s in syms] for a in range(5)])
+        return LinearMatrixForm(np.add.outer(np.arange(3), np.arange(3)), rows)
+
     def matrix_at(self, x, y):
         """Numeric 3x3 matrix at affine point x = (x1, x2) and retained
         lifting values y (in the order of self.retained)."""
-        vals = {"x0": 1.0, "x1": float(x[0]), "x2": float(x[1])}
-        for s, v in zip(self.retained, y):
-            vals[s] = float(v)
-        M = np.zeros((3, 3))
-        for i in range(3):
-            for j in range(3):
-                M[i, j] = sum(float(c) * vals[s]
-                              for s, c in self.entries[i][j].items())
-        return M
+        return self._form.evaluate([1.0, float(x[0]), float(x[1]), *map(float, y)])
 
     @functools.cached_property
     def _program(self):
         """The margin program of rational_membership over (retained
         liftings, t), compiled once: max t s.t. H(x, y) - t I >= 0. A point
         enters only through the constant matrix F0."""
-        F = np.zeros((len(self.retained) + 1, 3, 3))
-        for i in range(3):
-            for j in range(3):
-                for s, c in self.entries[i][j].items():
-                    if s not in ("x0", "x1", "x2"):
-                        F[self.retained.index(s), i, j] += float(c)
-        F[-1] = -np.eye(3)
+        F = np.concatenate([self._form.coefficients()[3:], -np.eye(3)[None]])
         return SdpProblem(F, np.zeros((0, len(F))))
 
-    def format_matrix(self, scaled=True):
-        rows = self.scaled_entries if scaled else self.entries
+    def format_matrix(self):
         out = []
-        for row in rows:
+        for row in self.scaled_entries:
             out.append("[" + ", ".join(format_affine(e) for e in row) + "]")
         return "[" + ",\n ".join(out) + "]"
 
@@ -187,83 +183,48 @@ class HankelRepresentation:
 
 
 def hankel_representation(param):
-    """Eliminate three moments from x_i = sum_a c_{i,a} y_a against the point
+    """Eliminate three moments from x_r = sum_a c_{r,a} y_a against the point
     coordinates and substitute into the 3x3 Hankel matrix of y_0..y_4.
 
-    Pivots run from the highest moment index down, so y0 and y1 survive
-    whenever the coefficient pattern allows; the whole matrix is scaled by
-    the least common denominator for an integer display.
+    Exact Gauss-Jordan on the rows [c_r | e_r] over (y0..y4 | x0, x1, x2).
+    Pivot columns run from y4 down, each on the first unpivoted row with a
+    nonzero entry, so y0 and y1 survive whenever the coefficient pattern
+    allows. A pivot row, normalized to 1, reads y_a = sum_s e_s x_s minus its
+    retained moments. The whole matrix is scaled by the least common
+    denominator for an integer display.
     """
-    rows = [
-        {"coeffs": list(row), "rhs": {_SYMS[i]: Fraction(1)}}
-        for i, row in enumerate(param.rows)
-    ]
-    subs = {}  # moment symbol -> affine dict over x's and retained y's
-    pivoted_rows = set()
-    pivot_cols = []
+    rows = [list(c) + [Fraction(int(r == s)) for s in range(3)]
+            for r, c in enumerate(param.rows)]
+    pivots = {}  # moment index -> its row
     for col in range(4, -1, -1):
-        pr = None
-        for r in range(3):
-            if r not in pivoted_rows and rows[r]["coeffs"][col] != 0:
-                pr = r
-                break
-        if pr is None:
+        r = next((r for r in range(3)
+                  if r not in pivots.values() and rows[r][col] != 0), None)
+        if r is None:
             continue
-        piv = rows[pr]["coeffs"][col]
-        for r in range(3):
-            if r == pr:
-                continue
-            f = rows[r]["coeffs"][col] / piv
-            if f == 0:
-                continue
-            for a in range(5):
-                rows[r]["coeffs"][a] -= f * rows[pr]["coeffs"][a]
-            for s, c in rows[pr]["rhs"].items():
-                rows[r]["rhs"][s] = rows[r]["rhs"].get(s, Fraction(0)) - f * c
-        pivoted_rows.add(pr)
-        pivot_cols.append((col, pr))
-        if len(pivoted_rows) == 3:
-            break
-    if len(pivoted_rows) < 3:
+        rows[r] = [v / rows[r][col] for v in rows[r]]
+        for o in range(3):
+            if o != r and rows[o][col] != 0:
+                rows[o] = [v - rows[o][col] * w for v, w in zip(rows[o], rows[r])]
+        pivots[col] = r
+    if len(pivots) < 3:
         raise ValueError("degenerate parametrization: moment relations have "
                          "rank below 3, cannot eliminate to 2 liftings")
 
-    retained = tuple(f"y{a}" for a in range(5)
-                     if a not in {c for c, _ in pivot_cols})
-    # back-substitute, highest pivot column last so its row is fully reduced
-    for col, r in sorted(pivot_cols):
-        piv = rows[r]["coeffs"][col]
-        expr = {}
-        for s, c in rows[r]["rhs"].items():
-            expr[s] = expr.get(s, Fraction(0)) + c / piv
-        for a in range(5):
-            if a == col:
-                continue
-            c = rows[r]["coeffs"][a]
-            if c == 0:
-                continue
-            sym = f"y{a}"
-            sub = subs.get(sym, {sym: Fraction(1)})
-            for s, cc in sub.items():
-                expr[s] = expr.get(s, Fraction(0)) - (c / piv) * cc
-        subs[f"y{col}"] = {s: c for s, c in expr.items() if c != 0}
+    def moment(a):
+        if a not in pivots:
+            return {f"y{a}": Fraction(1)}
+        row = rows[pivots[a]]
+        affine = {**{_SYMS[s]: row[5 + s] for s in range(3)},
+                  **{f"y{b}": -row[b] for b in range(5) if b != a}}
+        return {s: c for s, c in affine.items() if c != 0}
 
-    def affine_of(a):
-        sym = f"y{a}"
-        return dict(subs.get(sym, {sym: Fraction(1)}))
-
-    entries = tuple(
-        tuple(affine_of(i + j) for j in range(3)) for i in range(3)
-    )
-    denoms = [c.denominator for row in entries for e in row for c in e.values()]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // math.gcd(scale, d)
+    entries = tuple(tuple(moment(i + j) for j in range(3)) for i in range(3))
     return HankelRepresentation(
         param=param,
-        retained=retained,
+        retained=tuple(f"y{a}" for a in range(5) if a not in pivots),
         entries=entries,
-        scale=scale,
+        scale=math.lcm(*(c.denominator for row in entries for e in row
+                         for c in e.values())),
     )
 
 
@@ -271,13 +232,11 @@ def rational_membership(rep, point):
     """Inside/outside test against the two-lifting Hankel representation,
     margin through the max-min-eigenvalue program over the liftings."""
     x1, x2 = float(point[0]), float(point[1])
-    vals = {"x0": 1.0, "x1": x1, "x2": x2}
-    F0 = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            for s, c in rep.entries[i][j].items():
-                if s in vals:
-                    F0[i, j] += float(c) * vals[s]
+    if not (math.isfinite(x1) and math.isfinite(x2)):
+        # checked here: inf * 0 in the sum below would give nan
+        raise ValueError("point coordinates must be finite")
+    T = rep._form.coefficients()
+    F0 = T[0] + x1 * T[1] + x2 * T[2]
     prob = rep._program
     c = np.zeros(len(prob.F))
     c[-1] = -1.0

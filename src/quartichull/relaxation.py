@@ -157,7 +157,7 @@ def _margin_program(p, k):
     return _program(p, k, True)
 
 
-def _dd_face(F, E, tol=1e-6):
+def _dd_face(F, E):
     """Basis of the face of the Gram cone left after projecting out the
     range of every moment direction d with E d = 0 and sum_m d_m F[m]
     diagonally dominant (hence PSD). Returns None when there is none.
@@ -167,7 +167,7 @@ def _dd_face(F, E, tol=1e-6):
     convex cone, so the optimum touches every row any of them touches."""
     W, B = None, F
     while B.shape[1]:
-        d = _dd_direction(B, E, tol)
+        d = _dd_direction(B, E)
         if d is None:
             break
         w, Q = np.linalg.eigh(np.tensordot(d, B, axes=(0, 0)))
@@ -177,7 +177,7 @@ def _dd_face(F, E, tol=1e-6):
     return W
 
 
-def _dd_direction(B, E, tol):
+def _dd_direction(B, E):
     sp = scipy.sparse
     nm, n, _ = B.shape
     iu = np.triu_indices(n, 1)
@@ -201,7 +201,7 @@ def _dd_direction(B, E, tol):
     res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
                                  A_eq=A_eq, b_eq=np.zeros(len(E)),
                                  bounds=bounds, method="highs")
-    if res.status != 0 or -res.fun <= tol:
+    if res.status != 0 or -res.fun <= 1e-6:
         return None
     return res.x[:nm]
 
@@ -274,7 +274,7 @@ def separating_line(p, k, point):
     return SupportLine(tuple(f / norm)), res
 
 
-def _support_sweep(p, k, directions, settings=None):
+def _support_sweep(p, k, directions):
     """One support solve per direction (f1, f2) over the order-k support
     program, the directions solved as stacks (see sdp.solve_stack): a
     SupportResult per direction, with the statuses of support(). A failed
@@ -286,7 +286,7 @@ def _support_sweep(p, k, directions, settings=None):
     c = np.zeros((len(directions), len(prob.F)))
     c[:, 1:3] = -np.reshape(directions, (-1, 2))
     out = []
-    for (f1, f2), sol in zip(directions, solve_stack(prob, c, F0, b, settings)):
+    for (f1, f2), sol in zip(directions, solve_stack(prob, c, F0, b)):
         message = f"{sol.status}: {sol.message}"
         # High orders are barely strictly feasible (the moment body of a
         # 1-dimensional curve thins out exponentially with the degree) and
@@ -309,7 +309,7 @@ def _support_sweep(p, k, directions, settings=None):
     return out
 
 
-def support(p, k, direction, settings=None):
+def support(p, k, direction):
     """max f.(x1,x2) over the order-k relaxed hull.
 
     status is "Optimal" when the solver reports Optimal; value is then the
@@ -319,13 +319,13 @@ def support(p, k, direction, settings=None):
     value +inf. Any other outcome raises IndeterminateResult.
     """
     direction = (float(direction[0]), float(direction[1]))
-    [res] = _support_sweep(p, k, [direction], settings)
+    [res] = _support_sweep(p, k, [direction])
     if res.status not in ("Optimal", "Inaccurate", "Unbounded"):
         raise IndeterminateResult(f"support solve returned {res.message}")
     return res
 
 
-def minimize_linear(p, objective, orders, settings=None):
+def minimize_linear(p, objective, orders):
     """Lower bounds on min f.(x1,x2) over the relaxed hulls, one per order.
 
     objective is a 2-vector. Returns a list of (order, bound, status).
@@ -339,7 +339,7 @@ def minimize_linear(p, objective, orders, settings=None):
     out = []
     for k in orders:
         try:
-            res = support(p, k, (-f1, -f2), settings=settings)
+            res = support(p, k, (-f1, -f2))
         except IndeterminateResult as exc:
             out.append((k, None, str(exc)))
             continue

@@ -39,9 +39,11 @@ stack. All data is checked for finite entries on entry, the structure in
 SdpProblem and the rest once per stack in solve_stack; inner solves skip
 the check.
 
-SdpSettings has two fields: gap_tol, which Gram solves tighten, and
-max_iter. The other tolerances are module constants, each with the reason
-for its value.
+solve and solve_stack take one tolerance, gap_tol, the relative duality
+gap at which a feasible iterate is Optimal; Gram solves tighten it so that
+low-rank refinement starts close to the exact certificate. The iteration
+cap and the other tolerances are module constants, each with the reason for
+its value.
 """
 
 from __future__ import annotations
@@ -53,7 +55,6 @@ import numpy as np
 
 __all__ = [
     "SdpProblem",
-    "SdpSettings",
     "SdpSolution",
     "solve",
     "solve_stack",
@@ -117,17 +118,9 @@ _ACCEPT_TOL = 1e-6
 # Stagnation is declared when mu fails to halve over this many iterations;
 # a shorter window stops solves that are slow but still converging.
 _STALL_WINDOW = 80
-
-
-@dataclass
-class SdpSettings:
-    """The two settable knobs. gap_tol is the relative duality gap at which
-    a feasible iterate is Optimal; Gram solves tighten it so that low-rank
-    refinement starts close to the exact certificate. max_iter caps the
-    interior-point iterations; tests lower it to force an unfinished solve."""
-
-    gap_tol: float = 1e-8
-    max_iter: int = 200
+# The iteration cap. A member whose barrier parameter stalls stops earlier,
+# on the stall test; the cap bounds one that keeps creeping along.
+_MAX_ITER = 200
 
 
 @dataclass
@@ -140,13 +133,13 @@ class SdpSolution:
     message: str = ""
 
 
-def min_eig(M, sym_tol=1e-12):
+def min_eig(M):
     """Smallest eigenvalue of a symmetric matrix, or of each matrix of a
     stack of shape (B, n, n)."""
     M = np.asarray(M, dtype=float)
     Mt = np.swapaxes(M, -1, -2)
     scale = np.maximum(1.0, np.abs(M).max(axis=(-2, -1), initial=0.0))
-    if np.any(np.abs(M - Mt).max(axis=(-2, -1), initial=0.0) > sym_tol * scale):
+    if np.any(np.abs(M - Mt).max(axis=(-2, -1), initial=0.0) > 1e-12 * scale):
         raise ValueError("matrix is not symmetric")
     low = np.linalg.eigvalsh(0.5 * (M + Mt))[..., 0]
     return float(low) if low.ndim == 0 else low
@@ -218,7 +211,7 @@ def _factor(M, retries=0):
     return L, bad
 
 
-def _ipm(C, A, b, settings):
+def _ipm(C, A, b, gap_tol):
     """Core primal-dual IPM on a stack of standard-form pairs that share A:
     C of shape (B, n, n), n >= 1, A of shape (m, n, n), m >= 1, and b of
     shape (B, m). The members iterate in lockstep, each with its own step
@@ -271,7 +264,7 @@ def _ipm(C, A, b, settings):
             out[i] = dict(status=status, X=X.copy(), y=y.copy(), S=S.copy(),
                           iterates=iterates[i], message=message)
 
-    for it in range(settings.max_iter):
+    for it in range(_MAX_ITER):
         X, S, y, C, b = st.X, st.S, st.y, st.C, st.b
         ax = (A2 @ X.reshape(-1, n * n, 1))[..., 0]
         rp = b - ax
@@ -303,7 +296,7 @@ def _ipm(C, A, b, settings):
         # multiplied through by the norm of the ray)
         ray = yA + S
         tests = [
-            (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < settings.gap_tol),
+            (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < gap_tol),
             (pobj < 0) & (-pobj > _RAY_THRESHOLD * np.maximum(
                 np.sqrt((ax * ax).sum(axis=1)), 1e-16 * np.sqrt((X * X).sum(axis=(1, 2))))),
             (dobj > 0) & (dobj > _RAY_THRESHOLD * np.maximum(
@@ -402,14 +395,15 @@ def _stack_size(m, n):
     return max(1, min(_STACK_MAX, _STACK_FLOATS // (m * n * n)))
 
 
-def solve_stack(prob, c, F0, eq_b, settings=None):
+def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
     """Solve a stack of SDPs of the compiled structure prob in lockstep.
 
     c is of shape (m,), F0 of shape (n, n) and eq_b has one entry per row of
     prob.eq_A; each may carry a leading stack axis of B members, and an
     argument without one is shared by every member. Returns one SdpSolution
-    per member, each as solve would return it. Shapes and finiteness are
-    checked once per stack; the members run in stacks of _stack_size."""
+    per member, each as solve would return it; a feasible member is Optimal
+    once its relative duality gap is below gap_tol. Shapes and finiteness
+    are checked once per stack; the members run in stacks of _stack_size."""
     c, F0, eq_b = (np.asarray(a, dtype=float) for a in (c, F0, eq_b))
     m, n = prob.F.shape[:2]
     E, N = prob.eq_A, prob.N
@@ -425,7 +419,6 @@ def solve_stack(prob, c, F0, eq_b, settings=None):
     B = sizes.pop() if sizes else 1
     if B == 0:
         return []
-    settings = settings or SdpSettings()
     # every product below is a stack of one product per member, so that a
     # member's numbers do not depend on the other members of its stack
     c = np.broadcast_to(c[..., None, :], (B, 1, m))
@@ -459,7 +452,7 @@ def solve_stack(prob, c, F0, eq_b, settings=None):
     res = []
     for lo in range(0, len(live), size):
         part = live[lo:lo + size]
-        res += _ipm(C[part], prob.A, b[part], settings)
+        res += _ipm(C[part], prob.A, b[part], gap_tol)
     if not res:
         return out
     z = z0[live] + np.array([r["y"] for r in res])[:, None] @ N.T
@@ -479,14 +472,14 @@ def solve_stack(prob, c, F0, eq_b, settings=None):
     return out
 
 
-def solve(prob, c, F0, eq_b, settings=None):
+def solve(prob, c, F0, eq_b, gap_tol=1e-8):
     """Solve the SDP of the compiled structure prob with objective c, of
     shape (m,), constant matrix F0, of shape (n, n), and right-hand side
     eq_b, one entry per row of prob.eq_A: the one-member stack of
     solve_stack. See the module docstring."""
     if np.ndim(c) != 1 or np.ndim(F0) != 2 or np.ndim(eq_b) != 1:
         raise ValueError("solve takes one problem; solve_stack takes a stack")
-    [sol] = solve_stack(prob, c, F0, eq_b, settings)
+    [sol] = solve_stack(prob, c, F0, eq_b, gap_tol)
     return sol
 
 

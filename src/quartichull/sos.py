@@ -16,7 +16,7 @@ import numpy as np
 
 from .moments import build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpProblem, SdpSettings, psd_truncate, solve_stack
+from .sdp import SdpProblem, psd_truncate, solve_stack
 
 __all__ = [
     "SosCertificate",
@@ -32,7 +32,7 @@ FEAS_MARGIN = 1e-7
 
 # Gram solves are tightened beyond the generic default so the rank-refinement
 # step starts close enough to the exact low-rank certificate.
-_GRAM_SETTINGS = SdpSettings(gap_tol=1e-11)
+_GRAM_GAP_TOL = 1e-11
 
 
 class IndeterminateResult(RuntimeError):
@@ -66,7 +66,7 @@ class SosCertificate:
         )
 
 
-def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums, rank_cut=1e-3):
+def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
     """Snap an interior-point Gram onto the nearest exact low-rank certificate.
 
     The interior-point iterate carries O(sqrt(gap)) noise in the zero
@@ -87,7 +87,7 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums, rank_cut=1e-3):
         c = np.bincount(sums.ravel(), weights=(Vf @ Vf.T).ravel(), minlength=nm)
         return c + s1 @ p_shift - target_vec
 
-    for rank in range(int(np.sum(w > rank_cut * wmax)), nb + 1):
+    for rank in range(int(np.sum(w > 1e-3 * wmax)), nb + 1):
         if rank == 0:
             continue
         Vf = V[:, -rank:] * np.sqrt(np.maximum(w[-rank:], 0.0))
@@ -143,7 +143,7 @@ def _gram_problem(k, p):
     return SdpProblem(F, A), form
 
 
-def _gram_solve(targets, k, p=None, settings=None):
+def _gram_solve(targets, k, p=None, gap_tol=1e-8):
     """Solve the Gram program of _gram_problem for each of targets, as one
     stack: (program, M_k form, eq_b with one row per target, solutions)."""
     prob, form = _gram_problem(k, p)
@@ -152,7 +152,7 @@ def _gram_solve(targets, k, p=None, settings=None):
     monomials = monomials_upto(2 * k)
     b = np.array([[t.coeff(*s) for s in monomials] for t in targets],
                  dtype=float).reshape(len(targets), len(monomials))
-    sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b, settings)
+    sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b, gap_tol)
     return prob, form, b, sols
 
 
@@ -165,7 +165,7 @@ def _certificate(target, k, p=None):
     and an iterate meeting that looser test is already returned as Optimal
     by the solver's reduced-accuracy fallback.
     """
-    prob, form, [b], [sol] = _gram_solve([target], k, p, _GRAM_SETTINGS)
+    prob, form, [b], [sol] = _gram_solve([target], k, p, _GRAM_GAP_TOL)
     if sol.status in ("Numerical", "MaxIter"):
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:

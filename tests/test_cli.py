@@ -84,7 +84,7 @@ def test_minimize_missing_bound(capsys, monkeypatch):
     # solver's status; a ';' in that text must not add a field
     from quartichull import relaxation
 
-    def fake(p, f, orders, settings=None):
+    def fake(p, f, orders):
         return [(2, -0.25, "Optimal"),
                 (5, None, "support solve returned Numerical: a; b")]
 

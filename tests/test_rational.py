@@ -75,6 +75,46 @@ def test_degenerate_param_rejected():
         hankel_representation(degenerate)
 
 
+def _random_params(rng, count, rank):
+    """Seeded integer parametrizations whose coefficient rows have the given
+    rank: random rows, the last 3 - rank of them combinations of the rest."""
+    out = []
+    while len(out) < count:
+        rows = rng.integers(-3, 4, size=(3, 5))
+        for r in range(rank, 3):
+            rows[r] = rng.integers(-2, 3, size=rank) @ rows[:rank]
+        if np.linalg.matrix_rank(rows) == rank and rows[0].any():
+            out.append(RationalParam(*(tuple(int(v) for v in row) for row in rows)))
+    return out
+
+
+def test_elimination_is_exact():
+    # every moment relation sum_a c_{r,a} y_a = x_r holds exactly in
+    # Fractions after substituting the entry with i + j = a for y_a
+    for param in _random_params(np.random.default_rng(11), 40, rank=3):
+        rep = hankel_representation(param)
+        moment = {i + j: e for i, row in enumerate(rep.entries)
+                  for j, e in enumerate(row)}
+        assert all(rep.entries[i][j] == moment[i + j]
+                   for i in range(3) for j in range(3))
+        for r, coeffs in enumerate(param.rows):
+            total = {}
+            for a, c in enumerate(coeffs):
+                for s, v in moment[a].items():
+                    total[s] = total.get(s, Fraction(0)) + c * v
+            assert {s: v for s, v in total.items() if v != 0} == {f"x{r}": 1}
+        assert all(v.denominator == 1 for row in rep.scaled_entries
+                   for e in row for v in e.values())
+        assert len(rep.retained) == 2
+
+
+def test_rank_deficient_params_rejected():
+    for rank in (1, 2):
+        for param in _random_params(np.random.default_rng(rank), 10, rank):
+            with pytest.raises(ValueError, match="rank below 3"):
+                hankel_representation(param)
+
+
 def test_point_mass_soundness():
     # every curve point is inside its own hull representation
     for name in ("bean", "folium"):

@@ -187,13 +187,14 @@ def test_minimize_linear_monotone():
     assert vals[1] >= vals[0] - 1e-6
 
 
-def test_minimize_linear_reports_no_bound_from_unfinished_solves():
+def test_minimize_linear_reports_no_bound_from_unfinished_solves(monkeypatch):
     # a capped solve stops with a feasible moment iterate at best: its
     # value bounds the minimum from above, so no lower bound is reported
-    from quartichull.sdp import SdpSettings
+    from quartichull import sdp
 
+    monkeypatch.setattr(sdp, "_MAX_ITER", 5)
     p = curves.lookup("bean").implicit
-    rows = minimize_linear(p, (1.0, 0.0), [4, 5], settings=SdpSettings(max_iter=5))
+    rows = minimize_linear(p, (1.0, 0.0), [4, 5])
     for k, bound, status in rows:
         assert bound is None, (k, bound, status)
         assert status.startswith("support solve returned MaxIter"), status

@@ -6,7 +6,6 @@ from quartichull import sdp
 from quartichull.sdp import (
     NotPsdError,
     SdpProblem,
-    SdpSettings,
     equality_multipliers,
     min_eig,
     psd_truncate,
@@ -223,17 +222,17 @@ def _stack_family(size, seed=5):
 
 
 @pytest.mark.parametrize("max_iter", [200, 10])
-def test_stack_members_match_single_solves(max_iter):
+def test_stack_members_match_single_solves(max_iter, monkeypatch):
     # one stack whose members stop at different iterations for different
     # reasons; each member is its own one-member solve
     prob, c, F0, eq_b = _stack_family(6)
     F0[3, -1, -1] = -1.0  # the untouched block is negative: infeasible
     c[4] = [0.0, 0.0, 0.0, 1.0]  # minimize t: unbounded below
-    settings = SdpSettings(max_iter=max_iter)
-    stack = solve_stack(prob, c, F0, eq_b, settings)
+    monkeypatch.setattr(sdp, "_MAX_ITER", max_iter)
+    stack = solve_stack(prob, c, F0, eq_b)
     assert len(stack) == 6
     for j, sol in enumerate(stack):
-        one = solve(prob, c[j], F0[j], eq_b[j], settings)
+        one = solve(prob, c[j], F0[j], eq_b[j])
         assert sol.status == one.status
         assert sol.message.split("(")[0] == one.message.split("(")[0]
         assert len(sol.iterates) == len(one.iterates)
