@@ -5,10 +5,11 @@ the SHA-256 of its stdout and its argv, one line per invocation.
 Usage: python3 scripts/cli_digest.py > OUT.txt
 
 The invocations: `check` (text and json) and `singularities` for the seven
-registry curves, `check --poly` on three polynomials (the Fermat quartic, a
-parabola and a non-reduced circle), `sos --curve egg --line 2,0,-2`,
-`rational` on folium (text) and bean (json), `minimize x1 --curve bean -k
-2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this
+registry curves, `check --poly` on four polynomials (the Fermat quartic, a
+parabola, a non-reduced circle and an isolated point outside a circle, whose
+verdict reads the lines from the point that touch the circle), `sos --curve
+egg --line 2,0,-2`, `rational` on folium (text) and bean (json), `minimize
+x1 --curve bean -k 2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this
 tree's src/ in a fresh interpreter with one BLAS thread. Two trees print
 the same bytes for these invocations exactly when their outputs diff clean.
 """
@@ -21,7 +22,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CURVES = ("egg", "bean", "waterdrop", "lemniscate", "folium", "smoothconvex", "fermat")
-POLYS = ("1 - x1^4 - x2^4", "x2 - x1^2", "-(x1^2 + x2^2 - 1)^2")
+POLYS = ("1 - x1^4 - x2^4", "x2 - x1^2", "-(x1^2 + x2^2 - 1)^2",
+         "-(x1^2 + x2^2)*((x1 - 2)^2 + x2^2 - 1)")
 
 
 def invocations():

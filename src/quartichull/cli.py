@@ -126,7 +126,7 @@ def _add_flags(sub, order=False, samples=False, tol=False, formats=()):
                          help="relaxation order, single ('3') or range ('2..5')")
     if samples:
         sub.add_argument("-n", "--samples", type=int, default=360,
-                         help="sweep resolution (angles)")
+                         help="number of angles")
     if tol:
         sub.add_argument("--tol", type=float, default=FEAS_MARGIN,
                          help="feasibility tolerance")

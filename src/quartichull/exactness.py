@@ -9,7 +9,8 @@ normalized to one. Any failure certifies that the relaxation is strict.
 
 Each curve has one cached record (`_curve`) that owns its singular points
 and its memoized support function; every phase of every verdict reads it,
-and verdicts label copies of the singular points.
+and verdicts label copies of the singular points, which are classified
+from the few lines through them that can support the hull, not the sweep.
 
 Tangency and singularity systems are solved by resultant elimination in
 stacks (`_solve_pairs`) whose members share each step, from the Sylvester
@@ -63,6 +64,7 @@ __all__ = [
 
 _RESIDUAL_TOL = 1e-8
 _CLASSIFY_TOL = 1e-6
+_FORM_TOL = 1e-6  # relative rounding of the parts of p about a singular point
 # half-width of the box that holds every curve point the solvers look for
 _BOX = 50.0
 # The sweep solves its sample margins ahead in chunks of 1, 2, 4, ... rows,
@@ -274,16 +276,8 @@ def _infinity_singularities(p):
     pdm1 = p.graded_part(d - 1)
     g1, g2 = gradient(pd)
     scale = max(1.0, p.coeff_norm())
-    dirs = []
-    # roots of the binary form pd: (1, t) directions plus possibly (0, 1)
-    # pd is nonzero, and so is pd(1, t) as a polynomial in t
-    dirs.extend((1.0, t) for t in real_roots(pd.univariate_in(2, 1.0)))
-    if abs(pd.coeff(0, d)) <= 1e-12 * scale:
-        dirs.append((0.0, 1.0))
     out = []
-    for (a, b) in dirs:
-        n = math.hypot(a, b)
-        a, b = a / n, b / n
+    for (a, b) in _real_lines(pd, 1e-12 * scale):  # pd is nonzero
         rg = math.hypot(g1(a, b), g2(a, b))
         rp = max(abs(pd(a, b)), abs(pdm1(a, b)))
         if rg <= _RESIDUAL_TOL * scale and rp <= _RESIDUAL_TOL * scale:
@@ -371,7 +365,7 @@ class _Curve:
         for i in range(0, len(todo), size):
             us = [(-math.cos(th), -math.sin(th)) for th in todo[i:i + size]]
             for th, u, ts in zip(todo[i:i + size], us, _tangent_supports(self.p, us)):
-                found = ts if isinstance(ts, Exception) else _Support(u, ts.value, None, None)
+                found = ts if isinstance(ts, Exception) else _Support(u, ts.value, ts.points)
                 for (a, b) in getattr(ts, "points", []):
                     g = np.array([self.d1(a, b), self.d2(a, b)])
                     if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
@@ -477,102 +471,96 @@ def _bitangent(rec, a, b):
     return (P, Q) if ok else None
 
 
-def _tangent_cone_normals(p, pt):
-    """Unit normals of the real tangent lines of the curve at a point,
-    read off the linear factors of the lowest graded part of p translated
-    to the point. Both orientations of each normal are returned."""
-    q = _shift_poly(p, pt)
-    m = min((sum(e) for e in q.terms), default=0)
-    cone = q.graded_part(m)
-    if cone.is_zero() or m == 0:
-        return []
-    out = []
-    scale = cone.coeff_norm()
-    lead = cone.univariate_in(2, 1.0)  # cone(1, t) as a polynomial in t
-    for t in real_roots(lead):
-        n = math.hypot(t, 1.0)
-        out.extend([(-t / n, 1.0 / n), (t / n, -1.0 / n)])
-    if abs(cone.coeff(0, m)) <= 1e-12 * scale:
-        out.extend([(1.0, 0.0), (-1.0, 0.0)])
-    return out
+def _real_lines(form, cut):
+    """The real linear factors, as unit directions, of a nonzero binary form
+    of degree d whose coefficients are known to within cut: (0, 1) when the
+    top coefficients of form(1, t) are at most cut, then (1, t) for the real
+    roots t of the rest and of its derivative where the rest is within cut of
+    0 (rounding splits a double factor into a close pair about such a t)."""
+    d, c = form.degree, form.univariate_in(2, 1.0)
+    big = np.flatnonzero(np.abs(c) > cut)
+    c = c[:big[-1] + 1] if len(big) else c
+    dirs = [(1.0, t) for t in real_roots(c)]
+    for s in real_roots(np.polynomial.polynomial.polyder(c)) if len(c) > 2 else []:
+        if abs(np.polynomial.polynomial.polyval(s, c)) <= (d + 1) * cut * (1 + s * s) ** (d / 2) \
+                and all(abs(s - t) > 1e-6 * (1 + abs(s)) for _, t in dirs):
+            dirs.append((1.0, s))
+    if len(c) <= d:
+        dirs.append((0.0, 1.0))
+    return [(a / math.hypot(a, b), b / math.hypot(a, b)) for a, b in dirs]
 
 
 def _shift_poly(p, pt):
     """p(x1 + a, x2 + b) as a BivarPoly."""
-    a, b = pt
-    x1 = BivarPoly.var(1) + a
-    x2 = BivarPoly.var(2) + b
-    out = BivarPoly({})
-    for (i, j), c in p.terms.items():
-        out = out + (x1 ** i) * (x2 ** j) * c
-    return out
+    x1, x2 = BivarPoly.var(1) + pt[0], BivarPoly.var(2) + pt[1]
+    return sum(((x1 ** i) * (x2 ** j) * c for (i, j), c in p.terms.items()), BivarPoly({}))
 
 
-def classify_boundary(p, n):
+def classify_boundary(p):
     """Classify each affine singular point against the hull of the curve and
     report smoothness of the hull boundary.
 
-    Reads the support function of the curve record at the sweep's n angles,
-    then refines: a singular point is interior when every supporting line is
-    strictly positive at it, on the boundary when some line vanishes there.
-    Returns (singular points, smooth, witness); the points are labelled
-    copies of the record's, which stay unlabelled."""
+    A line through a singular point pt supports the hull only if it lies in
+    the tangent cone at pt or touches the curve elsewhere. With q(x) =
+    p(pt + x) and q_m its lowest graded part (m >= 2), the cone lines are
+    the real factors of q_m; the line x = s v meets the quartic in 4 - m
+    further points, so it touches elsewhere only for m = 2, where q_3^2 -
+    4 q_2 q_4 vanishes at v. The point is on the boundary when the support
+    at a normal of such a line is attained at it. The witness goes through
+    it, with the supporting cone normal of smallest (margin, angle), else
+    the middle of the arc of supporting normals. Returns (singular points,
+    smooth, witness), labelled copies of the record's unlabelled points."""
     sing = find_singularities(p)
     if all(s.at_infinity for s in sing):
         return sing, True, None
     if not curve_is_bounded(p):
         return sing, None, None
-
-    step = 2 * math.pi / n
-    angles = [j * step for j in range(n)]
-    _curve(p).supports(angles)
-    support = _curve(p).support
-
-    def margin_at(pt, th):
-        e = support(th)
-        return e.value - (e.u[0] * pt[0] + e.u[1] * pt[1])
-
-    witness = None
-    smooth = True
+    rec, witness, smooth = _curve(p), None, True
     for i, s in enumerate(sing):
         if s.at_infinity:
             continue
         pt = s.location.to_affine()
-        vals = [margin_at(pt, th) for th in angles]
-        j = int(np.argmin(vals))
-        # refine around the best sampled direction (golden-section)
-        th_best = scipy.optimize.minimize_scalar(
-            lambda th: margin_at(pt, th),
-            bounds=(angles[j] - step, angles[j] + step), method="bounded",
-            options={"xatol": 1e-10},
-        ).x
-        m = margin_at(pt, th_best)
-        if m > vals[j]:
-            m, th_best = vals[j], angles[j]
-        # a supporting line at the point is usually normal to a tangent line
-        # of the curve there; snapping to the tangent cone gives the exact
-        # direction when the numeric refinement only gets close
-        snaps = []
-        for (n1, n2) in _tangent_cone_normals(p, pt):
-            th_snap = math.atan2(-n2, -n1)  # support direction (n1, n2)
-            m_snap = margin_at(pt, th_snap)
-            if abs(m_snap) <= _CLASSIFY_TOL:
-                snaps.append((m_snap, th_snap))
-        if snaps and min(s[0] for s in snaps) <= m + _CLASSIFY_TOL:
-            m, th_best = min(snaps)
-        else:
-            # the middle of a run of samples whose lines all touch the point
-            # (a cusp) does not depend on rounding, unlike the argmin
-            low = np.roll(np.asarray(vals) <= _CLASSIFY_TOL, -j)  # low[0]: sample j
-            right, left = np.argmin(low), np.argmin(low[::-1])  # run: j - left .. j + right - 1
-            if low[0] and not low.all() and right + left > 1:
-                th_best = (j + (right - 1 - left) / 2) * step
-        if m > _CLASSIFY_TOL:
+        q2, q3, q4 = parts = [_shift_poly(p, pt).graded_part(k) for k in (2, 3, 4)]
+        # parts below _FORM_TOL of the largest are rounding (the polish stops
+        # about 1e-8 off a triple point); the residual test takes points within
+        # rho of pt for curve points, so a support attained there is at pt
+        norms = [f.coeff_norm() for f in parts]
+        cut, tol = _FORM_TOL * max(norms), _RESIDUAL_TOL * max(1.0, p.coeff_norm())
+        m = next(k for k, nk in enumerate(norms, 2) if nk > cut)
+        rho = max((tol / nk) ** (1 / k) for k, nk in enumerate(norms, 2) if nk > cut)
+        lines = [(v, True) for v in _real_lines(parts[m - 2], cut)]  # (direction, in the cone)
+        if m == 2:
+            touch = q3 * q3 - q2 * q4 * 4.0  # zero for a conic or a non-reduced quartic
+            if not touch.is_zero():
+                lines += [(v, False) for v in _real_lines(touch, _FORM_TOL * touch.coeff_norm())]
+        # (support angle, in the cone) of the normals u = (-b, a) and (b, -a)
+        # of each line, at the angles atan2(-u2, -u1)
+        cands = [(th, in_cone) for (a, b), in_cone in lines
+                 for th in (math.atan2(-a, b), math.atan2(a, -b))]
+        rec.supports([th for th, _ in cands])
+        margins = []  # of the candidates, in order
+        for th, _ in cands:
+            e = rec.support(th)
+            at_pt = any(math.hypot(a - pt[0], b - pt[1]) <= rho for a, b in e.points)
+            margins.append(0.0 if at_pt else e.value - (e.u[0] * pt[0] + e.u[1] * pt[1]))
+        low = min(margins, default=math.inf)
+        if low > _CLASSIFY_TOL:
             label = "interior"
-        elif m >= -_CLASSIFY_TOL:
+        elif low >= -_CLASSIFY_TOL:
             label = "on_boundary"
             smooth = False
             if witness is None:
+                on = [(mg, *c) for mg, c in zip(margins, cands) if mg <= _CLASSIFY_TOL]
+                cone_on = [(mg, th) for mg, th, in_cone in on if in_cone]
+                if cone_on:
+                    th_best = min(cone_on)[1]
+                else:
+                    # the middle of the arc of supporting normals: the
+                    # complement of the widest gap between them
+                    arc = sorted({th % (2 * math.pi) for _, th, _ in on})
+                    gap, start = max((2 * math.pi - (a - b) % (2 * math.pi), b)
+                                     for a, b in zip(arc, arc[1:] + arc[:1]))
+                    th_best = start + (2 * math.pi - gap) / 2
                 # the line through the point, not at the noisy support value;
                 # adding 0.0 turns -0.0 into 0.0
                 c, d = math.cos(th_best) + 0.0, math.sin(th_best) + 0.0
@@ -587,8 +575,9 @@ def classify_boundary(p, n):
 class _Support(NamedTuple):
     u: tuple  # support direction, the opposite of the inward normal
     value: float  # max u.x over the curve, +inf when unbounded
-    line: SupportLine | None  # sweep line at `point`, see _Curve.support
-    point: tuple | None
+    points: list  # every curve point attaining value (TangentSupport.points)
+    line: SupportLine | None = None  # sweep line at `point`, see _Curve.support
+    point: tuple | None = None
 
 
 def curve_points(p):
@@ -622,7 +611,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
             # whole curve, which no finite set of points classifies
             evidence["reason"] = "singular points from the grid fallback (non-certified)"
             return verdict("Inconclusive")
-        sing, smooth, witness = classify_boundary(p, n)
+        sing, smooth, witness = classify_boundary(p)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:
             evidence["reason"] = "singular point on the hull boundary"

@@ -17,6 +17,7 @@ from quartichull.exactness import (
     tangent_support,
 )
 from quartichull.poly import BivarPoly, comparison_quartic, gradient, parse_poly
+from quartichull.relaxation import membership
 from quartichull.sos import IndeterminateResult, nonneg_quartic
 
 from conftest import sweep_verdict
@@ -336,8 +337,8 @@ def test_non_reduced_curve_is_inconclusive():
 
 
 def test_classification_reads_the_sweep_envelope(monkeypatch):
-    # the singular point is classified at the sweep's n angles, and the
-    # sweep reads the same supporting lines instead of solving them again
+    # the singular point is classified from a few candidate lines through
+    # it, and the sweep solves each of its own angles once
     calls = []
     original = exactness._tangent_supports
 
@@ -481,13 +482,109 @@ def test_folium_witness_is_the_exact_bitangent(n):
 
 @pytest.mark.parametrize("n", [36, 360])
 def test_waterdrop_witness_is_the_line_through_the_cusp(n):
-    # the margins at the cusp vanish over a run of samples; the witness is
-    # the middle of the run, x2 <= 0, whatever the rounding
+    # the lines from the cusp that touch the drop bound the arc of normals
+    # supporting the hull there; the witness is the middle of the arc,
+    # x2 <= 0, whatever n and the rounding
     p = curves.lookup("waterdrop").implicit
     verdict = sweep_verdict("waterdrop")[0] if n == 360 else sweep_exactness(p, n=n)
     assert verdict.verdict == "NotExact"
     assert verdict.witness.normalized().coeffs == pytest.approx((0.0, 0.0, -1.0),
                                                                 rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", ["bean", "waterdrop"])
+def test_singular_point_verdicts_read_only_candidate_lines(name, monkeypatch):
+    # the point on the boundary is found from the lines through it that can
+    # support the hull (tangent cone lines, and lines touching the curve
+    # elsewhere), not from the sweep's angles: the verdict solves a few
+    # directions, and its classification and witness do not depend on n. A
+    # fresh curve record counts every direction the verdict solves.
+    calls = []
+    original = exactness._tangent_supports
+
+    def counted(p, dirs):
+        calls.extend(dirs)
+        return original(p, dirs)
+
+    monkeypatch.setattr(exactness, "_tangent_supports", counted)
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    p = curves.lookup(name).implicit
+    verdict = sweep_exactness(p, n=360)
+    assert verdict.verdict == "NotExact"
+    assert len(calls) <= 12
+    for n in (8, 12, 36):
+        other = sweep_exactness(p, n=n)
+        assert [s.classification for s in other.singular_points] == ["on_boundary"]
+        assert other.witness.coeffs == verdict.witness.coeffs
+
+
+def test_isolated_point_outside_a_circle_is_on_the_boundary():
+    # the origin and the circle of radius 1 about (2, 0): the lines from the
+    # origin touching the circle, x2 = +-x1/sqrt(3), bound the arc of normals
+    # supporting the hull at the origin, whose middle gives x1 >= 0
+    p = parse_poly("-(x1^2 + x2^2)*((x1 - 2)^2 + x2^2 - 1)")
+    verdict = sweep_exactness(p, n=36)
+    assert verdict.verdict == "NotExact"
+    assert [s.classification for s in verdict.singular_points] == ["on_boundary"]
+    assert verdict.witness.normalized().coeffs == pytest.approx((0.0, 1.0, 0.0),
+                                                                rel=0, abs=1e-12)
+
+
+def test_isolated_point_inside_a_circle_is_interior():
+    # inside the circle no real line from the origin touches the curve
+    p = parse_poly("-(x1^2 + x2^2)*((x1 - 0.5)^2 + x2^2 - 1)")
+    verdict = sweep_exactness(p, n=36)
+    assert verdict.verdict == "Exact"
+    assert [s.classification for s in verdict.singular_points] == ["interior"]
+
+
+@pytest.mark.parametrize("n", [8, 360])
+def test_one_point_curve_is_not_rejected(n):
+    # the curve's one real point is the origin, and P_2 = {0}: -p is a sum of
+    # squares spanning every nonconstant monomial of degree <= 2, so M_2(y)
+    # has rank 1. No real line from the origin touches the curve, so the
+    # point is interior and no sampled line may witness NotExact.
+    p = parse_poly("-(x1^2 + x2^2)*((x1 - 2)^2 + x2^2 + 1)")
+    assert not membership(p, 2, (0.01, 0.0)).inside
+    assert not membership(p, 2, (0.0, 0.01)).inside
+    verdict = sweep_exactness(p, n=n)
+    assert verdict.verdict != "NotExact"
+    assert [s.classification for s in verdict.singular_points] == ["interior"]
+
+
+@pytest.mark.parametrize("text, pt, normal", [
+    ("x1*(x1^2 + x2^2) - x1^4 - x1^2*x2^2 - x2^4", (0.3, -0.2), (1.0, 0.0)),
+    ("x1*(x1^2 + x2^2) - x1^4 - x1^2*x2^2 - x2^4", (-0.5, 0.0), (1.0, 0.0)),
+    ("-x1^2 - x2^3 - (x1^2 + x2^2)^2", (0.3, -0.2), (0.0, -1.0)),
+    ("-x1^2 - x2^3 - (x1^2 + x2^2)^2", (-0.3, 0.2), (0.0, -1.0)),
+])
+def test_singular_point_off_the_origin_keeps_its_witness(text, pt, normal):
+    # the bean and the waterdrop moved so that their singular point lies at
+    # pt: the polish leaves pt about 1e-8 off, so the parts of p about it
+    # below the cone are rounding, and tangency polishes near pt stop up to
+    # about 1e-4 from it; the point is on the boundary with the witness of
+    # the curve at the origin, moved to pt
+    a, b = pt
+    p = parse_poly(text.replace("x1", "X").replace("x2", f"(x2 - {b})")
+                   .replace("X", f"(x1 - {a})"))
+    verdict = sweep_exactness(p, n=36)
+    assert verdict.verdict == "NotExact"
+    assert [s.classification for s in verdict.singular_points] == ["on_boundary"]
+    n1, n2 = normal
+    assert verdict.witness.normalized().coeffs == pytest.approx((-n1 * a - n2 * b, n1, n2),
+                                                                rel=0, abs=1e-6)
+
+
+def test_real_lines_keep_rounded_double_and_vertical_factors():
+    # (x2 - x1/2)^2 x1 with the double factor split into a complex pair and
+    # a top coefficient of x2^3 at rounding size: both lines, each once
+    form = parse_poly("(x2 - 0.5*x1)^2*x1 + 1e-10*x1^3 + 1e-11*x2^3")
+    lines = exactness._real_lines(form, 1e-8)
+    assert len(lines) == 2
+    assert lines[0] == pytest.approx((2 / math.sqrt(5), 1 / math.sqrt(5)), rel=0, abs=1e-6)
+    assert lines[1] == (0.0, 1.0)
+    # a top coefficient above the cut gives a finite root, not (0, 1)
+    assert (0.0, 1.0) not in exactness._real_lines(form, 1e-12)
 
 
 def test_smoothconvex_flat_vertex_is_not_a_facet(monkeypatch):
