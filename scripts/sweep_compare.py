@@ -7,10 +7,11 @@ Usage: python3 scripts/sweep_compare.py --out NEW.json [--against OLD.json] [cur
 Runs `exactness.sweep_exactness(p, n=360)` with one BLAS thread on every
 registry curve (or the named ones) and writes, per curve, the verdict, the
 witness, the singular points, the evidence and the sweep rows as JSON.
-With --against, prints the largest difference of the sweep rows, of the
-witness and of the other numbers per curve, and exits 1 when a verdict, a
-string or flag (classification, evidence reason, ...) or the shape of a
-record differs, or when any two numbers differ by more than 1e-9.
+With --against, prints per curve the largest difference of the sweep's
+margin column, of its min p_f column, of the witness and of the other
+numbers, and exits 1 when a verdict, a string or flag (classification,
+evidence reason, ...) or the shape of a record differs, or when any two
+numbers differ by more than 1e-9.
 `scripts/solve_digest.py` checks bit-identity; this script checks changes
 that move the solves in their last digits.
 """
@@ -30,6 +31,10 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 from quartichull import curves, exactness  # noqa: E402
 
 TOL = 1e-9
+# the parts of a record whose largest differences are printed: the sweep's
+# margin and min p_f columns, the witness, and every other number (the sweep
+# angles among them)
+PARTS = ("margin", "min_pf", "witness", "other")
 
 
 def record(names):
@@ -53,7 +58,9 @@ def _walk(old, new, path, diffs, mismatches):
         elif old != new:
             mismatches.append(f"{'/'.join(map(str, path))}: {old!r} != {new!r}")
         return
-    part = path[0] if path[0] in ("sweep", "witness") else "other"
+    part = "witness" if path[0] == "witness" else "other"
+    if path[0] == "sweep" and path[2] > 0:
+        part = ("margin", "min_pf")[path[2] - 1]  # the columns after the angle
     diffs[part] = max(diffs.get(part, 0.0), abs(float(old) - float(new)))
 
 
@@ -67,7 +74,7 @@ def compare(old, new):
         _walk(old[name], new[name], (), diffs, mismatches)
         bad = mismatches or any(d > TOL for d in diffs.values())
         ok = ok and not bad
-        parts = ", ".join(f"{k} {diffs.get(k, 0.0):.3g}" for k in ("sweep", "witness", "other"))
+        parts = ", ".join(f"{k} {diffs.get(k, 0.0):.3g}" for k in PARTS)
         print(f"{name:14s} {'DIFFERS' if bad else 'ok':8s} max |diff|: {parts}")
         for m in mismatches[:10]:
             print(f"{'':14s} {m}")

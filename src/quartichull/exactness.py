@@ -24,13 +24,13 @@ A facet of the hull is solved exactly from the bitangent system
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import scipy.optimize
 
 from .poly import (
     BivarPoly,
@@ -107,20 +107,17 @@ class ExactnessVerdict:
     verdict: str  # Exact | NotExact | Inconclusive
     witness: SupportLine | None
     singular_points: list
-    sweep: list = field(default_factory=list)  # (angle, sos margin, min p_f) rows
+    sweep: list = field(default_factory=list)  # (angle, Gram margin, min p_f) rows
     evidence: dict = field(default_factory=dict)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "verdict": self.verdict,
-                "witness": list(self.witness.coeffs) if self.witness else None,
-                "singular_points": [s.to_dict() for s in self.singular_points],
-                "sweep": [list(row) for row in self.sweep],
-                "evidence": self.evidence,
-            },
-            indent=2,
-        )
+        return json.dumps({
+            "verdict": self.verdict,
+            "witness": list(self.witness.coeffs) if self.witness else None,
+            "singular_points": [s.to_dict() for s in self.singular_points],
+            "sweep": [list(row) for row in self.sweep],
+            "evidence": self.evidence,
+        }, indent=2)
 
 
 def check_concave(p):
@@ -142,9 +139,7 @@ def check_concave(p):
     if min_eig(G) < -1e-9 * scale:
         return False
     det = H[0][0] * H[1][1] - H[0][1] * H[0][1]
-    if det.is_zero():
-        return True
-    return nonneg_quartic(det)
+    return det.is_zero() or nonneg_quartic(det)
 
 
 def curve_is_bounded(p):
@@ -178,7 +173,7 @@ def _newton_polish(eqs, seeds, weights=None):
             break
         xl = x[live]
         p1, p2 = xl.T[:, None] ** powers
-        # einsum, unlike BLAS, sums each seed's terms alike in any stack
+        # einsum, unlike BLAS, sums a seed's terms alike in any stack of 2+ seeds
         v = np.einsum("ka,an->kn", C, (p1[:, None] * p2).reshape(-1, len(xl)))
         # values, x1-partials and x2-partials of the pair of each seed
         (f1, f2), (a, c), (b, e) = (W[:, :, live] * v[rows][:, None]).sum(2)
@@ -194,6 +189,29 @@ def _newton_polish(eqs, seeds, weights=None):
         done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > 1e4)
         live = live[~done]
     return x
+
+
+def _minima(p, lines):
+    """Approximate global minima of q_n = f_n - p for an (N, 3) array of line
+    coefficients f_n: the (N, 2) minimizers and the (N,) values. Each row is
+    seeded at its argmin on a 41 x 41 grid over [-3, 3]^2, one row at a time;
+    one _newton_polish solves grad q_n = (f1_n, f2_n) - grad p = 0 from all
+    seeds, and a row whose polish ends above its seed keeps the seed."""
+    lines = np.asarray(lines, dtype=float)
+    d, xs = max(p.degree, 1), np.linspace(-3.0, 3.0, 41)
+    C = np.repeat(-_dense(p, d)[None], len(lines), axis=0)  # [n, a, b] of q_n
+    C[:, [0, 1, 0], [0, 0, 1]] += lines
+    A = xs[:, None] ** np.arange(d + 1)  # [i, j] of A C_n^T A^T is q_n(xs[j], xs[i])
+    seeds = xs[np.array([np.unravel_index(np.argmin(A @ c.T @ A.T), (41, 41))[::-1] for c in C])]
+    W = np.zeros((len(lines), 2, 3))
+    W[:, :, 0], W[:, 0, 1], W[:, 1, 2] = lines[:, 1:], -1.0, -1.0
+    # each seed twice, which stop together, so that no step has one live seed
+    x = _newton_polish((BivarPoly.const(1.0), p.diff(1), p.diff(2)), np.tile(seeds, (2, 1)),
+                       weights=np.tile(W, (2, 1, 1)))[:len(lines)]
+    v, v0 = (np.einsum("nab,an,bn->n", C, *pts.T[:, None] ** np.arange(d + 1)[:, None])
+             for pts in (x, seeds))
+    keep = v <= v0
+    return np.where(keep[:, None], x, seeds), np.where(keep, v, v0)
 
 
 def _merge_points(points):
@@ -256,13 +274,11 @@ def _solve_pairs(eqs, weights, extra):
 
 
 def find_singularities(p):
-    """All real singular points of the curve p = 0, affine and at infinity.
-
-    Affine points solve grad p = 0 (resultant elimination, Newton polish)
-    filtered by p = 0. At infinity the conditions on the homogenization
-    restrict to: p_d = 0, grad p_d = 0, p_{d-1} = 0 for d = deg p.
-    Returns a new list of the unlabelled points of the curve record.
-    """
+    """All real singular points of the curve p = 0, affine and at infinity,
+    as a new list of the unlabelled points of the curve record. Affine points
+    solve grad p = 0 (resultant elimination, Newton polish) filtered by
+    p = 0. At infinity the conditions on the homogenization restrict to:
+    p_d = 0, grad p_d = 0, p_{d-1} = 0 for d = deg p."""
     if p.is_zero():
         raise ValueError("zero polynomial has no curve")
     return list(_curve(p).singular)
@@ -272,8 +288,7 @@ def _infinity_singularities(p):
     d = p.degree
     if d < 1:
         return []
-    pd = p.graded_part(d)
-    pdm1 = p.graded_part(d - 1)
+    pd, pdm1 = p.graded_part(d), p.graded_part(d - 1)
     g1, g2 = gradient(pd)
     scale = max(1.0, p.coeff_norm())
     out = []
@@ -389,14 +404,12 @@ def _curve(p):
 
 
 def tangent_support(p, f):
-    """max f.x over the curve p = 0 and the attaining points.
-
-    Solves the tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants and
-    from the best cloud point; singular points satisfy the second equation
-    and are included. Returns +inf when the curve is unbounded in the
-    direction, which the far points of the curve record decide. The
-    one-direction case of _tangent_supports.
-    """
+    """max f.x over the curve p = 0 and the attaining points. Solves the
+    tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants and from the
+    best cloud point; singular points satisfy the second equation and are
+    included. Returns +inf when the curve is unbounded in the direction,
+    which the far points of the curve record decide. The one-direction case
+    of _tangent_supports."""
     (ts,) = _tangent_supports(p, [f])
     if isinstance(ts, Exception):
         raise ts
@@ -581,8 +594,7 @@ class _Support(NamedTuple):
 
 
 def curve_points(p):
-    """Dense sample of the curve from the curve record (a copy; the record
-    is shared)."""
+    """Dense sample of the curve from the shared curve record, copied."""
     return _curve(p).cloud.copy()
 
 
@@ -641,42 +653,40 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
                     return theta, line
 
-        ahead, size = {}, 1  # (comparison quartic, margin) solved ahead, by row
+        ahead, size = {}, 1  # (margin, min p_f) solved ahead, by row
 
         def band_margin(i):
             """Row i's margin: the one solved ahead, else a single solve (so
             a lookahead member that failed does not end the sweep)."""
-            m = ahead.get(i, (None, None))[1]
-            if m is None or isinstance(m, IndeterminateResult):
-                return margin_of(sample(i).line)
-            return m
+            m = ahead.get(i, (None,))[0]  # None, a float or an IndeterminateResult
+            return m if isinstance(m, float) else margin_of(sample(i).line)
+
+        def line_at(i):  # None when row i has no line or its support raised
+            try:
+                return sample(i).line
+            except IndeterminateResult:
+                return None
 
         for j in range(n):
             if j not in ahead:
-                # the next chunk of rows, their supports solved as one stack,
-                # up to the first without a line; a row is acted on only when
-                # the loop reaches it
+                # the next chunk of rows up to the first without a line: the
+                # supports, the margins and the minima of p_f each one stack;
+                # a row is acted on only when the loop reaches it
                 rec.supports([i * step for i in range(j, min(n, j + size))])
-                qs = []
-                for i in range(j, min(n, j + size)):
-                    try:
-                        line = sample(i).line
-                    except IndeterminateResult:
-                        break
-                    if line is None:
-                        break
-                    qs.append(comparison_quartic(line, p))
-                if qs:
-                    ahead.update(zip(range(j, n), zip(qs, sos_margins(qs, 2))))
+                lines = list(itertools.takewhile(bool, map(line_at, range(j, min(n, j + size)))))
+                if lines:
+                    margins = sos_margins([comparison_quartic(f, p) for f in lines], 2)
+                    minima = _minima(p, [f.coeffs for f in lines])[1]
+                    ahead.update(zip(range(j, n), zip(margins, minima.tolist())))
                 size = min(2 * size, _LOOKAHEAD)
             th = j * step
             line = sample(j).line
             if line is None:
+                evidence["reason"] = f"no smooth contact at sweep angle {th!r}"
                 return verdict("Inconclusive")
-            q, m = ahead.pop(j)
+            m, pf_min = ahead.pop(j)
             if isinstance(m, IndeterminateResult):
                 raise m
-            pf_min = quartic_minimizer(q)[1]
             sweep.append((th, m, pf_min))
             if m < -feas_tol:
                 evidence["reason"] = "comparison quartic negative on sweep"
@@ -708,18 +718,8 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
 
 
 def quartic_minimizer(q):
-    """Approximate global minimizer of a bivariate polynomial, by seeding on
-    a 41 x 41 grid over [-3, 3]^2 plus local descent. Used to locate the
-    negative value witnessing a failed nonnegativity test."""
-    xs = np.linspace(-3.0, 3.0, 41)
-    X, Y = np.meshgrid(xs, xs)
-    vals = q.eval_many(X.ravel(), Y.ravel())
-    j = int(np.argmin(vals))
-    x0 = np.array([X.ravel()[j], Y.ravel()[j]])
-    g = gradient(q)
-    res = scipy.optimize.minimize(
-        lambda x: q(x[0], x[1]), x0,
-        jac=lambda x: np.array([g[0](x[0], x[1]), g[1](x[0], x[1])]),
-        method="BFGS",
-    )
-    return tuple(res.x), float(res.fun)
+    """Approximate global minimizer and minimum of a bivariate polynomial q:
+    the one-member case of _minima, with p = -q and the zero line. Locates
+    the negative value witnessing a failed nonnegativity test."""
+    x, v = _minima(-q, np.zeros((1, 3)))
+    return tuple(x[0]), float(v[0])

@@ -92,23 +92,23 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
             continue
         Vf = V[:, -rank:] * np.sqrt(np.maximum(w[-rank:], 0.0))
         s1 = s1_coeffs.copy()
-        ok = False
+        seen = []  # the largest residual entry of each step
         for _ in range(80):
             r = residual(Vf, s1)
+            seen.append(np.max(np.abs(r)))
             # the residual is quadratic along flat directions of the
             # certificate manifold, so drive it to machine precision or the
             # parameters themselves are only sqrt-accurate
-            if np.max(np.abs(r)) < 5e-15 * max(1.0, np.max(np.abs(target_vec))):
-                ok = True
-                break
+            if seen[-1] < 5e-15 * max(1.0, np.max(np.abs(target_vec))):
+                return Vf @ Vf.T, s1
+            if len(seen) > 10 and seen[-1] > 0.5 * seen[-11]:
+                break  # not halved in 10 steps: levelled off above the target
             J = np.zeros((nm, nb, rank))
             np.add.at(J, (sums, factor_rows), 2 * Vf)
             J = np.hstack([J.reshape(nm, nb * rank), p_shift.T])
             step, *_ = np.linalg.lstsq(J, -r, rcond=None)
             Vf = Vf + step[: nb * rank].reshape(nb, rank)
             s1 = s1 + step[nb * rank:]
-        if ok:
-            return Vf @ Vf.T, s1
     return G, s1_coeffs
 
 

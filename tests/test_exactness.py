@@ -5,6 +5,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from quartichull import curves, exactness
 from quartichull.exactness import (
@@ -303,6 +304,77 @@ def test_quartic_minimizer():
     assert tuple(x) == pytest.approx((1.0, -2.0), abs=1e-6)
 
 
+def test_quartic_minimizer_finds_the_lower_of_two_wells():
+    # two wells of depth -1/4 at (+-1/sqrt 2, 0) and a saddle at the origin;
+    # the grid's tie goes to the lower x1
+    x, val = quartic_minimizer(parse_poly("x1^4 - x1^2 + x2^2"))
+    assert val == pytest.approx(-0.25, rel=0, abs=1e-14)
+    assert tuple(x) == pytest.approx((-math.sqrt(0.5), 0.0), rel=0, abs=1e-9)
+
+
+def _grid_seed(q):
+    """The argmin of q on the 41 x 41 grid over [-3, 3]^2, scanned x2-major,
+    and its value."""
+    xs = np.linspace(-3.0, 3.0, 41)
+    X, Y = np.meshgrid(xs, xs)
+    vals = q.eval_many(X.ravel(), Y.ravel())
+    j = int(np.argmin(vals))
+    return np.array([X.ravel()[j], Y.ravel()[j]]), vals[j]
+
+
+def _bfgs_minimum(q, x0):
+    g = gradient(q)
+    res = scipy.optimize.minimize(
+        lambda x: q(x[0], x[1]), x0, method="BFGS",
+        jac=lambda x: np.array([g[0](x[0], x[1]), g[1](x[0], x[1])]))
+    return res.fun
+
+
+def _sweep_lines(verdict, p, every=1):
+    """(row, sweep line) of every `every`-th row of a sweep verdict."""
+    rec = exactness._curve(p)
+    return [(row, rec.support(row[0]).line) for row in verdict.sweep[::every]]
+
+
+_MINIMA_VERDICTS = ("egg_verdict", "lemniscate_verdict", "folium_verdict")
+
+
+@pytest.mark.parametrize("fixture", _MINIMA_VERDICTS)
+def test_sweep_minima_match_a_bfgs_reference(fixture, request):
+    verdict, _ = request.getfixturevalue(fixture)
+    p = curves.lookup(fixture.split("_")[0]).implicit
+    rows = _sweep_lines(verdict, p, every=max(1, len(verdict.sweep) // 24))
+    assert len(rows) >= 3
+    for row, line in rows:
+        q = comparison_quartic(line, p)
+        assert row[2] == pytest.approx(_bfgs_minimum(q, _grid_seed(q)[0]), rel=0, abs=1e-9)
+
+
+@pytest.mark.parametrize("fixture", _MINIMA_VERDICTS)
+def test_sweep_minima_never_exceed_their_grid_seed(fixture, request):
+    verdict, _ = request.getfixturevalue(fixture)
+    p = curves.lookup(fixture.split("_")[0]).implicit
+    for row, line in _sweep_lines(verdict, p):
+        seed_value = _grid_seed(comparison_quartic(line, p))[1]
+        assert row[2] <= seed_value + 1e-12 * (1 + abs(seed_value))
+
+
+@pytest.mark.parametrize("name", ["egg", "bean", "folium"])
+def test_stacked_minima_equal_one_member_calls(name):
+    p = curves.lookup(name).implicit
+    rec = exactness._curve(p)
+    lines = [rec.support(j * 2 * math.pi / 48).line for j in range(48)]
+    lines = np.array([f.coeffs for f in lines if f is not None])
+    x, v = exactness._minima(p, lines)
+    for i in range(len(lines)):
+        xi, vi = exactness._minima(p, lines[i:i + 1])
+        assert xi[0].tolist() == x[i].tolist() and vi[0] == v[i]
+    # a sweep row is its line's one-member value, though the sweep stacks it
+    verdict = sweep_exactness(p, n=48)
+    for row, line in _sweep_lines(verdict, p):
+        assert row[2] == exactness._minima(p, [line.coeffs])[1][0]
+
+
 def test_concave_fast_path():
     verdict = sweep_exactness(curves.lookup("fermat").implicit, n=16)
     assert verdict.verdict == "Exact"
@@ -550,6 +622,15 @@ def test_one_point_curve_is_not_rejected(n):
     verdict = sweep_exactness(p, n=n)
     assert verdict.verdict != "NotExact"
     assert [s.classification for s in verdict.singular_points] == ["interior"]
+
+
+def test_no_smooth_contact_names_the_angle():
+    # the curve's only real point is an interior isolated point, so no
+    # sample has a smooth contact to build its sweep line from
+    p = parse_poly("-(x1^2 + x2^2)*((x1 - 2)^2 + x2^2 + 1)")
+    verdict = sweep_exactness(p, n=8)
+    assert verdict.verdict == "Inconclusive"
+    assert verdict.evidence["reason"] == "no smooth contact at sweep angle 0.0"
 
 
 @pytest.mark.parametrize("text, pt, normal", [
