@@ -4,7 +4,7 @@ tree, run in alternating pairs, with per-pair metrics, medians and quartiles.
 
 Usage:
     python3 scripts/bench_file.py --parent DIR --out BENCH_N.json
-        --parent-label HASH --claim WORKLOAD:METRIC
+        --parent-label HASH [--claim WORKLOAD:METRIC]
         --pairs WORKLOAD=COUNT [--pairs ...]
 
 DIR is a source checkout of the parent commit (`git archive` or `git clone`
@@ -17,12 +17,13 @@ side: HASH for the parent, "change" for this tree, which may be uncommitted.
 The file is rewritten after every pair, so an interrupted run keeps the pairs
 it made.
 
-The layout: `about`; `claim` (workload and metric); then per workload and
-seed `summary` (median, quartiles and count per side for every end-to-end
-metric of BENCHMARK.json, and how many pairs the change wins on the claimed
-metric), `pairs` (the end-to-end metrics and failed operations of each pair)
-and `records` (the JSON of every run, per side). Quartiles are
-statistics.quantiles(method="inclusive").
+The layout: `about`; `claim` (workload and metric, or null for a change
+that claims no gain); then per workload and seed `summary` (median,
+quartiles and count per side for every end-to-end metric of BENCHMARK.json,
+and, with a claim, how many pairs the change wins on the claimed metric),
+`pairs` (the end-to-end metrics and failed operations of each pair, and the
+win on the claimed metric) and `records` (the JSON of every run, per side).
+Quartiles are statistics.quantiles(method="inclusive").
 """
 
 import argparse
@@ -67,21 +68,24 @@ def _stats(values):
 
 
 def _entry(records, metrics, claim_metric, better_lower):
-    """summary, pairs and records of one workload and seed."""
+    """summary, pairs and records of one workload and seed; no wins are
+    counted when claim_metric is None."""
     pairs, wins = [], 0
     for i, (par, chg) in enumerate(zip(records["parent"], records["change"])):
         pair = {"index": i, "first": "parent" if i % 2 == 0 else "change"}
         for m in metrics:
             pair[m] = {"parent": par["end_to_end"][m], "change": chg["end_to_end"][m]}
         pair["failed"] = {"parent": par["failed"], "change": chg["failed"]}
-        p, c = pair[claim_metric]["parent"], pair[claim_metric]["change"]
-        win = c < p if better_lower else c > p
-        pair[f"change_wins_{claim_metric}"] = win
-        wins += win
+        if claim_metric:
+            p, c = pair[claim_metric]["parent"], pair[claim_metric]["change"]
+            win = c < p if better_lower else c > p
+            pair[f"change_wins_{claim_metric}"] = win
+            wins += win
         pairs.append(pair)
     summary = {m: {side: _stats([pair[m][side] for pair in pairs])
                    for side in ("parent", "change")} for m in metrics} if len(pairs) > 1 else {}
-    summary[f"change_wins_{claim_metric}"] = f"{wins}/{len(pairs)}"
+    if claim_metric:
+        summary[f"change_wins_{claim_metric}"] = f"{wins}/{len(pairs)}"
     return {"summary": summary, "pairs": pairs, "records": records}
 
 
@@ -90,7 +94,7 @@ def main():
     ap.add_argument("--parent", required=True, help="source checkout of the parent commit")
     ap.add_argument("--parent-label", required=True, help="the parent's commit hash")
     ap.add_argument("--out", required=True)
-    ap.add_argument("--claim", required=True, help="WORKLOAD:METRIC")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC of the claimed gain; none by default")
     ap.add_argument("--pairs", action="append", required=True, help="WORKLOAD=COUNT")
     args = ap.parse_args()
 
@@ -98,15 +102,15 @@ def main():
         bench = json.load(f)
     seconds = bench["run_seconds"]
     metrics = [m["name"] for m in bench["end_to_end"]]
-    claim_workload, claim_metric = args.claim.split(":")
-    better_lower = {m["name"]: m["better"] == "lower"
-                    for m in bench["end_to_end"]}[claim_metric]
+    claim_workload, claim_metric = args.claim.split(":") if args.claim else (None, None)
+    better_lower = claim_metric and {m["name"]: m["better"] == "lower"
+                                     for m in bench["end_to_end"]}[claim_metric]
     plan = [(w, int(n)) for w, n in (p.split("=") for p in args.pairs)]
     trees = {"parent": os.path.abspath(args.parent), "change": ROOT}
     labels = {"parent": args.parent_label, "change": "change"}
     out = {
         "about": _about(args.parent_label, seconds),
-        "claim": {"workload": claim_workload, "metric": claim_metric},
+        "claim": {"workload": claim_workload, "metric": claim_metric} if args.claim else None,
         "workloads": {},
     }
     for workload, count in plan:

@@ -15,9 +15,10 @@ from the few lines through them that can support the hull, not the sweep.
 Tangency and singularity systems are solved by resultant elimination in
 stacks (`_solve_pairs`) whose members share each step, from the Sylvester
 determinants to the Gauss-Newton polish, and keep their own trimming, shape,
-fallback and stop rules; one direction is a one-member stack. A stack holds
-at most _STACK_FLOATS floats of Sylvester matrices, so its memory is bounded.
-A facet of the hull is solved exactly from the bitangent system
+fallback and stop rules; one direction is a one-member stack. Each support
+request is one stack, and its caller bounds it: a lookahead chunk of at most
+_LOOKAHEAD angles, the candidate lines of one singular point, or one facet or
+band read. A facet of the hull is solved exactly from the bitangent system
 (`_bitangent`).
 """
 
@@ -71,9 +72,6 @@ _BOX = 50.0
 # at most this many: a chunk shares the solver's per-call overhead, and the
 # cap bounds the margins solved in vain after the first failing row.
 _LOOKAHEAD = 32
-# A stack holds at most about this many floats in its largest arrays: the
-# Sylvester matrices of tangency pairs, the companion matrices of slices.
-_STACK_FLOATS = 2 ** 13
 
 
 @dataclass(frozen=True)
@@ -96,10 +94,16 @@ class SingularPoint:
         }
 
 
-@dataclass
-class TangentSupport:
-    value: float  # +inf when the curve is unbounded in the direction
+class TangentSupport(NamedTuple):
+    """The support of the curve in one direction u. The sweep `line` is the
+    tangent at `point`, the first of `points` where grad p is nonzero and
+    has u.grad p <= 0 (a smooth point of the outer branch), scaled so that
+    the curve multiplier of the comparison quartic is one; both are None
+    when no point qualifies."""
+    value: float  # max u.x over the curve, +inf when unbounded in u
     points: list  # (x1, x2) tuples attaining the value
+    line: SupportLine | None = None
+    point: tuple | None = None
 
 
 @dataclass
@@ -339,15 +343,11 @@ class _Curve:
         for (a, b), c in self.p.terms.items():
             rows[0, :, a] += c * powers[b]
             rows[1, :, b] += c * powers[a]
-        rows, pts = rows.reshape(-1, self.p.degree + 1), []
-        step = _STACK_FLOATS // rows.shape[1] ** 2
-        for r0 in range(0, len(rows), step):
-            z, row = _slice_roots(rows[r0:r0 + step])
-            ok = (np.abs(z.imag) <= 1e-9 * (1 + np.abs(z.real))) & (np.abs(z.real) <= _BOX)
-            w, row = z.real[ok], row[ok] + r0
-            v = levels[row % len(levels)]
-            pts.append(np.where((row < len(levels))[:, None], np.c_[w, v], np.c_[v, w]))
-        return np.concatenate(pts)
+        z, row = _slice_roots(rows.reshape(-1, self.p.degree + 1))
+        ok = (np.abs(z.imag) <= 1e-9 * (1 + np.abs(z.real))) & (np.abs(z.real) <= _BOX)
+        w, row = z.real[ok], row[ok]
+        v = levels[row % len(levels)]
+        return np.where((row < len(levels))[:, None], np.c_[w, v], np.c_[v, w])
 
     @functools.cached_property
     def singular(self):
@@ -369,26 +369,15 @@ class _Curve:
         return tuple(out + _infinity_singularities(p))
 
     def supports(self, thetas):
-        """Memoize the supports at the inward-normal angles theta (direction
-        u = -(cos theta, sin theta)), solved in stacks. The sweep line goes
-        through the first smooth outer support point, normalized so that the
-        curve multiplier of the comparison quartic is one. A solve that
-        raised is kept, and raised when `support` reads its angle."""
+        """Memoize the TangentSupport at the inward-normal angles theta
+        (direction u = -(cos theta, sin theta)): the angles not yet held
+        are one _tangent_supports stack, whose size the caller bounds; none
+        is solved when all are held. A solve that raised is kept, and raised
+        when `support` reads its angle."""
         todo = [th for th in dict.fromkeys(thetas) if th not in self._supports]
-        d = self.p.degree  # a pair's 2d(d - 1) + 1 Sylvester matrices of size 2d - 1
-        size = max(1, _STACK_FLOATS // ((2 * d * (d - 1) + 1) * (2 * d - 1) ** 2))
-        for i in range(0, len(todo), size):
-            us = [(-math.cos(th), -math.sin(th)) for th in todo[i:i + size]]
-            for th, u, ts in zip(todo[i:i + size], us, _tangent_supports(self.p, us)):
-                found = ts if isinstance(ts, Exception) else _Support(u, ts.value, ts.points)
-                for (a, b) in getattr(ts, "points", []):
-                    g = np.array([self.d1(a, b), self.d2(a, b)])
-                    if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
-                        continue  # singular (see classify_boundary) or inner branch
-                    line = SupportLine((0.0 - (g[0] * a + g[1] * b), g[0], g[1]))
-                    found = found._replace(line=line, point=(a, b))
-                    break
-                self._supports[th] = found
+        if todo:
+            us = [(-math.cos(th), -math.sin(th)) for th in todo]
+            self._supports.update(zip(todo, _tangent_supports(self.p, us)))
 
     def support(self, theta):
         """The memoized support at one angle (see supports)."""
@@ -418,8 +407,9 @@ def tangent_support(p, f):
 
 def _tangent_supports(p, dirs):
     """tangent_support of a stack of directions, solved together: per
-    direction its TangentSupport or the exception tangent_support raises.
-    The pairs share p, d1 and d2, each weighed with its own direction."""
+    direction its TangentSupport, with its sweep line, or the exception
+    tangent_support raises. The pairs share p, d1 and d2, each weighed with
+    its own direction."""
     rec = _curve(p)
     out, live, us = [None] * len(dirs), [], []
     for m, f in enumerate(dirs):
@@ -447,6 +437,14 @@ def _tangent_supports(p, dirs):
         else:
             out[m] = TangentSupport(value=h, points=_merge_points(
                 [s for s, v in zip(pts, vals) if v >= h - 1e-8 * (1 + abs(h))]))
+            f = dirs[m]
+            for (a, b) in out[m].points:
+                g = np.array([rec.d1(a, b), rec.d2(a, b)])
+                if np.linalg.norm(g) < 1e-10 or g[0] * f[0] + g[1] * f[1] > 0:
+                    continue  # singular (see classify_boundary) or inner branch
+                line = SupportLine((0.0 - (g[0] * a + g[1] * b), g[0], g[1]))
+                out[m] = out[m]._replace(line=line, point=(a, b))
+                break
     return out
 
 
@@ -553,9 +551,9 @@ def classify_boundary(p):
         rec.supports([th for th, _ in cands])
         margins = []  # of the candidates, in order
         for th, _ in cands:
-            e = rec.support(th)
+            e, u = rec.support(th), (-math.cos(th), -math.sin(th))
             at_pt = any(math.hypot(a - pt[0], b - pt[1]) <= rho for a, b in e.points)
-            margins.append(0.0 if at_pt else e.value - (e.u[0] * pt[0] + e.u[1] * pt[1]))
+            margins.append(0.0 if at_pt else e.value - (u[0] * pt[0] + u[1] * pt[1]))
         low = min(margins, default=math.inf)
         if low > _CLASSIFY_TOL:
             label = "interior"
@@ -583,14 +581,6 @@ def classify_boundary(p):
             smooth = None
         sing[i] = replace(s, classification=label)
     return sing, smooth, witness
-
-
-class _Support(NamedTuple):
-    u: tuple  # support direction, the opposite of the inward normal
-    value: float  # max u.x over the curve, +inf when unbounded
-    points: list  # every curve point attaining value (TangentSupport.points)
-    line: SupportLine | None = None  # sweep line at `point`, see _Curve.support
-    point: tuple | None = None
 
 
 def curve_points(p):
@@ -623,12 +613,17 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
             # whole curve, which no finite set of points classifies
             evidence["reason"] = "singular points from the grid fallback (non-certified)"
             return verdict("Inconclusive")
+        if not curve_is_bounded(p):
+            # no sweep: the supports are infinite, and so is the hull
+            evidence["reason"] = "curve is unbounded"
+            return verdict("Inconclusive")
         sing, smooth, witness = classify_boundary(p)
         evidence["boundary_smooth"] = smooth
         if smooth is False and witness is not None:
             evidence["reason"] = "singular point on the hull boundary"
             return verdict("NotExact", witness)
         if smooth is None:
+            evidence["reason"] = "singular point outside the hull"
             return verdict("Inconclusive")
 
         rec = _curve(p)

@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
-import scipy.sparse
 
 from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
 from .poly import SupportLine, monomials_upto
@@ -178,7 +176,8 @@ def _dd_face(F, E):
 
 
 def _dd_direction(B, E):
-    sp = scipy.sparse
+    import scipy.optimize  # on first use: nothing else in the package needs it
+    import scipy.sparse as sp
     nm, n, _ = B.shape
     iu = np.triu_indices(n, 1)
     diag = sp.csr_matrix(B[:, np.arange(n), np.arange(n)].T)   # (n, nm)

@@ -724,3 +724,67 @@ def test_bitangent_rejects_a_flat_vertex():
     for a, b in ((below, at), (at, above)):
         assert exactness._far(a, b)
         assert exactness._bitangent(rec, a, b) is None
+
+
+@pytest.mark.parametrize("text", ["x2^2 - x1^3", "x1*x2 - 1"])
+def test_unbounded_curve_names_the_reason(text):
+    # a curve that is not concave and has infinite supports is not swept;
+    # the cusp of x2^2 = x1^3 stays unclassified
+    verdict = sweep_exactness(parse_poly(text), n=16)
+    assert verdict.verdict == "Inconclusive"
+    assert verdict.evidence["reason"] == "curve is unbounded"
+    assert not verdict.sweep
+    assert {s.classification for s in verdict.singular_points} <= {"unknown"}
+    # the concave parabola stays Exact
+    assert sweep_exactness(parse_poly("x2 - x1^2"), n=16).verdict == "Exact"
+
+
+def test_singular_point_outside_the_hull_names_the_reason(monkeypatch):
+    egg = curves.lookup("egg").implicit
+    monkeypatch.setattr(exactness, "classify_boundary",
+                        lambda p: (find_singularities(p), None, None))
+    verdict = sweep_exactness(egg, n=8)
+    assert verdict.verdict == "Inconclusive"
+    assert verdict.evidence["reason"] == "singular point outside the hull"
+
+
+def _counted_stacks(monkeypatch):
+    """The sizes of the _tangent_supports stacks solved from here on, with
+    a fresh curve record, and the unpatched function."""
+    sizes, original = [], exactness._tangent_supports
+
+    def counted(p, dirs):
+        sizes.append(len(dirs))
+        return original(p, dirs)
+
+    monkeypatch.setattr(exactness, "_tangent_supports", counted)
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    return sizes, original
+
+
+@pytest.mark.parametrize("name", ["egg", "lemniscate", "bean"])
+def test_one_stack_per_support_request(name, monkeypatch):
+    # the rows of the n=360 sweep's seventh lookahead chunk, with the axis
+    # angle 90 degrees among them: one stack, and no solve once they are held
+    sizes, original = _counted_stacks(monkeypatch)
+    p = curves.lookup(name).implicit
+    angles = [j * 2 * math.pi / 360 for j in range(63, 63 + exactness._LOOKAHEAD)]
+    rec = exactness._curve(p)
+    rec.supports(angles)
+    rec.supports(angles[::-1])
+    assert sizes == [exactness._LOOKAHEAD]
+    # every record equals, bit for bit, the one from stacks of at most 6
+    # directions
+    dirs = [(-math.cos(th), -math.sin(th)) for th in angles]
+    small = [ts for i in range(0, len(dirs), 6) for ts in original(p, dirs[i:i + 6])]
+    assert all(ts.line is not None for ts in small)
+    for th, ts in zip(angles, small):
+        assert repr(rec.support(th)) == repr(ts)
+
+
+def test_egg_sweep_solves_one_stack_per_lookahead_chunk(monkeypatch):
+    # chunks of 1, 2, 4, ... rows up to _LOOKAHEAD, the last one cut at n
+    sizes, _ = _counted_stacks(monkeypatch)
+    verdict = sweep_exactness(curves.lookup("egg").implicit, n=360)
+    assert verdict.verdict == "Exact"
+    assert sizes == [1, 2, 4, 8, 16] + [32] * 10 + [9]

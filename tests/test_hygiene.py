@@ -1,11 +1,15 @@
 """Checks on the package source: no module imports a name it never uses,
 no module defines a private function or class that nothing in the package
 reads, every name a module lists in __all__ exists, and so does every
-function that the benchmark's tracer wraps."""
+function that the benchmark's tracer wraps; importing the CLI leaves the LP
+solver unloaded."""
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "quartichull"
 
@@ -117,3 +121,23 @@ def test_traced_targets_resolve():
         if not callable(attr):
             missing.append(target)
     assert missing == []
+
+
+def test_lp_solver_is_imported_where_it_runs():
+    # the CLI loads every module of the package but not scipy.optimize,
+    # which only the facial-reduction LP of a moment relaxation needs
+    modules = sorted(f"quartichull.{path.stem}" for path in SRC.glob("*.py")
+                     if path.stem != "__init__")
+    code = "\n".join([
+        "import sys",
+        "import quartichull.cli",
+        f"missing = [m for m in {modules!r} if m not in sys.modules]",
+        "assert missing == [], missing",
+        "assert 'scipy.optimize' not in sys.modules",
+        "from quartichull import curves, relaxation",
+        "relaxation.membership(curves.lookup('egg').implicit, 2, (0.0, 0.5))",
+        "assert 'scipy.optimize' in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
