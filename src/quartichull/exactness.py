@@ -12,8 +12,8 @@ and its memoized support function; every phase of every verdict reads it,
 and verdicts label copies of the singular points, which are classified
 from the few lines through them that can support the hull, not the sweep.
 
-Tangency and singularity systems are solved by resultant elimination in
-stacks (`_solve_pairs`) whose members share each step, from the Sylvester
+Tangency and singularity systems are solved by resultant elimination alone,
+in stacks (`_solve_pairs`) whose members share each step, from the Sylvester
 determinants to the Gauss-Newton polish, and keep their own trimming, shape,
 fallback and stop rules; one direction is a one-member stack. Each support
 request is one stack, and its caller bounds it: a lookahead chunk of at most
@@ -38,7 +38,6 @@ from .poly import (
     ProjPoint,
     SupportLine,
     _dense,
-    _real_roots_stack,
     _resultant_stack,
     _slice_roots,
     comparison_quartic,
@@ -101,7 +100,7 @@ class TangentSupport(NamedTuple):
     the curve multiplier of the comparison quartic is one; both are None
     when no point qualifies."""
     value: float  # max u.x over the curve, +inf when unbounded in u
-    points: list  # (x1, x2) tuples attaining the value
+    points: list  # (x1, x2) tuples attaining the value, the best first
     line: SupportLine | None = None
     point: tuple | None = None
 
@@ -177,8 +176,9 @@ def _newton_polish(eqs, seeds, weights=None):
             break
         xl = x[live]
         p1, p2 = xl.T[:, None] ** powers
-        # einsum, unlike BLAS, sums a seed's terms alike in any stack of 2+ seeds
-        v = np.einsum("ka,an->kn", C, (p1[:, None] * p2).reshape(-1, len(xl)))
+        P = (p1[:, None] * p2).reshape(-1, len(xl))
+        # einsum sums a lone column in another order than each of 2+: pad it
+        v = np.einsum("ka,an->kn", C, np.tile(P, 2) if len(xl) == 1 else P)[:, :len(xl)]
         # values, x1-partials and x2-partials of the pair of each seed
         (f1, f2), (a, c), (b, e) = (W[:, :, live] * v[rows][:, None]).sum(2)
         det, fro = a * e - b * c, a * a + b * b + c * c + e * e
@@ -209,9 +209,7 @@ def _minima(p, lines):
     seeds = xs[np.array([np.unravel_index(np.argmin(A @ c.T @ A.T), (41, 41))[::-1] for c in C])]
     W = np.zeros((len(lines), 2, 3))
     W[:, :, 0], W[:, 0, 1], W[:, 1, 2] = lines[:, 1:], -1.0, -1.0
-    # each seed twice, which stop together, so that no step has one live seed
-    x = _newton_polish((BivarPoly.const(1.0), p.diff(1), p.diff(2)), np.tile(seeds, (2, 1)),
-                       weights=np.tile(W, (2, 1, 1)))[:len(lines)]
+    x = _newton_polish((BivarPoly.const(1.0), p.diff(1), p.diff(2)), seeds, weights=W)
     v, v0 = (np.einsum("nab,an,bn->n", C, *pts.T[:, None] ** np.arange(d + 1)[:, None])
              for pts in (x, seeds))
     keep = v <= v0
@@ -227,11 +225,12 @@ def _merge_points(points):
     return out
 
 
-def _solve_pairs(eqs, weights, extra):
+def _solve_pairs(eqs, weights):
     """All real common zeros of each pair q_k = sum_j weights[m, k, j] eqs[j]
-    of a stack: per pair the merged points and whether elimination (not the
-    grid fallback) found them. The `extra` seeds, one per pair or none, come
-    back polished, with whether each solves its pair inside the box."""
+    of a stack: per pair its polished zeros, copies not merged, and whether
+    elimination (not the grid fallback) found them. Rounding splits multiple
+    roots of a resultant or a slice off the real axis, so the real parts of
+    all roots inside the box seed, and the residual filter decides."""
     # the coefficient grids [m, k, a, b] of the pairs, each product and the
     # sum rounded to zero at 1e-14 as in BivarPoly arithmetic
     clean = lambda t: np.where(np.abs(t) > 1e-14, t, 0.0)  # noqa: E731
@@ -246,13 +245,14 @@ def _solve_pairs(eqs, weights, extra):
         # variable, else the grid fallback
         ok = [i for i, r in enumerate(rs) if not isinstance(r, ValueError)
               and np.max(np.abs(r)) > 1e-10 * norm[pending[i]].max() ** 2]
-        # Double roots of the resultant shift v by the square root of the
-        # interpolation noise, which can push exact real roots of a slice well
-        # off the real axis: the real parts of all slice roots seed the polish
-        # and the residual filter sorts them out.
-        roots = _real_roots_stack([rs[i] for i in ok], interval=(-_BOX, _BOX))
-        at = [(i, v, k) for i, vs in zip(ok, roots) for v in vs for k in (0, 1)]
-        i, v, k = (np.array(col) for col in zip(*at)) if at else (np.zeros(0, int),) * 3
+        # one root solve, each resultant scaled to a largest coefficient of 1
+        # (the floor of 1 in _slice_roots is for the curve sample); each real part once
+        width = max((len(rs[i]) for i in ok), default=1)
+        z, at = _slice_roots(np.array([np.pad(rs[i], (0, width - len(rs[i]))) / np.abs(rs[i]).max()
+                                       for i in ok]).reshape(-1, width))
+        inside = np.abs(z.real) <= _BOX
+        i, v = np.unique(np.column_stack([np.array(ok, int)[at[inside]], z.real[inside]]), axis=0).T
+        i, v, k = np.repeat(i.astype(int), 2), np.repeat(v, 2), np.tile([0, 1], len(v))
         w, t = _slice_roots(np.einsum("tab,tb->ta", G[i, k], v[:, None] ** np.arange(G.shape[3])))
         inside = np.abs(w.real) <= _BOX
         w, t = w.real[inside], t[inside]
@@ -262,19 +262,17 @@ def _solve_pairs(eqs, weights, extra):
     # non-generic pencils: grid search fallback, flagged non-certified
     grid = np.linspace(-2.0, 2.0, 41)
     grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
-    seeds = np.concatenate(seeds + [grid] * len(pending) + [extra])
-    owner = np.concatenate(owner + [np.repeat(pending, len(grid)), np.arange(len(extra))])
+    seeds = np.concatenate(seeds + [grid] * len(pending))
+    owner = np.concatenate(owner + [np.repeat(pending, len(grid))])
     pts = _newton_polish(eqs, seeds, weights=weights[owner])
     vals = np.array([q.eval_many(pts[:, 0], pts[:, 1]) for q in eqs])
     res = np.abs(np.einsum("nkj,jn->nk", weights[owner], vals))
     good = (res <= _RESIDUAL_TOL * norm[owner]).all(axis=1)
-    big, n = np.abs(pts).max(axis=1), len(pts) - len(extra)
-    good[:n] &= (big[:n] < _BOX) | ~np.isin(owner[:n], pending)
+    good &= (np.abs(pts).max(axis=1) < _BOX) | ~np.isin(owner, pending)
     out = [[] for _ in C]
-    for m, pt in zip(owner[:n][good[:n]], pts[:n][good[:n]]):
+    for m, pt in zip(owner[good], pts[good]):
         out[m].append(tuple(pt))
-    sols = [(_merge_points(o), m not in pending) for m, o in enumerate(out)]
-    return sols, (pts[n:], good[n:] & (big[n:] <= _BOX))
+    return [(o, m not in pending) for m, o in enumerate(out)]
 
 
 def find_singularities(p):
@@ -332,9 +330,8 @@ class _Curve:
 
     @functools.cached_property
     def cloud(self):
-        """Curve points on axis-aligned slices, solved exactly. They seed the
-        tangency solve and bound the support from below when the resultants
-        degrade near singular root clusters."""
+        """Curve points on axis-aligned slices, solved exactly, for
+        curve_points; no verdict reads them."""
         levels = np.concatenate([np.linspace(-_BOX, _BOX, 401),
                                  np.linspace(-2.0, 2.0, 1601)])
         # the rows of p.univariate_in(axis, v), with its operations
@@ -351,22 +348,32 @@ class _Curve:
 
     @functools.cached_property
     def singular(self):
-        """The unlabelled singular points (see find_singularities). Without a
-        generic pencil of partials (a multiple component, or p in one
-        variable only) _solve_pairs returns grid points, flagged
-        non-certified."""
+        """The unlabelled singular points (see find_singularities). Polished
+        copies of an isolated point (up to ~1e-5 apart at a triple point) are
+        one when the residual test passes at their midpoint, kept at a copy of
+        zero residual if any. Without a generic pencil of partials (a multiple
+        component, or p in one variable only) _solve_pairs returns grid
+        points, flagged non-certified, samples of a curve merged within 1e-7."""
         p, p1, p2 = self.p, self.d1, self.d2
-        out = []
-        [(cand, certified)], _ = _solve_pairs((p1, p2), np.eye(2)[None], np.zeros((0, 2)))
-        for (a, b) in cand:
-            rp = abs(p(a, b))
-            rg = math.hypot(p1(a, b), p2(a, b))
-            if rp <= _RESIDUAL_TOL * max(1.0, p.coeff_norm()) and rg <= _RESIDUAL_TOL:
-                out.append(SingularPoint(
-                    location=ProjPoint((1.0, a, b)), at_infinity=False,
-                    residual_p=rp, residual_grad=rg, certified=certified,
-                ))
-        return tuple(out + _infinity_singularities(p))
+        tol = _RESIDUAL_TOL * max(1.0, p.coeff_norm())
+        [(cand, certified)] = _solve_pairs((p1, p2), np.eye(2)[None])
+        cand = [(a, b, abs(p(a, b)), math.hypot(p1(a, b), p2(a, b))) for a, b in cand]
+        cand = np.array([c for c in cand if c[2] <= tol and c[3] <= _RESIDUAL_TOL]).reshape(-1, 4)
+        reps = []  # the index in cand of the kept copy of each point
+        for n, (a, b, rp, rg) in enumerate(cand):
+            kept, mid = cand[reps, :2], (cand[reps, :2] + (a, b)) / 2
+            if certified:
+                same = (np.abs(p.eval_many(*mid.T)) <= tol) & (np.hypot(
+                    p1.eval_many(*mid.T), p2.eval_many(*mid.T)) <= _RESIDUAL_TOL)
+            else:
+                same = np.hypot(*(kept - (a, b)).T) <= 1e-7 * (1 + math.hypot(a, b))
+            if not same.any():
+                reps.append(n)
+            elif certified and rp == rg == 0.0 < cand[reps[np.argmax(same)], 2:].sum():
+                reps[np.argmax(same)] = n
+        return tuple(SingularPoint(location=ProjPoint((1.0, a, b)), at_infinity=False,
+                                   residual_p=rp, residual_grad=rg, certified=certified)
+                     for a, b, rp, rg in cand[reps]) + tuple(_infinity_singularities(p))
 
     def supports(self, thetas):
         """Memoize the TangentSupport at the inward-normal angles theta
@@ -394,11 +401,11 @@ def _curve(p):
 
 def tangent_support(p, f):
     """max f.x over the curve p = 0 and the attaining points. Solves the
-    tangency system p = 0, f2*d1p - f1*d2p = 0 by resultants and from the
-    best cloud point; singular points satisfy the second equation and are
-    included. Returns +inf when the curve is unbounded in the direction,
-    which the far points of the curve record decide. The one-direction case
-    of _tangent_supports."""
+    tangency system p = 0, f2*d1p - f1*d2p = 0 by resultant elimination;
+    singular points satisfy the second equation and are included. Returns
+    +inf when the curve is unbounded in the direction, which the far points
+    of the curve record decide. The one-direction case of _tangent_supports,
+    equal to its member of any stack."""
     (ts,) = _tangent_supports(p, [f])
     if isinstance(ts, Exception):
         raise ts
@@ -421,12 +428,8 @@ def _tangent_supports(p, dirs):
             live.append(m)
             us.append(u / n)
     weights = np.array([[[1.0, 0.0, 0.0], [0.0, u1, -u0]] for u0, u1 in us]).reshape(-1, 2, 3)
-    seeds = np.array([rec.cloud[np.argmax(rec.cloud @ u)] for u in us] if len(rec.cloud) else [])
-    sols, (polished, good) = _solve_pairs((p, rec.d1, rec.d2), weights, seeds.reshape(-1, 2))
-    for i, (m, u) in enumerate(zip(live, us)):
-        pts = sols[i][0]
-        if len(seeds):  # the raw curve point still bounds the support from below
-            pts.append(tuple(polished[i] if good[i] else seeds[i]))
+    sols = _solve_pairs((p, rec.d1, rec.d2), weights)
+    for (pts, _), m, u in zip(sols, live, us):
         vals = [u[0] * a + u[1] * b for (a, b) in pts]
         h = max(vals, default=math.inf)
         # a finite critical value does not bound an unbounded curve
@@ -435,12 +438,11 @@ def _tangent_supports(p, dirs):
         elif not pts:
             out[m] = IndeterminateResult("no tangency point found on a bounded curve")
         else:
-            out[m] = TangentSupport(value=h, points=_merge_points(
-                [s for s, v in zip(pts, vals) if v >= h - 1e-8 * (1 + abs(h))]))
-            f = dirs[m]
+            top = sorted((-v, s) for s, v in zip(pts, vals) if v >= h - 1e-8 * (1 + abs(h)))
+            out[m] = TangentSupport(value=h, points=_merge_points([s for _, s in top]))
             for (a, b) in out[m].points:
                 g = np.array([rec.d1(a, b), rec.d2(a, b)])
-                if np.linalg.norm(g) < 1e-10 or g[0] * f[0] + g[1] * f[1] > 0:
+                if np.linalg.norm(g) < 1e-10 or g[0] * u[0] + g[1] * u[1] > 0:
                     continue  # singular (see classify_boundary) or inner branch
                 line = SupportLine((0.0 - (g[0] * a + g[1] * b), g[0], g[1]))
                 out[m] = out[m]._replace(line=line, point=(a, b))

@@ -326,11 +326,6 @@ def _last_above(mag, tol, floor=0.0):
     return np.where(keep.any(-1), mag.shape[-1] - 1 - np.argmax(keep[..., ::-1], axis=-1), 0)
 
 
-def _horner(c, x):
-    """polyval over the stacks c[..., L] of coefficients (low-to-high)."""
-    return np.polynomial.polynomial.polyval(x, np.moveaxis(c, -1, 0), tensor=False)
-
-
 @functools.lru_cache(maxsize=None)
 def _interpolation(bound):
     """The nodes of `resultant`, and its chebfit, cheb2poly and node scaling
@@ -350,9 +345,9 @@ def _resultant_stack(ca, cb):
     its own; the pairs of one Sylvester shape share one stacked det."""
     ma, mb = np.abs(ca), np.abs(cb)
     da, db = _last_above(ma.max(axis=2), 1e-12), _last_above(mb.max(axis=2), 1e-12)
-    # degree bound in y of the kept rows, as the interpolation needs it
-    dega, degb = (_last_above(((m > 0) & (np.arange(m.shape[1]) <= top[:, None])[..., None])
-                              .any(axis=1), 0.0) for m, top in ((ma, da), (mb, db)))
+    # the Bezout bound on the degree in y: the product of the total degrees
+    tot = np.add.outer(np.arange(ca.shape[1]), np.arange(ca.shape[2]))
+    tota, totb = (np.where(m > 0, tot, 0).max(axis=(1, 2)) for m in (ma, mb))
     out, groups = [None] * len(ca), {}
     for m, (a, b) in enumerate(zip(da, db)):
         if a == 0 == b:
@@ -360,12 +355,13 @@ def _resultant_stack(ca, cb):
         elif a == 0 or b == 0:
             out[m] = np.polynomial.polynomial.polypow(ca[m, 0] if a == 0 else cb[m, 0], a + b)
         else:
-            groups.setdefault((a, b, b * dega[m] + a * degb[m]), []).append(m)
+            groups.setdefault((a, b, tota[m] * totb[m]), []).append(m)
     for (a, b, bound), idx in groups.items():
         nodes, to_monomial = _interpolation(bound)
         syl = np.zeros((len(idx), bound + 1, a + b, a + b))
         for c, rows, first, width in ((ca, b, 0, a), (cb, a, b, b)):
-            vals = _horner(c[idx, width::-1, None, :], nodes).transpose(0, 2, 1)
+            vals = np.polynomial.polynomial.polyval(nodes, np.moveaxis(  # [pair, node, column]
+                c[idx, width::-1, None, :], -1, 0), tensor=False).transpose(0, 2, 1)
             for i in range(rows):
                 syl[:, :, first + i, i:i + width + 1] = vals
         coeffs = np.einsum("gk,mk->gm", np.linalg.det(syl), to_monomial)  # stack-independent
@@ -379,9 +375,9 @@ def resultant(a, b, axis):
     """Sylvester resultant of a and b eliminating x1 (axis=1) or x2 (axis=2).
 
     Returns the coefficient array (low-to-high) of a univariate polynomial in
-    the remaining variable. Computed by evaluating the Sylvester determinant
-    at Chebyshev nodes and interpolating, which is robust for the degree-<=12
-    outputs occurring here. The one-pair case of the stacked form.
+    the remaining variable, of the Bezout degree deg a * deg b at most.
+    Computed by evaluating the Sylvester determinant at that many Chebyshev
+    nodes plus one and interpolating. The one-pair case of the stacked form.
     """
     if a.is_zero() or b.is_zero():
         raise ValueError("resultant of zero polynomial")
@@ -424,52 +420,38 @@ def _slice_roots(c):
     return z[order], row[order]
 
 
-def _real_roots_stack(qs, interval=None):
-    """real_roots of each array of the list qs: the companion eigenvalues in
-    one call per degree, and one Newton loop over all the candidates."""
-    qs = [q[:_last_above(np.abs(q), 1e-12) + 1] for q in (np.asarray(q, float) for q in qs)]
-    if any(len(q) == 1 and q[0] == 0.0 for q in qs):
+def real_roots(q, interval=None):
+    """Real roots of a univariate polynomial (coeff array, low-to-high).
+
+    Roots come from companion-matrix eigenvalues, are polished with Newton
+    steps, each root with its own stop, filtered by residual, merged within
+    a relative 1e-9 and sorted.
+    """
+    q = np.asarray(q, float)
+    q = q[:_last_above(np.abs(q), 1e-12) + 1]
+    if len(q) == 1 and q[0] == 0.0:
         raise ValueError("identically zero polynomial")
-    deg = np.array([len(q) - 1 for q in qs], dtype=int)
-    Q = np.zeros((len(qs), max(deg.max(initial=0), 1) + 1))
-    for m, q in enumerate(qs):
-        Q[m, :len(q)] = q
-    xs, owner = [np.zeros(0)], [np.zeros(0, int)]
-    for n in set(deg.tolist()) - {0}:
-        idx = np.flatnonzero(deg == n)
-        # np.polynomial.polynomial.polyroots, sorted per polynomial
-        r = np.sort(np.linalg.eigvals(_companion(Q[idx, n::-1]).swapaxes(1, 2)), axis=1)
-        real = np.abs(r.imag) <= 1e-7 * (1 + np.abs(r.real))
-        xs.append(r.real[real])
-        owner.append(np.broadcast_to(idx[:, None], r.shape)[real])
-    x, owner = np.concatenate(xs), np.concatenate(owner)
-    c, dc = Q[owner], Q[owner, 1:] * np.arange(1, Q.shape[1])
-    live = np.arange(len(x))
-    for _ in range(20):  # Newton, each root with its own stop
+    n, polyval = len(q) - 1, np.polynomial.polynomial.polyval
+    if n == 0:
+        return []
+    # np.polynomial.polynomial.polyroots, sorted
+    r = np.sort(np.linalg.eigvals(_companion(q[None, ::-1]).swapaxes(1, 2))[0])
+    x = r.real[np.abs(r.imag) <= 1e-7 * (1 + np.abs(r.real))]
+    dq, live = q[1:] * np.arange(1, n + 1), np.arange(len(x))
+    for _ in range(20):
         xl = x[live]
-        fx, dfx = _horner(c[live], xl), _horner(dc[live], xl)
+        fx, dfx = polyval(xl, q), polyval(xl, dq)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = fx / dfx
         go = (np.abs(dfx) >= 1e-300) & np.isfinite(step)
         x[live] = xl = xl - np.where(go, step, 0.0)
         live = live[go & ~(np.abs(step) < 1e-15 * (1 + np.abs(xl)))]
-    bad = np.abs(_horner(c, x)) > (1e-8 * np.abs(Q).max(axis=1)[owner]
-                                   * np.maximum(1.0, np.abs(x)) ** deg[owner])
-    out, (lo, hi) = [[] for _ in qs], interval or (-math.inf, math.inf)
-    for m, v in sorted(zip(owner[~bad].tolist(), x[~bad])):
-        if not (out[m] and abs(v - out[m][-1]) <= 1e-9 * max(1.0, abs(v))):
-            out[m].append(v)
-    return [[v for v in o if lo - 1e-9 <= v <= hi + 1e-9] for o in out]
-
-
-def real_roots(q, interval=None):
-    """Real roots of a univariate polynomial (coeff array, low-to-high).
-
-    Roots come from companion-matrix eigenvalues, are polished with Newton
-    steps, filtered by residual, merged within a relative 1e-9 and sorted. The
-    one-polynomial case of the stacked form.
-    """
-    return _real_roots_stack([q], interval)[0]
+    bad = np.abs(polyval(x, q)) > 1e-8 * np.abs(q).max() * np.maximum(1.0, np.abs(x)) ** n
+    out, (lo, hi) = [], interval or (-math.inf, math.inf)
+    for v in sorted(x[~bad]):
+        if not (out and abs(v - out[-1]) <= 1e-9 * max(1.0, abs(v))):
+            out.append(v)
+    return [v for v in out if lo - 1e-9 <= v <= hi + 1e-9]
 
 
 # ---------------------------------------------------------------------------

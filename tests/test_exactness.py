@@ -112,19 +112,18 @@ def test_stacked_special_members(monkeypatch):
         if f != (0.0, 0.0):
             _assert_same_support(g, tangent_support(parabola, f))
 
-    # one member without a tangency point on a bounded curve: a fresh record
-    # without its curve sample, and no solution for that member
+    # one member without a tangency point on a bounded curve: a fresh record,
+    # and no solution for that member
     egg = curves.lookup("egg").implicit
     dirs = _directions([0, 30, 90, 200])
     monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
-    exactness._curve(egg).__dict__["cloud"] = np.zeros((0, 2))
     kept = exactness._tangent_supports(egg, dirs)
     original = exactness._solve_pairs
 
-    def drop_second(eqs, weights, extra):
-        sols, polished = original(eqs, weights, extra)
+    def drop_second(eqs, weights):
+        sols = original(eqs, weights)
         sols[1] = ([], True)
-        return sols, polished
+        return sols
 
     monkeypatch.setattr(exactness, "_solve_pairs", drop_second)
     got = exactness._tangent_supports(egg, dirs)
@@ -788,3 +787,71 @@ def test_egg_sweep_solves_one_stack_per_lookahead_chunk(monkeypatch):
     verdict = sweep_exactness(curves.lookup("egg").implicit, n=360)
     assert verdict.verdict == "Exact"
     assert sizes == [1, 2, 4, 8, 16] + [32] * 10 + [9]
+
+
+def test_elimination_alone_finds_the_contacts_of_multiple_resultant_roots(monkeypatch):
+    # the tangency resultants have double roots at these axis directions,
+    # which rounding splits off the real axis; with the curve sample of a
+    # fresh record emptied, elimination still finds every contact
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    folium = curves.lookup("folium").implicit
+    smooth = curves.lookup("smoothconvex").implicit
+    for p in (folium, smooth):
+        exactness._curve(p).__dict__["cloud"] = np.zeros((0, 2))
+    # the folium's vertical bitangent x1 = 1/3 touches it at (1/3, +-sqrt(2)/3)
+    # and its leftmost point is (-1, 0)
+    right, left = tangent_support(folium, (1.0, 0.0)), tangent_support(folium, (-1.0, 0.0))
+    assert right.value == pytest.approx(1 / 3, rel=0, abs=1e-12)
+    assert len(right.points) == 2
+    assert np.allclose(sorted(right.points), [(1 / 3, -math.sqrt(2) / 3),
+                                              (1 / 3, math.sqrt(2) / 3)], rtol=0, atol=1e-8)
+    assert left.value == pytest.approx(1.0, rel=0, abs=1e-12)
+    # smoothconvex reaches its highest and lowest points where
+    # x2^4 = x1 + x1^2 - 2 x1^4 is largest, at the root of 1 + 2 x1 - 8 x1^3
+    t = max(r.real for r in np.roots([-8.0, 0.0, 2.0, 1.0]) if abs(r.imag) < 1e-12)
+    top = (t + t * t - 2 * t ** 4) ** 0.25
+    for s in (1.0, -1.0):
+        res = tangent_support(smooth, (0.0, s))
+        assert res.value == pytest.approx(top, rel=0, abs=1e-10)
+        assert len(res.points) == 1
+        assert res.points[0] == pytest.approx((t, s * top), rel=0, abs=1e-6)
+        assert res.line is not None
+
+
+@pytest.mark.parametrize("pt", [(0.25, 0.5), (-0.3, 0.2), (1.0, 0.0), (0.1, 0.7)])
+def test_moved_bean_has_one_triple_point(pt):
+    # the partials meet at the triple point with multiplicity 4, which
+    # rounding splits off the real axis and into copies up to 1e-5 apart:
+    # elimination finds it from every resultant root, as one point
+    a, b = pt
+    p = parse_poly("x1*(x1^2 + x2^2) - x1^4 - x1^2*x2^2 - x2^4".replace("x1", "X")
+                   .replace("x2", f"(x2 - {b})").replace("X", f"(x1 - {a})"))
+    affine = [s for s in find_singularities(p) if not s.at_infinity]
+    assert len(affine) == 1
+    assert affine[0].location.to_affine() == pytest.approx(pt, rel=0, abs=1e-6)
+    verdict = sweep_exactness(p, n=36)
+    assert verdict.verdict == "NotExact"
+    assert [s.classification for s in verdict.singular_points] == ["on_boundary"]
+    assert verdict.witness.normalized().coeffs == pytest.approx((-a, 1.0, 0.0),
+                                                                rel=0, abs=1e-6)
+
+
+def test_sweep_builds_no_curve_sample(monkeypatch):
+    # the supports come from elimination alone: only curve_points reads the
+    # curve sample
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+    for name in ("egg", "bean", "smoothconvex"):
+        p = curves.lookup(name).implicit
+        assert not check_concave(p)
+        sweep_exactness(p, n=36)
+        assert "cloud" not in vars(exactness._curve(p))
+
+
+@pytest.mark.parametrize("name", curves.curve_names())
+def test_one_direction_support_is_its_stacked_member(name):
+    # a lone live seed of the polish is summed as in a stack, so a
+    # one-direction solve equals its member of a stack bit for bit
+    p = curves.lookup(name).implicit
+    dirs = _directions(range(0, 360, 7))
+    for f, got in zip(dirs, exactness._tangent_supports(p, dirs)):
+        assert repr(got) == repr(tangent_support(p, f))
