@@ -3,7 +3,7 @@
 refactor leaves each solve bit-identical, and tally the solve statuses, to
 check that a refactor which moves the last digits leaves them unchanged.
 
-Usage: python3 scripts/solve_digest.py sweep-smooth|sweep-singular|hierarchy
+Usage: python3 scripts/solve_digest.py [--list] sweep-smooth|sweep-singular|hierarchy
 
 Runs the workload once through perfbench/one_pass.py (seed 1, one BLAS
 thread) with quartichull.sdp.solve_stack, the entry that every solve goes
@@ -17,6 +17,12 @@ with the timing fields removed. Two trees whose three lines agree ran the same
 problems to the same answers. Then prints one line per (status, message up
 to its first "(", PSD block size) with its solve count, and the total
 number of interior-point iterations.
+
+With --list, first prints one line per solve, in call order: its index, its
+PSD block size, SHA-256 prefixes of its inputs and of its outputs (the two
+parts of what the solve digest hashes per solve) and the size of its stack.
+Diff two trees' lists with the stack sizes cut off (`sed 's/ *stack .*//'`)
+to find the solves that changed.
 """
 
 import os
@@ -41,17 +47,21 @@ SEED = 1
 TIMING_KEYS = ("ms", "seconds")
 
 
-def _array(h, a):
+def _array(a):
+    """The bytes that the digest reads of an array: its shape, then its data."""
     if a is None:
-        h.update(b"None")
-        return
+        return b"None"
     a = np.ascontiguousarray(a, dtype=float)
-    h.update(repr(a.shape).encode())
-    h.update(a.tobytes())
+    return repr(a.shape).encode() + a.tobytes()
 
 
-def _install(h, count, tally):
-    """Rebind sdp.solve_stack in every package module that holds it."""
+def _short(data):
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+def _install(h, count, tally, listing):
+    """Rebind sdp.solve_stack in every package module that holds it; append
+    the line of each solve to listing when it is a list."""
     solve_stack = sdp.solve_stack
 
     def recorded(prob, c, F0, eq_b, gap_tol=1e-8):
@@ -64,11 +74,13 @@ def _install(h, count, tally):
             count[0] += 1
             count[1] += len(sol.iterates)
             tally[(sol.status, sol.message.split("(")[0].strip(), n)] += 1
-            for a in (c1, F1, prob.F, prob.eq_A, b1):
-                _array(h, a)
-            h.update(f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode())
-            _array(h, sol.z)
-            h.update(repr(float(sol.violation)).encode())
+            given = b"".join(_array(a) for a in (c1, F1, prob.F, prob.eq_A, b1))
+            got = (f"{sol.status}|{sol.message}|{len(sol.iterates)}".encode()
+                   + _array(sol.z) + repr(float(sol.violation)).encode())
+            h.update(given + got)
+            if listing is not None:
+                listing.append(f"{count[0] - 1:5d}  block {n:3d}  in {_short(given)}  "
+                               f"out {_short(got)}  stack {len(sols):4d}")
         return sols
 
     for mod in list(sys.modules.values()):
@@ -87,16 +99,20 @@ def _untimed(obj):
 
 
 def main():
-    if len(sys.argv) != 2 or sys.argv[1] not in ("sweep-smooth", "sweep-singular",
-                                                  "hierarchy"):
+    args = sys.argv[1:]
+    listing = [] if args[:1] == ["--list"] else None
+    args = args[1:] if listing is not None else args
+    if len(args) != 1 or args[0] not in ("sweep-smooth", "sweep-singular", "hierarchy"):
         raise SystemExit(__doc__)
-    workload = sys.argv[1]
+    workload = args[0]
     inputs = one_pass.make_inputs(workload, SEED)
     h, count, tally = hashlib.sha256(), [0, 0], Counter()
-    _install(h, count, tally)
+    _install(h, count, tally, listing)
     run = one_pass.run_hierarchy if workload == "hierarchy" else one_pass.run_sweeps
     _, outputs = run(inputs)
     text = json.dumps(_untimed(outputs), sort_keys=True, default=str)
+    for line in listing or ():
+        print(line)
     print(f"solves: {count[0]}")
     print(f"solve digest: {h.hexdigest()}")
     print(f"output digest: {hashlib.sha256(text.encode()).hexdigest()}")

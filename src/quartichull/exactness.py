@@ -16,10 +16,11 @@ Tangency and singularity systems are solved by resultant elimination alone,
 in stacks (`_solve_pairs`) whose members share each step, from the Sylvester
 determinants to the Gauss-Newton polish, and keep their own trimming, shape,
 fallback and stop rules; one direction is a one-member stack. Each support
-request is one stack, and its caller bounds it: a lookahead chunk of at most
-_LOOKAHEAD angles, the candidate lines of one singular point, or one facet or
-band read. A facet of the hull is solved exactly from the bitangent system
-(`_bitangent`).
+request is one stack, and its caller bounds it: a lookahead chunk of the
+sweep, no longer than one stack of the sweep's Gram program (the memory
+bound of the SDP core), the candidate lines of one singular point, or one
+facet or band read. A facet of the hull is solved exactly from the bitangent
+system (`_bitangent`).
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ from .poly import (
     real_roots,
 )
 from .sdp import min_eig
-from .sos import FEAS_MARGIN, IndeterminateResult, nonneg_quartic, sos_margin, sos_margins
+from .sos import (FEAS_MARGIN, IndeterminateResult, margins_per_stack, nonneg_quartic,
+                  sos_margin, sos_margins)
 
 __all__ = [
     "SingularPoint",
@@ -67,10 +69,6 @@ _CLASSIFY_TOL = 1e-6
 _FORM_TOL = 1e-6  # relative rounding of the parts of p about a singular point
 # half-width of the box that holds every curve point the solvers look for
 _BOX = 50.0
-# The sweep solves its sample margins ahead in chunks of 1, 2, 4, ... rows,
-# at most this many: a chunk shares the solver's per-call overhead, and the
-# cap bounds the margins solved in vain after the first failing row.
-_LOOKAHEAD = 32
 
 
 @dataclass(frozen=True)
@@ -153,6 +151,14 @@ def curve_is_bounded(p):
     return _curve(p).far.shape[0] == 0
 
 
+def _powers(x, d):
+    """x ** 0, ..., x ** d for each row of x, of shape (k, N), as (k, d + 1, N).
+    The exponent is a full array: with one broadcast along the seeds, numpy
+    takes another power loop past 2730 seeds at degree 4, which rounds some
+    powers differently, so a seed's bits would depend on its stack's size."""
+    return x[:, None] ** np.repeat(np.arange(d + 1.0)[:, None], x.shape[1], axis=1)
+
+
 def _newton_polish(eqs, seeds, weights=None):
     """Gauss-Newton polish of an (N, 2) array of seeds, all seeds at once;
     returns the (N, 2) polished points. Seed n solves q1 = q2 = 0, with
@@ -170,17 +176,23 @@ def _newton_polish(eqs, seeds, weights=None):
     x = np.array(seeds, dtype=float).reshape(-1, 2)
     W = np.broadcast_to(np.eye(2), (len(x), 2, 2)) if weights is None else weights
     W = np.moveaxis(W, 0, -1)  # [k, j, seed]
-    live, powers, eps = np.arange(len(x)), np.arange(d + 1)[:, None], np.finfo(float).eps
+    live, eps = np.arange(len(x)), np.finfo(float).eps
     for _ in range(80):
         if live.size == 0:
             break
         xl = x[live]
-        p1, p2 = xl.T[:, None] ** powers
+        p1, p2 = _powers(xl.T, d)
         P = (p1[:, None] * p2).reshape(-1, len(xl))
         # einsum sums a lone column in another order than each of 2+: pad it
         v = np.einsum("ka,an->kn", C, np.tile(P, 2) if len(xl) == 1 else P)[:, :len(xl)]
-        # values, x1-partials and x2-partials of the pair of each seed
-        (f1, f2), (a, c), (b, e) = (W[:, :, live] * v[rows][:, None]).sum(2)
+        del p1, p2, P  # the largest arrays of a step, not needed past here
+        # values, x1-partials and x2-partials of the pair of each seed: the
+        # weighted sum over eqs in np.sum's order (from +0.0), a term at a
+        # time, so that no (3, 2, len(eqs), N) product is held
+        Wl, F = W[:, :, live], np.zeros((3, 2, len(xl)))
+        for j in range(len(eqs)):
+            F += Wl[:, j] * v[rows[:, j], None]
+        (f1, f2), (a, c), (b, e) = F
         det, fro = a * e - b * c, a * a + b * b + c * c + e * e
         with np.errstate(divide="ignore", invalid="ignore"):
             regular = np.abs(det) > 2 * eps * fro
@@ -210,7 +222,7 @@ def _minima(p, lines):
     W = np.zeros((len(lines), 2, 3))
     W[:, :, 0], W[:, 0, 1], W[:, 1, 2] = lines[:, 1:], -1.0, -1.0
     x = _newton_polish((BivarPoly.const(1.0), p.diff(1), p.diff(2)), seeds, weights=W)
-    v, v0 = (np.einsum("nab,an,bn->n", C, *pts.T[:, None] ** np.arange(d + 1)[:, None])
+    v, v0 = (np.einsum("nab,an,bn->n", C, *_powers(pts.T, d))
              for pts in (x, seeds))
     keep = v <= v0
     return np.where(keep[:, None], x, seeds), np.where(keep, v, v0)
@@ -650,7 +662,15 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
                     return theta, line
 
-        ahead, size = {}, 1  # (margin, min p_f) solved ahead, by row
+        # (margin, min p_f) solved ahead, by row, in chunks of 1, 2, 4, ...
+        # rows: a chunk shares the per-call overhead, and with the doubling
+        # the rows solved in vain after the first failing row are no more
+        # than the rows before it. A chunk's margins fit one stack of the SDP
+        # core (margins_per_stack), whose memory bound thus bounds the chunk:
+        # at its 238 rows the Gram stack traces 3.8 MB of the bound's 4 MB,
+        # and the tangency stack about as much (4.9 MB on the lemniscate,
+        # 1.3 MB on the egg).
+        ahead, size, most = {}, 1, margins_per_stack(2)
 
         def band_margin(i):
             """Row i's margin: the one solved ahead, else a single solve (so
@@ -675,7 +695,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                     margins = sos_margins([comparison_quartic(f, p) for f in lines], 2)
                     minima = _minima(p, [f.coeffs for f in lines])[1]
                     ahead.update(zip(range(j, n), zip(margins, minima.tolist())))
-                size = min(2 * size, _LOOKAHEAD)
+                size = min(2 * size, most)
             th = j * step
             line = sample(j).line
             if line is None:

@@ -32,12 +32,12 @@ paid once per stack and not once per member. Each member keeps its own NT
 step lengths and its own stop tests; a member that stops is written out
 and leaves the stack. The Schur complement is factored once per iteration,
 and the inverse of its Cholesky factor serves both directions and every
-refinement step. A stack holds at most 32 members, fewer when the
-(B, m, n, n) intermediate of the Schur complement would pass 2^18 floats;
-solve_stack splits longer stacks. solve(prob, c, F0, d) is the one-member
-stack. All data is checked for finite entries on entry, the structure in
-SdpProblem and the rest once per stack in solve_stack; inner solves skip
-the check.
+refinement step. A stack holds as many members as keep the working set
+of an iteration, about (3 m + 40) n^2 floats per member, within 2^19
+floats; solve_stack splits longer stacks. solve(prob, c, F0, d) is the
+one-member stack. All data is checked for finite entries on entry, the
+structure in SdpProblem and the rest once per stack in solve_stack; inner
+solves skip the check.
 
 solve and solve_stack take one tolerance, gap_tol, the relative duality
 gap at which a feasible iterate is Optimal; Gram solves tighten it so that
@@ -48,6 +48,7 @@ its value.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from types import SimpleNamespace
 
@@ -129,7 +130,7 @@ class SdpSolution:
     z: np.ndarray | None
     duals: np.ndarray | None  # the primal matrix X of the standard form
     violation: float
-    iterates: list = field(default_factory=list)
+    iterates: Sequence = field(default_factory=list)  # one record per iteration
     message: str = ""
 
 
@@ -171,11 +172,26 @@ _STOPS = (
 )
 _FALLBACKS = ("converged to reduced accuracy", "converged on the feasible side only")
 _ITERATE_KEYS = ("pobj", "dobj", "gap", "mu", "rp", "rd")
-# A stack holds at most _STACK_MAX members: at 32 the per-call overhead of
-# numpy is already spread thin. It holds fewer when the (B, m, n, n)
-# intermediate of the Schur complement would pass _STACK_FLOATS floats.
-_STACK_MAX = 32
-_STACK_FLOATS = 2 ** 18
+# The one bound on the size of a stack: an iteration of _ipm holds at most
+# this many floats at once (see _stack_size). 2^19 is the largest power of
+# two whose stacks do not raise the hierarchy benchmark's peak RSS: its k=3
+# support stack holds 50 members, and at 90 the RSS grows by 2 MB.
+_STACK_FLOATS = 2 ** 19
+
+
+class _IterateLog(Sequence):
+    """The iterate log of one solve: an array with one row of _ITERATE_KEYS
+    per iteration, each row read as the record {"iter": i, "pobj": ...}."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        row = dict(zip(_ITERATE_KEYS, self.rows[i].tolist()))
+        return {"iter": range(len(self.rows))[i], **row}
 
 
 def _step(s, Dh):
@@ -216,7 +232,8 @@ def _ipm(C, A, b, gap_tol):
     C of shape (B, n, n), n >= 1, A of shape (m, n, n), m >= 1, and b of
     shape (B, m). The members iterate in lockstep, each with its own step
     lengths and stop tests; a member that stops is written out and leaves
-    the stack. Returns one dict per member."""
+    the stack. Returns one dict per member; its iterate log is built from
+    one (ids, rows) pair per iteration once the stack is done."""
     B, n = C.shape[:2]
     m = len(A)
     A2 = A.reshape(m, n * n)
@@ -238,7 +255,7 @@ def _ipm(C, A, b, gap_tol):
         best=np.full((B, 2), np.inf), best_X=np.zeros((B, 2, n, n)),
         best_y=np.zeros((B, 2, m)), best_S=np.zeros((B, 2, n, n)),
     )
-    iterates = [[] for _ in range(B)]
+    log = []  # per iteration: the live members and their rows of _ITERATE_KEYS
     out = [None] * B
 
     def keep(mask, *arrays):
@@ -261,8 +278,7 @@ def _ipm(C, A, b, gap_tol):
                         X, y, S = st.best_X[j, slot], st.best_y[j, slot], st.best_S[j, slot]
                         break
             i = st.ids[j]
-            out[i] = dict(status=status, X=X.copy(), y=y.copy(), S=S.copy(),
-                          iterates=iterates[i], message=message)
+            out[i] = dict(status=status, X=X.copy(), y=y.copy(), S=S.copy(), message=message)
 
     for it in range(_MAX_ITER):
         X, S, y, C, b = st.X, st.S, st.y, st.C, st.b
@@ -276,9 +292,7 @@ def _ipm(C, A, b, gap_tol):
         dobj = (b * y).sum(axis=1)
         rp_norm = np.sqrt((rp * rp).sum(axis=1))
         rd_norm = np.sqrt((Rd * Rd).sum(axis=(1, 2)))
-        rows = np.array([pobj, dobj, gap, mu, rp_norm, rd_norm]).T.tolist()
-        for i, row in zip(st.ids.tolist(), rows):
-            iterates[i].append({"iter": it, **dict(zip(_ITERATE_KEYS, row))})
+        log.append((st.ids, np.column_stack([pobj, dobj, gap, mu, rp_norm, rd_norm])))
 
         rp_rel, rd_rel = rp_norm / st.bnorm, rd_norm / st.Cnorm
         gap_rel = gap / (1 + np.abs(pobj) + np.abs(dobj))
@@ -304,7 +318,8 @@ def _ipm(C, A, b, gap_tol):
         ]
         w = _STALL_WINDOW
         if it >= w:
-            past = np.array([iterates[i][it + 1 - w]["mu"] for i in st.ids])
+            ids, rows = log[it + 1 - w]  # ids is sorted and holds every live member
+            past = rows[np.searchsorted(ids, st.ids), 3]
             tests.append((mu > 0.5 * past) & (rp_rel < 1e2))
         stop = np.logical_or.reduce(tests)
         if stop.any():
@@ -387,12 +402,26 @@ def _ipm(C, A, b, gap_tol):
         st.S = st.S + ad[:, None, None] * dS
     else:
         finish(np.full(len(st.ids), 8))
+    # a member iterates from the first iteration until it stops, so its rows
+    # in iteration order are its log
+    ids = np.concatenate([i for i, _ in log])
+    order = np.argsort(ids, kind="stable")
+    rows = np.split(np.concatenate([r for _, r in log])[order],
+                    np.cumsum(np.bincount(ids, minlength=B))[:-1])
+    for r, member in zip(out, rows):
+        r["iterates"] = _IterateLog(member)
     return out
 
 
-def _stack_size(m, n):
-    """Members per stack for m variables and an n x n block (see _STACK_MAX)."""
-    return max(1, min(_STACK_MAX, _STACK_FLOATS // (m * n * n)))
+def _stack_size(prob):
+    """Members per stack of the compiled structure prob: as many as keep an
+    iteration's working set within _STACK_FLOATS floats; at least one. A
+    member holds about (3 m + 40) n^2 floats at once, m the free variables
+    and n the block size: the (m, n, n) intermediates of the Schur
+    complement and some 40 (n, n) iterates, steps and factors (traced peaks
+    for m = 7..61 and n = 6..30 are within 10% of it)."""
+    m, n = prob.N.shape[1], prob.F.shape[1]
+    return max(1, _STACK_FLOATS // ((3 * m + 40) * n * n))
 
 
 def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
@@ -448,7 +477,7 @@ def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
         return out
 
     b = -(c @ N)[:, 0]
-    size = _stack_size(N.shape[1], n)
+    size = _stack_size(prob)
     res = []
     for lo in range(0, len(live), size):
         part = live[lo:lo + size]

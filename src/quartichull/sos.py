@@ -16,7 +16,7 @@ import numpy as np
 
 from .moments import build_localizing_matrix, build_moment_matrix
 from .poly import BivarPoly, SupportLine, monomials_upto
-from .sdp import SdpProblem, psd_truncate, solve_stack
+from .sdp import SdpProblem, _stack_size, psd_truncate, solve_stack
 
 __all__ = [
     "SosCertificate",
@@ -24,6 +24,7 @@ __all__ = [
     "sos_decompose",
     "sos_margin",
     "sos_margins",
+    "margins_per_stack",
     "certify_in_fk",
     "nonneg_quartic",
 ]
@@ -218,6 +219,12 @@ def sos_margins(qs, k=2):
     return [float(sol.z[-1]) if sol.status == "Optimal" else
             IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
             for sol in _gram_solve(qs, k)[3]]
+
+
+def margins_per_stack(k=2):
+    """How many of its qs sos_margins solves as one stack of the SDP core:
+    the stack size that the core's memory bound gives the Gram program."""
+    return _stack_size(_gram_problem(k, None)[0])
 
 
 def sos_decompose(q, k):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from quartichull import curves, exactness
+from quartichull import curves, exactness, sos
 from quartichull.exactness import (
     check_concave,
     curve_is_bounded,
@@ -761,19 +761,22 @@ def _counted_stacks(monkeypatch):
     return sizes, original
 
 
-@pytest.mark.parametrize("name", ["egg", "lemniscate", "bean"])
+@pytest.mark.parametrize("name", ["egg", "lemniscate", "bean", "smoothconvex"])
 def test_one_stack_per_support_request(name, monkeypatch):
-    # the rows of the n=360 sweep's seventh lookahead chunk, with the axis
-    # angle 90 degrees among them: one stack, and no solve once they are held
+    # the rows of the n=360 sweep's eighth lookahead chunk, 127..254, with
+    # the axis angle 180 degrees among them: one stack, and no solve once
+    # they are held
     sizes, original = _counted_stacks(monkeypatch)
     p = curves.lookup(name).implicit
-    angles = [j * 2 * math.pi / 360 for j in range(63, 63 + exactness._LOOKAHEAD)]
+    step = 2 * math.pi / 360
+    angles = [j * step for j in range(127, 255)]  # as the sweep computes them
     rec = exactness._curve(p)
     rec.supports(angles)
     rec.supports(angles[::-1])
-    assert sizes == [exactness._LOOKAHEAD]
+    assert sizes == [128]
     # every record equals, bit for bit, the one from stacks of at most 6
-    # directions
+    # directions: the polish of the big stack (over 3000 seeds on the bean
+    # and the lemniscate) rounds each seed as a small one does
     dirs = [(-math.cos(th), -math.sin(th)) for th in angles]
     small = [ts for i in range(0, len(dirs), 6) for ts in original(p, dirs[i:i + 6])]
     assert all(ts.line is not None for ts in small)
@@ -782,11 +785,25 @@ def test_one_stack_per_support_request(name, monkeypatch):
 
 
 def test_egg_sweep_solves_one_stack_per_lookahead_chunk(monkeypatch):
-    # chunks of 1, 2, 4, ... rows up to _LOOKAHEAD, the last one cut at n
+    # chunks of 1, 2, 4, ... rows, the last one cut at n
     sizes, _ = _counted_stacks(monkeypatch)
     verdict = sweep_exactness(curves.lookup("egg").implicit, n=360)
     assert verdict.verdict == "Exact"
-    assert sizes == [1, 2, 4, 8, 16] + [32] * 10 + [9]
+    assert sizes == [1, 2, 4, 8, 16, 32, 64, 128, 105]
+
+
+def test_sweep_chunks_stay_within_the_memory_bound(monkeypatch):
+    # the doubling stops at one stack of the sweep's Gram program, whose
+    # size the SDP core's memory bound sets, so a fine sweep solves bounded
+    # stacks
+    sizes, _ = _counted_stacks(monkeypatch)
+    most = sos.margins_per_stack(2)
+    verdict = sweep_exactness(curves.lookup("egg").implicit, n=1200)
+    assert verdict.verdict == "Exact"
+    assert sum(sizes) == 1200
+    assert max(sizes) == most < 1200 // 4
+    assert sizes[:8] == [2 ** i for i in range(8)]
+    assert sizes[8:-1] == [most] * (len(sizes) - 9)
 
 
 def test_elimination_alone_finds_the_contacts_of_multiple_resultant_roots(monkeypatch):

@@ -252,6 +252,33 @@ def test_stack_members_match_single_solves(max_iter, monkeypatch):
         assert statuses.count("Optimal") == 4 and len(optimal) > 1
 
 
+@pytest.mark.parametrize("window", [80, 2])
+def test_memory_bound_splits_a_stack(window, monkeypatch):
+    # _STACK_FLOATS alone sizes a stack: at four members' worth, six members
+    # run as stacks of 4 and 2, and each member is its one-member solve bit
+    # for bit, its iterate log included. At a stall window of 2, member 0
+    # stops on the stall test after member 3 has left their stack.
+    prob, c, F0, eq_b = _stack_family(6)
+    F0[3, -1, -1] = -1.0  # the untouched block is negative: infeasible
+    m, n = prob.N.shape[1], prob.F.shape[1]
+    monkeypatch.setattr(sdp, "_STACK_FLOATS", 4 * (3 * m + 40) * n * n)
+    monkeypatch.setattr(sdp, "_STALL_WINDOW", window)
+    sizes, ipm = [], sdp._ipm
+    monkeypatch.setattr(sdp, "_ipm", lambda C, *args: sizes.append(len(C)) or ipm(C, *args))
+    stack = solve_stack(prob, c, F0, eq_b)
+    assert sizes == [4, 2]
+    for j, sol in enumerate(stack):
+        one = solve(prob, c[j], F0[j], eq_b[j])
+        assert (sol.status, sol.message) == (one.status, one.message)
+        assert list(sol.iterates) == list(one.iterates)
+        assert [rec["iter"] for rec in sol.iterates] == list(range(len(sol.iterates)))
+        assert (sol.z is None and one.z is None) or sol.z.tobytes() == one.z.tobytes()
+    assert stack[3].status == "Infeasible"
+    if window == 2:
+        assert stack[0].message == "no progress on the barrier parameter"
+        assert len(stack[0].iterates) > len(stack[3].iterates)
+
+
 def test_stack_arguments(monkeypatch):
     prob, c, F0, eq_b = _stack_family(3)
     # an argument without the stack axis is shared by every member
