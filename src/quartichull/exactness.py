@@ -12,15 +12,15 @@ and its memoized support function; every phase of every verdict reads it,
 and verdicts label copies of the singular points, which are classified
 from the few lines through them that can support the hull, not the sweep.
 
-Tangency and singularity systems are solved by resultant elimination alone,
-in stacks (`_solve_pairs`) whose members share each step, from the Sylvester
-determinants to the Gauss-Newton polish, and keep their own trimming, shape,
-fallback and stop rules; one direction is a one-member stack. Each support
-request is one stack, and its caller bounds it: a lookahead chunk of the
-sweep, no longer than one stack of the sweep's Gram program (the memory
-bound of the SDP core), the candidate lines of one singular point, or one
-facet or band read. A facet of the hull is solved exactly from the bitangent
-system (`_bitangent`).
+Tangency, singularity and critical-point systems are solved by resultant
+elimination alone, in stacks (`_solve_pairs`) whose members share each step,
+from the Sylvester determinants to the Gauss-Newton polish, and keep their
+own trimming, shape, fallback and stop rules; one direction is a one-member
+stack. Each support request is one stack, and its caller bounds it: a
+lookahead chunk of the sweep, no longer than one stack of the sweep's Gram
+program (the memory bound of the SDP core), the candidate lines of one
+singular point, or one facet or band read. A facet of the hull is solved
+exactly from the bitangent system (`_bitangent`).
 """
 
 from __future__ import annotations
@@ -108,7 +108,9 @@ class ExactnessVerdict:
     verdict: str  # Exact | NotExact | Inconclusive
     witness: SupportLine | None
     singular_points: list
-    sweep: list = field(default_factory=list)  # (angle, Gram margin, min p_f) rows
+    # (angle, Gram margin, min p_f) rows; min p_f is p_f at the contact on a
+    # passing row, 0 up to rounding, and its least critical value on a failing row
+    sweep: list = field(default_factory=list)
     evidence: dict = field(default_factory=dict)
 
     def to_json(self):
@@ -205,27 +207,6 @@ def _newton_polish(eqs, seeds, weights=None):
         done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > 1e4)
         live = live[~done]
     return x
-
-
-def _minima(p, lines):
-    """Approximate global minima of q_n = f_n - p for an (N, 3) array of line
-    coefficients f_n: the (N, 2) minimizers and the (N,) values. Each row is
-    seeded at its argmin on a 41 x 41 grid over [-3, 3]^2, one row at a time;
-    one _newton_polish solves grad q_n = (f1_n, f2_n) - grad p = 0 from all
-    seeds, and a row whose polish ends above its seed keeps the seed."""
-    lines = np.asarray(lines, dtype=float)
-    d, xs = max(p.degree, 1), np.linspace(-3.0, 3.0, 41)
-    C = np.repeat(-_dense(p, d)[None], len(lines), axis=0)  # [n, a, b] of q_n
-    C[:, [0, 1, 0], [0, 0, 1]] += lines
-    A = xs[:, None] ** np.arange(d + 1)  # [i, j] of A C_n^T A^T is q_n(xs[j], xs[i])
-    seeds = xs[np.array([np.unravel_index(np.argmin(A @ c.T @ A.T), (41, 41))[::-1] for c in C])]
-    W = np.zeros((len(lines), 2, 3))
-    W[:, :, 0], W[:, 0, 1], W[:, 1, 2] = lines[:, 1:], -1.0, -1.0
-    x = _newton_polish((BivarPoly.const(1.0), p.diff(1), p.diff(2)), seeds, weights=W)
-    v, v0 = (np.einsum("nab,an,bn->n", C, *_powers(pts.T, d))
-             for pts in (x, seeds))
-    keep = v <= v0
-    return np.where(keep[:, None], x, seeds), np.where(keep, v, v0)
 
 
 def _merge_points(points):
@@ -662,10 +643,10 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
                     return theta, line
 
-        # (margin, min p_f) solved ahead, by row, in chunks of 1, 2, 4, ...
-        # rows: a chunk shares the per-call overhead, and with the doubling
-        # the rows solved in vain after the first failing row are no more
-        # than the rows before it. A chunk's margins fit one stack of the SDP
+        # margins solved ahead, by row, in chunks of 1, 2, 4, ... rows: a
+        # chunk shares the per-call overhead, and with the doubling the rows
+        # solved in vain after the first failing row are no more than the
+        # rows before it. A chunk's margins fit one stack of the SDP
         # core (margins_per_stack), whose memory bound thus bounds the chunk:
         # at its 238 rows the Gram stack traces 3.8 MB of the bound's 4 MB,
         # and the tangency stack about as much (4.9 MB on the lemniscate,
@@ -675,7 +656,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         def band_margin(i):
             """Row i's margin: the one solved ahead, else a single solve (so
             a lookahead member that failed does not end the sweep)."""
-            m = ahead.get(i, (None,))[0]  # None, a float or an IndeterminateResult
+            m = ahead.get(i)  # None, a float or an IndeterminateResult
             return m if isinstance(m, float) else margin_of(sample(i).line)
 
         def line_at(i):  # None when row i has no line or its support raised
@@ -687,25 +668,28 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         for j in range(n):
             if j not in ahead:
                 # the next chunk of rows up to the first without a line: the
-                # supports, the margins and the minima of p_f each one stack;
-                # a row is acted on only when the loop reaches it
+                # supports and the margins each one stack; a row is acted on
+                # only when the loop reaches it
                 rec.supports([i * step for i in range(j, min(n, j + size))])
                 lines = list(itertools.takewhile(bool, map(line_at, range(j, min(n, j + size)))))
                 if lines:
-                    margins = sos_margins([comparison_quartic(f, p) for f in lines], 2)
-                    minima = _minima(p, [f.coeffs for f in lines])[1]
-                    ahead.update(zip(range(j, n), zip(margins, minima.tolist())))
+                    ahead.update(zip(range(j, n), sos_margins([comparison_quartic(f, p)
+                                                               for f in lines], 2)))
                 size = min(2 * size, most)
             th = j * step
             line = sample(j).line
             if line is None:
                 evidence["reason"] = f"no smooth contact at sweep angle {th!r}"
                 return verdict("Inconclusive")
-            m, pf_min = ahead.pop(j)
+            m = ahead.pop(j)
             if isinstance(m, IndeterminateResult):
                 raise m
+            # a passing row's p_f >= 0 vanishes at the contact: its minimum
+            pf = comparison_quartic(line, p)
+            fails = m < -feas_tol
+            pf_min = quartic_minimizer(pf)[1] if fails else float(pf(*sample(j).point))
             sweep.append((th, m, pf_min))
-            if m < -feas_tol:
+            if fails:
                 evidence["reason"] = "comparison quartic negative on sweep"
                 # the hull often has a facet at the failing band, the canonical
                 # witness: try the pair of samples before j, then the band up
@@ -735,8 +719,20 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
 
 
 def quartic_minimizer(q):
-    """Approximate global minimizer and minimum of a bivariate polynomial q:
-    the one-member case of _minima, with p = -q and the zero line. Locates
-    the negative value witnessing a failed nonnegativity test."""
-    x, v = _minima(-q, np.zeros((1, 3)))
-    return tuple(x[0]), float(v[0])
+    """The least value of q over its real critical points within |x| <= 50
+    (grad q = 0 by elimination, as for the singular points) and a point of
+    it, of ties within 1e-12 (1 + |v|) the least (x1, x2); a constant q at
+    the origin, and -inf at (nan, nan) without a critical point. It is the
+    global minimum of a q that attains its infimum, such as a quartic with a
+    positive definite top form: the witness of a failed nonnegativity test."""
+    if q.degree < 1:
+        return (0.0, 0.0), float(q(0.0, 0.0))
+    [(pts, _)] = _solve_pairs((q.diff(1), q.diff(2)), np.eye(2)[None])
+    if not pts:
+        return (math.nan, math.nan), -math.inf
+    pts = np.array(pts)
+    vals = q.eval_many(pts[:, 0], pts[:, 1])
+    tie = vals <= vals.min() + 1e-12 * (1 + abs(vals.min()))
+    pts, vals = pts[tie], vals[tie]
+    k = np.lexsort((pts[:, 1], pts[:, 0]))[0]
+    return tuple(pts[k].tolist()), float(vals[k])

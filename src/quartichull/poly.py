@@ -420,7 +420,7 @@ def _slice_roots(c):
     return z[order], row[order]
 
 
-def real_roots(q, interval=None):
+def real_roots(q):
     """Real roots of a univariate polynomial (coeff array, low-to-high).
 
     Roots come from companion-matrix eigenvalues, are polished with Newton
@@ -447,11 +447,11 @@ def real_roots(q, interval=None):
         x[live] = xl = xl - np.where(go, step, 0.0)
         live = live[go & ~(np.abs(step) < 1e-15 * (1 + np.abs(xl)))]
     bad = np.abs(polyval(x, q)) > 1e-8 * np.abs(q).max() * np.maximum(1.0, np.abs(x)) ** n
-    out, (lo, hi) = [], interval or (-math.inf, math.inf)
+    out = []
     for v in sorted(x[~bad]):
         if not (out and abs(v - out[-1]) <= 1e-9 * max(1.0, abs(v))):
             out.append(v)
-    return [v for v in out if lo - 1e-9 <= v <= hi + 1e-9]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +482,8 @@ def _tokenize(text):
                 v = float(Fraction(s)) if "/" in s else float(s)
             except OverflowError:
                 v = math.inf
+            except ZeroDivisionError:
+                raise PolyParseError(f"zero denominator: {s[:20]}") from None
             if not math.isfinite(v):
                 raise PolyParseError(f"number out of range: {s[:20]}")
             tokens.append(("num", v))

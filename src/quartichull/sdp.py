@@ -244,7 +244,7 @@ def _ipm(C, A, b, gap_tol):
                        np.maximum(np.abs(C).max(axis=(1, 2)), np.abs(b).max(axis=1)))
     X0 = scale[:, None, None] * np.eye(n)
     # st holds the members still iterating, each array with the member axis
-    # first. best holds the merit, X, y and S of the most accurate iterate
+    # first. best holds the merit, X and y of the most accurate iterate
     # seen (slot 0) and of the one judged on the y/S side only (slot 1):
     # S >= 0 holds throughout, so small rd and gap make y near-feasible and
     # near-optimal for the LMI even when the X side has drifted (degenerate
@@ -253,7 +253,7 @@ def _ipm(C, A, b, gap_tol):
         ids=np.arange(B), C=C, b=b, X=X0, S=X0.copy(), y=np.zeros((B, m)),
         bnorm=1 + np.sqrt((b * b).sum(axis=1)), Cnorm=1 + np.sqrt((C * C).sum(axis=(1, 2))),
         best=np.full((B, 2), np.inf), best_X=np.zeros((B, 2, n, n)),
-        best_y=np.zeros((B, 2, m)), best_S=np.zeros((B, 2, n, n)),
+        best_y=np.zeros((B, 2, m)),
     )
     log = []  # per iteration: the live members and their rows of _ITERATE_KEYS
     out = [None] * B
@@ -266,7 +266,7 @@ def _ipm(C, A, b, gap_tol):
         """Write out the members with a nonzero stop code."""
         for j in np.flatnonzero(codes):
             status, message = _STOPS[codes[j]]
-            X, y, S = st.X[j], st.y[j], st.S[j]
+            X, y = st.X[j], st.y[j]
             if status in ("Numerical", "MaxIter"):
                 # strict tolerances unreachable (degenerate optimal face is
                 # common for moment problems) but an iterate of acceptable
@@ -275,10 +275,10 @@ def _ipm(C, A, b, gap_tol):
                     if st.best[j, slot] < _ACCEPT_TOL:
                         status = "Optimal"
                         message = f"{text} (merit {st.best[j, slot]:.2e})"
-                        X, y, S = st.best_X[j, slot], st.best_y[j, slot], st.best_S[j, slot]
+                        X, y = st.best_X[j, slot], st.best_y[j, slot]
                         break
             i = st.ids[j]
-            out[i] = dict(status=status, X=X.copy(), y=y.copy(), S=S.copy(), message=message)
+            out[i] = dict(status=status, X=X.copy(), y=y.copy(), message=message)
 
     for it in range(_MAX_ITER):
         X, S, y, C, b = st.X, st.S, st.y, st.C, st.b
@@ -303,7 +303,6 @@ def _ipm(C, A, b, gap_tol):
         np.copyto(st.best, merit, where=better)
         np.copyto(st.best_X, X[:, None], where=better[..., None, None])
         np.copyto(st.best_y, y[:, None], where=better[..., None])
-        np.copyto(st.best_S, S[:, None], where=better[..., None, None])
 
         # divergence: improving-ray tests. X/|X| tends to a ray proving LMI
         # infeasibility, y/|y| to one proving unboundedness (both tests

@@ -59,6 +59,10 @@ def test_usage_errors(capsys):
     assert run(capsys, "singularities", "--poly", "1e400*x1^2-x2")[0] == 64
     assert run(capsys, "minimize", "1e400*x1", "--curve", "egg")[0] == 64
     assert run(capsys, "singularities", "--poly", "(1e200*x1)^2-x2")[0] == 64
+    # a zero denominator is a parse error, not a traceback that exits 1
+    code, _, err = run(capsys, "check", "--poly", "1/0 - x1^2 - x2^2")
+    assert code == 64 and "cannot parse polynomial" in err
+    assert run(capsys, "minimize", "1/0*x1", "--curve", "egg")[0] == 64
     # an output file that cannot be written
     code, _, err = run(capsys, "singularities", "--curve", "bean",
                        "--out", "/nonexistent/dir/x.json")
@@ -173,3 +177,6 @@ def test_poly_file_input(capsys, tmp_path):
     code, out, _ = run(capsys, "check", "--poly-file", str(path))
     assert code == 0
     assert "Exact" in out
+    path.write_text("1/0 - x1^2 - x2^2\n")
+    code, _, err = run(capsys, "check", "--poly-file", str(path))
+    assert code == 64 and "cannot parse polynomial" in err

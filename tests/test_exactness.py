@@ -17,7 +17,7 @@ from quartichull.exactness import (
     sweep_exactness,
     tangent_support,
 )
-from quartichull.poly import BivarPoly, comparison_quartic, gradient, parse_poly
+from quartichull.poly import BivarPoly, _dense, comparison_quartic, gradient, parse_poly
 from quartichull.relaxation import membership
 from quartichull.sos import IndeterminateResult, nonneg_quartic
 
@@ -311,6 +311,21 @@ def test_quartic_minimizer_finds_the_lower_of_two_wells():
     assert tuple(x) == pytest.approx((-math.sqrt(0.5), 0.0), rel=0, abs=1e-9)
 
 
+def test_quartic_minimizer_finds_the_lower_well_outside_the_box_of_3():
+    # two wells: near (-0.967, 0) at 0.098, and near (4.03, 0) at -0.4016,
+    # outside [-3, 3]^2
+    x, val = quartic_minimizer(parse_poly("1/16*(x1 - 4)^2*(x1 + 1)^2 - 0.1*x1 + x2^2"))
+    assert val == pytest.approx(-0.4016, abs=1e-4)
+    assert tuple(x) == pytest.approx((4.03, 0.0), abs=1e-2)
+
+
+def test_quartic_minimizer_of_constant_and_linear_polynomials():
+    assert quartic_minimizer(parse_poly("3")) == ((0.0, 0.0), 3.0)
+    # unbounded below, with no critical point to attain a value
+    x, val = quartic_minimizer(parse_poly("x1 - 2*x2 + 1"))
+    assert val == -math.inf and all(map(math.isnan, x))
+
+
 def _grid_seed(q):
     """The argmin of q on the 41 x 41 grid over [-3, 3]^2, scanned x2-major,
     and its value."""
@@ -358,20 +373,38 @@ def test_sweep_minima_never_exceed_their_grid_seed(fixture, request):
         assert row[2] <= seed_value + 1e-12 * (1 + abs(seed_value))
 
 
-@pytest.mark.parametrize("name", ["egg", "bean", "folium"])
-def test_stacked_minima_equal_one_member_calls(name):
+def _dense_grid_minimum(q, m=3001):
+    """The least value of q on an m x m grid over [-3, 3]^2, a block of
+    rows at a time."""
+    xs = np.linspace(-3.0, 3.0, m)
+    C = _dense(q, 4)  # [a, b] of x1^a x2^b
+    V = xs[:, None] ** np.arange(5)
+    return min((V[i:i + 500] @ C @ V.T).min() for i in range(0, m, 500))
+
+
+@pytest.mark.parametrize("name", ["folium", "smoothconvex"])
+def test_failing_rows_print_at_most_the_dense_grid_minimum(name):
     p = curves.lookup(name).implicit
+    failing = 0
+    for n in (8, 12, 24, 72, 360):
+        verdict = sweep_verdict(name)[0] if n == 360 else sweep_exactness(p, n=n)
+        assert verdict.verdict == "NotExact"
+        for row, line in _sweep_lines(verdict, p):
+            if row[1] < -sos.FEAS_MARGIN:
+                failing += 1
+                assert row[2] <= _dense_grid_minimum(comparison_quartic(line, p)) + 1e-9, (n, row)
+    assert failing > 0
+
+
+@pytest.mark.parametrize("fixture", ["egg_verdict", "lemniscate_verdict"])
+def test_passing_rows_print_their_comparison_quartic_at_the_contact(fixture, request):
+    verdict, _ = request.getfixturevalue(fixture)
+    p = curves.lookup(fixture.split("_")[0]).implicit
     rec = exactness._curve(p)
-    lines = [rec.support(j * 2 * math.pi / 48).line for j in range(48)]
-    lines = np.array([f.coeffs for f in lines if f is not None])
-    x, v = exactness._minima(p, lines)
-    for i in range(len(lines)):
-        xi, vi = exactness._minima(p, lines[i:i + 1])
-        assert xi[0].tolist() == x[i].tolist() and vi[0] == v[i]
-    # a sweep row is its line's one-member value, though the sweep stacks it
-    verdict = sweep_exactness(p, n=48)
+    assert verdict.verdict == "Exact" and len(verdict.sweep) == 360
     for row, line in _sweep_lines(verdict, p):
-        assert row[2] == exactness._minima(p, [line.coeffs])[1][0]
+        assert row[2] == comparison_quartic(line, p)(*rec.support(row[0]).point)
+        assert abs(row[2]) <= 1e-15
 
 
 def test_concave_fast_path():

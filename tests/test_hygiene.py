@@ -125,7 +125,9 @@ def test_traced_targets_resolve():
 
 def test_lp_solver_is_imported_where_it_runs():
     # the CLI loads every module of the package but not scipy.optimize,
-    # which only the facial-reduction LP of a moment relaxation needs
+    # which only the facial-reduction LP of a moment relaxation needs; the
+    # sweeps, an Exact one and a NotExact one that solves its failing row's
+    # critical points, do not load it either (it costs them about 10 MB)
     modules = sorted(f"quartichull.{path.stem}" for path in SRC.glob("*.py")
                      if path.stem != "__init__")
     code = "\n".join([
@@ -134,7 +136,11 @@ def test_lp_solver_is_imported_where_it_runs():
         f"missing = [m for m in {modules!r} if m not in sys.modules]",
         "assert missing == [], missing",
         "assert 'scipy.optimize' not in sys.modules",
-        "from quartichull import curves, relaxation",
+        "from quartichull import curves, exactness, relaxation",
+        "for name, kind in (('egg', 'Exact'), ('smoothconvex', 'NotExact')):",
+        "    v = exactness.sweep_exactness(curves.lookup(name).implicit, n=24)",
+        "    assert v.verdict == kind, (name, v.verdict)",
+        "assert 'scipy.optimize' not in sys.modules",
         "relaxation.membership(curves.lookup('egg').implicit, 2, (0.0, 0.5))",
         "assert 'scipy.optimize' in sys.modules",
     ])

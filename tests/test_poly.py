@@ -119,7 +119,6 @@ def test_real_roots_known():
     q = np.polynomial.polynomial.polyfromroots([1.0, -2.0, 1j, -1j]).real
     roots = real_roots(q)
     assert roots == pytest.approx([-2.0, 1.0], abs=1e-9)
-    assert real_roots(q, interval=(0.0, 5.0)) == pytest.approx([1.0], abs=1e-9)
 
 
 def test_real_roots_double_root():
@@ -173,7 +172,7 @@ def test_stacked_resultants_and_roots_equal_one_member_calls():
     stacked = _resultant_stack(ca, cb)
     for (a, b), r in zip(pairs, stacked):
         assert np.array_equal(r, resultant(a, b, axis=2))
-    assert any(real_roots(r, interval=(-50.0, 50.0)) for r in stacked)
+    assert any(any(abs(t) <= 50.0 for t in real_roots(r)) for r in stacked)
 
 
 def test_resultants_have_the_bezout_degree():
