@@ -44,6 +44,7 @@ from .poly import (
     comparison_quartic,
     gradient,
     hessian,
+    monomials_upto,
     real_roots,
 )
 from .sdp import min_eig
@@ -108,8 +109,9 @@ class ExactnessVerdict:
     verdict: str  # Exact | NotExact | Inconclusive
     witness: SupportLine | None
     singular_points: list
-    # (angle, Gram margin, min p_f) rows; min p_f is p_f at the contact on a
-    # passing row, 0 up to rounding, and its least critical value on a failing row
+    # (angle, face margin, min p_f) rows: the Gram margin of p_f moved to its
+    # contact (see _at_contacts); min p_f is p_f at the contact on a passing
+    # row, 0 up to rounding, and its least critical value on a failing row
     sweep: list = field(default_factory=list)
     evidence: dict = field(default_factory=dict)
 
@@ -583,10 +585,35 @@ def curve_points(p):
     return _curve(p).cloud.copy()
 
 
+def _at_contacts(p, pfs, contacts):
+    """The comparison quartics pfs moved to their contacts: q(x) = p_f(x + P)
+    for each p_f and its contact P, all by one linear map of the
+    coefficients, whose x1^i x2^j coefficient sums C(a, i) P1^(a - i) c_ab
+    C(b, j) P2^(b - j) over the coefficients c_ab of p_f.
+
+    The sweep line is built from grad p at P, so q's constant and linear
+    coefficients are p_f(P) = -p(P), which the tangency filter bounds, and
+    grad p_f(P) = 0, up to rounding. Where all three are within that bound
+    they are set to exactly 0: q then vanishes to second order at the
+    origin, every Gram matrix of q vanishes on the row of the monomial 1
+    (m(P) for p_f), and sos_margins drops the row. Elsewhere they stay."""
+    e = np.arange(5)
+    binom = np.array([[math.comb(a, i) for i in e] for a in e], dtype=float)
+    powers = _powers(np.asarray(contacts, dtype=float).T, 4)  # (2, 5, B)
+    # shift[v, a, i, m] = C(a, i) P_v^(a - i) for the contact P of member m
+    shift = binom[None, :, :, None] * powers[:, np.maximum(e[:, None] - e, 0)]
+    q = np.einsum("aim,mab,bjm->mij", shift[0], np.array([_dense(f, 4) for f in pfs]), shift[1])
+    on = np.abs(q[:, [0, 1, 0], [0, 0, 1]]).max(axis=1) <= _RESIDUAL_TOL * max(1.0, p.coeff_norm())
+    q[on, 0, 0] = q[on, 1, 0] = q[on, 0, 1] = 0.0
+    return [BivarPoly({(i, j): c[i, j] for i, j in monomials_upto(4)}) for c in q]
+
+
 def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     """Full decision procedure: concavity fast path, boundary smoothness,
     then a supporting-line sweep testing p_f >= 0 at n angles and at the
-    hull facets solved between them (see _bitangent). Every phase reads the
+    hull facets solved between them (see _bitangent), each by the SOS
+    margin of p_f moved to its contact, on the face of the Gram rows that
+    the contact forces to zero (_at_contacts). Every phase reads the
     support function of the curve record over the inward-normal angle. When
     a solve cannot decide, the verdict is Inconclusive and keeps the
     singular points and sweep rows computed before."""
@@ -624,8 +651,9 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         rec = _curve(p)
         step = 2 * math.pi / n
 
-        def margin_of(line):
-            return sos_margin(comparison_quartic(line, p), 2)
+        def margin_of(line, contact):
+            [q] = _at_contacts(p, [comparison_quartic(line, p)], [contact])
+            return sos_margin(q, 2)
 
         def sample(i):  # at the sweep's own angles, which key the support memo
             return rec.support((i % n) * step)
@@ -640,28 +668,29 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 theta = math.atan2(g2, g1) % (2 * math.pi)
                 line = SupportLine((-(g1 * a + g2 * b), g1, g2))
                 # its normal must lie between the two sample angles
-                if (theta - lo) % (2 * math.pi) <= step and margin_of(line) < -feas_tol:
+                if (theta - lo) % (2 * math.pi) <= step and margin_of(line, (a, b)) < -feas_tol:
                     return theta, line
 
-        # margins solved ahead, by row, in chunks of 1, 2, 4, ... rows: a
-        # chunk shares the per-call overhead, and with the doubling the rows
-        # solved in vain after the first failing row are no more than the
-        # rows before it. A chunk's margins fit one stack of the SDP
-        # core (margins_per_stack), whose memory bound thus bounds the chunk:
-        # at its 238 rows the Gram stack traces 3.8 MB of the bound's 4 MB,
-        # and the tangency stack about as much (4.9 MB on the lemniscate,
-        # 1.3 MB on the egg).
+        # margins on the contact face (_at_contacts) solved ahead, by row, in
+        # chunks of 1, 2, 4, ... rows: a chunk shares the per-call overhead,
+        # and with the doubling the rows solved in vain after the first
+        # failing row are no more than the rows before it. A chunk's margins
+        # fit one stack of the SDP core (margins_per_stack), whose memory
+        # bound thus bounds the chunk: at its 403 rows the stack of 5x5 faces
+        # traces 3.6 MB of the bound's 4 MB, and the tangency stack 9.3 MB
+        # on the lemniscate and 2.3 MB on the egg. Each row keeps its p_f
+        # beside its margin, for its min p_f.
         ahead, size, most = {}, 1, margins_per_stack(2)
 
         def band_margin(i):
             """Row i's margin: the one solved ahead, else a single solve (so
             a lookahead member that failed does not end the sweep)."""
-            m = ahead.get(i)  # None, a float or an IndeterminateResult
-            return m if isinstance(m, float) else margin_of(sample(i).line)
+            m = ahead[i][0] if i in ahead else None  # a float or an IndeterminateResult
+            return m if isinstance(m, float) else margin_of(sample(i).line, sample(i).point)
 
-        def line_at(i):  # None when row i has no line or its support raised
+        def support_at(i):  # None when row i's support raised
             try:
-                return sample(i).line
+                return sample(i)
             except IndeterminateResult:
                 return None
 
@@ -671,21 +700,22 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 # supports and the margins each one stack; a row is acted on
                 # only when the loop reaches it
                 rec.supports([i * step for i in range(j, min(n, j + size))])
-                lines = list(itertools.takewhile(bool, map(line_at, range(j, min(n, j + size)))))
-                if lines:
-                    ahead.update(zip(range(j, n), sos_margins([comparison_quartic(f, p)
-                                                               for f in lines], 2)))
+                rows = list(itertools.takewhile(lambda s: s is not None and s.line is not None,
+                                                map(support_at, range(j, min(n, j + size)))))
+                if rows:
+                    pfs = [comparison_quartic(s.line, p) for s in rows]
+                    qs = _at_contacts(p, pfs, [s.point for s in rows])
+                    ahead.update(zip(range(j, n), zip(sos_margins(qs, 2), pfs)))
                 size = min(2 * size, most)
             th = j * step
             line = sample(j).line
             if line is None:
                 evidence["reason"] = f"no smooth contact at sweep angle {th!r}"
                 return verdict("Inconclusive")
-            m = ahead.pop(j)
+            m, pf = ahead.pop(j)
             if isinstance(m, IndeterminateResult):
                 raise m
             # a passing row's p_f >= 0 vanishes at the contact: its minimum
-            pf = comparison_quartic(line, p)
             fails = m < -feas_tol
             pf_min = quartic_minimizer(pf)[1] if fails else float(pf(*sample(j).point))
             sweep.append((th, m, pf_min))

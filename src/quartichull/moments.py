@@ -47,6 +47,34 @@ def _products(d):
     return _position(e[:, None, 0] + e[None, :, 0], e[:, None, 1] + e[None, :, 1])
 
 
+def _diagonal_face(sums, free, needed=None):
+    """The rows kept by the diagonal pass of facial reduction, on a block
+    whose entry (u, v) reads position sums[u, v] of the product table: row u
+    goes when the position of u + u is free and no other entry of the kept
+    block reads it, one row at a time in order until none goes. A row also
+    stays when its loss would leave a position of `needed` in no entry.
+
+    On the moment side a free position is a moment in no constraint row;
+    on the Gram side it is a coefficient that is zero in every target, and
+    the nonzero ones are needed: a target coefficient that no kept entry
+    reaches would make the coefficient matching inconsistent. Dropping a
+    row never makes another one stay, so without `needed` the order does not
+    change the result."""
+    free = np.asarray(free, dtype=bool)
+    needed = np.zeros_like(free) if needed is None else np.asarray(needed, dtype=bool)
+    kept = np.arange(len(sums))
+    while True:
+        sub = sums[np.ix_(kept, kept)]
+        count = np.bincount(sub[np.triu_indices(len(kept))], minlength=len(free))
+        for i, w in enumerate(np.diag(sub)):
+            own = np.bincount(sub[i], minlength=len(free))  # row i's entries
+            if count[w] == 1 and free[w] and not np.any(needed & (own == count) & (own > 0)):
+                kept = np.delete(kept, i)
+                break
+        else:
+            return kept
+
+
 @dataclass(frozen=True)
 class MomentIndex:
     """Graded-lex index of moments y_{ab}, a + b <= 2k."""

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import LinearMatrixForm, build_localizing_matrix, build_moment_matrix
+from .moments import (LinearMatrixForm, _diagonal_face, build_localizing_matrix,
+                      build_moment_matrix)
 from .poly import SupportLine, monomials_upto
 from .sdp import SdpProblem, equality_multipliers, solve, solve_stack
 from .sos import FEAS_MARGIN, IndeterminateResult
@@ -88,19 +89,10 @@ def _reductions(p, k):
     E = np.zeros((3 + len(loc), nm))
     E[[0, 1, 2], [0, 1, 2]] = 1.0
     E[3:] = loc
-    constrained = np.any(E != 0, axis=0)
-    kept = np.arange(moment.size)
-    while True:
-        # drop row u when y_{2u} is unconstrained and occurs nowhere else
-        # in the kept block
-        sums = moment.sums[np.ix_(kept, kept)]
-        count = np.bincount(sums[np.triu_indices(len(kept))], minlength=nm)
-        diag = np.diag(sums)
-        drop = (count[diag] == 1) & ~constrained[diag]
-        if not drop.any():
-            break
-        kept = kept[~drop]
-    form = LinearMatrixForm(sums, moment.rows)  # M_k on the kept rows
+    # drop row u when y_{2u} is unconstrained and occurs nowhere else in the
+    # kept block
+    kept = _diagonal_face(moment.sums, ~np.any(E != 0, axis=0))
+    form = LinearMatrixForm(moment.sums[np.ix_(kept, kept)], moment.rows)  # M_k on the kept rows
     F = form.coefficients()
     W = _dd_face(F, E)
 

@@ -3,7 +3,8 @@ dual SOS cone of affine functions f = s0 + s1*p.
 
 Gram matrices are indexed by monomials of degree <= k in graded-lex order.
 Non-uniqueness is resolved by maximizing the minimum eigenvalue, so repeated
-runs return the same certificate.
+runs return the same certificate. Margins (sos_margins) are solved on the
+face of the Gram rows that the targets' zero coefficients force to zero.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import build_localizing_matrix, build_moment_matrix
+from .moments import (LinearMatrixForm, _diagonal_face, build_localizing_matrix,
+                      build_moment_matrix)
 from .poly import BivarPoly, SupportLine, monomials_upto
 from .sdp import SdpProblem, _stack_size, psd_truncate, solve_stack
 
@@ -114,22 +116,26 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
 
 
 @functools.lru_cache(maxsize=32)
-def _gram_problem(k, p):
+def _gram_problem(k, p, rows=None):
     """max t s.t. target = s0 + s1*p with Gram(s0) - t*I PSD, compiled once
-    per (k, p): the target enters a solve only as eq_b (_gram_solve).
+    per (k, p, rows): the target enters a solve only as eq_b (_gram_solve).
 
     Variables: upper-triangle Gram entries of s0 over the monomials of degree
-    <= k (row-major), then, when p is not None, the coefficients of s1 over
-    the monomials of degree <= 2(k-2), then t. With p None this is the plain
+    <= k (row-major), or over those of the positions in rows (see
+    _gram_face), then, when p is not None, the coefficients of s1 over the
+    monomials of degree <= 2(k-2), then t. With p None this is the plain
     SOS search for target. The optimal t is >= 0 exactly when such a
     certificate exists and is a continuous infeasibility margin otherwise.
 
     Coefficient matching, one row per moment position, is the adjoint of
     the moment side: the Gram columns are M_k's 0/1 coefficient tensor at
     the upper-triangle entries, doubled off the diagonal, and the s1 columns
-    are the transposed localizing rows. Returns (program, M_k form).
+    are the transposed localizing rows; a position that no kept entry reads
+    has a zero row. Returns (program, M_k form on the kept rows).
     """
     form = build_moment_matrix(k)
+    if rows is not None:
+        form = LinearMatrixForm(form.sums[np.ix_(rows, rows)], form.rows)
     nb = form.size
     iu, ju = np.triu_indices(nb)
     ng = len(iu)
@@ -144,15 +150,35 @@ def _gram_problem(k, p):
     return SdpProblem(F, A), form
 
 
-def _gram_solve(targets, k, p=None, gap_tol=1e-8):
+@functools.lru_cache(maxsize=32)
+def _gram_face(k, support):
+    """The Gram rows (positions among the monomials of degree <= k) that a
+    stack of targets with nonzero coefficients at `support` (one flag per
+    monomial of degree <= 2k) keeps: row u goes when the coefficient at 2u
+    is zero in every target and only u + u reaches it among the kept rows,
+    so every PSD Gram matrix vanishes on row u (Newton-polytope pruning,
+    Reznick 1978), unless a nonzero coefficient would then be reached by
+    no entry. Exact: a target is SOS iff its kept block has a PSD Gram.
+    None, the full basis, when every row stays, or when none does (targets
+    that are all zero, whose margin stays the full basis's 0)."""
+    support, sums = np.array(support), build_moment_matrix(k).sums
+    kept = _diagonal_face(sums, ~support, support)
+    return tuple(kept.tolist()) if 0 < len(kept) < len(sums) else None
+
+
+def _gram_solve(targets, k, p=None, gap_tol=1e-8, face=False):
     """Solve the Gram program of _gram_problem for each of targets, as one
-    stack: (program, M_k form, eq_b with one row per target, solutions)."""
-    prob, form = _gram_problem(k, p)
-    c = np.zeros(len(prob.F))
-    c[-1] = -1.0  # maximize t
+    stack, over every Gram row, or with face (p None: the pruning reads the
+    target as s0 alone) over the rows that _gram_face keeps for the stack:
+    (program, M_k form on the rows, eq_b with one row per target,
+    solutions)."""
     monomials = monomials_upto(2 * k)
     b = np.array([[t.coeff(*s) for s in monomials] for t in targets],
                  dtype=float).reshape(len(targets), len(monomials))
+    rows = _gram_face(k, tuple(np.any(b != 0, axis=0).tolist())) if face else None
+    prob, form = _gram_problem(k, p, rows)
+    c = np.zeros(len(prob.F))
+    c[-1] = -1.0  # maximize t
     sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b, gap_tol)
     return prob, form, b, sols
 
@@ -203,7 +229,11 @@ def sos_margin(q, k=2):
     """Max-min-eigenvalue margin of the Gram search for q: nonnegative iff
     q is SOS at order k, continuously negative with the depth of failure.
 
-    One solve at the generic tolerance."""
+    The Gram block is that of the face q's zero coefficients force
+    (_gram_face): a q that vanishes to second order at the origin, as a
+    comparison quartic moved to its contact does, loses the row of the
+    monomial 1, on which every PSD Gram matrix of q vanishes, and the margin
+    is the one on the rest. One solve at the generic tolerance."""
     [margin] = sos_margins([q], k)
     if isinstance(margin, IndeterminateResult):
         raise margin
@@ -212,19 +242,23 @@ def sos_margin(q, k=2):
 
 def sos_margins(qs, k=2):
     """sos_margin of each q in qs, solved as one stack (sweeps pass the
-    angles of one chunk): a list holding each margin, or the
+    angles of one chunk) over the face of the rows that _gram_face keeps
+    for the whole stack: a list holding each margin, or the
     IndeterminateResult that sos_margin raises for that q."""
     if any(q.degree > 2 * k for q in qs):
         raise ValueError("degree of q exceeds 2k")
     return [float(sol.z[-1]) if sol.status == "Optimal" else
             IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
-            for sol in _gram_solve(qs, k)[3]]
+            for sol in _gram_solve(qs, k, face=True)[3]]
 
 
 def margins_per_stack(k=2):
-    """How many of its qs sos_margins solves as one stack of the SDP core:
-    the stack size that the core's memory bound gives the Gram program."""
-    return _stack_size(_gram_problem(k, None)[0])
+    """How many of its qs sos_margins solves as one stack of the SDP core
+    when each q vanishes to second order at the origin: the stack size that
+    the core's memory bound gives the Gram program of the largest such face,
+    every row but the monomial 1's. Every smaller face stacks more."""
+    rows = tuple(range(1, len(monomials_upto(k))))
+    return _stack_size(_gram_problem(k, None, rows)[0])
 
 
 def sos_decompose(q, k):

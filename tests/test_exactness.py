@@ -17,7 +17,8 @@ from quartichull.exactness import (
     sweep_exactness,
     tangent_support,
 )
-from quartichull.poly import BivarPoly, _dense, comparison_quartic, gradient, parse_poly
+from quartichull.poly import (BivarPoly, _dense, comparison_quartic, gradient, monomials_upto,
+                             parse_poly)
 from quartichull.relaxation import membership
 from quartichull.sos import IndeterminateResult, nonneg_quartic
 
@@ -405,6 +406,56 @@ def test_passing_rows_print_their_comparison_quartic_at_the_contact(fixture, req
     for row, line in _sweep_lines(verdict, p):
         assert row[2] == comparison_quartic(line, p)(*rec.support(row[0]).point)
         assert abs(row[2]) <= 1e-15
+
+
+def _face_rows(name, n):
+    """The comparison quartics of the n sweep angles of a registry curve,
+    and the same quartics moved to their contacts."""
+    p = curves.lookup(name).implicit
+    rec = exactness._curve(p)
+    angles = [j * 2 * math.pi / n for j in range(n)]
+    rec.supports(angles)
+    rows = [rec.support(th) for th in angles]
+    assert all(s.line is not None for s in rows)
+    pfs = [comparison_quartic(s.line, p) for s in rows]
+    return pfs, exactness._at_contacts(p, pfs, [s.point for s in rows])
+
+
+@pytest.mark.parametrize("name", ["egg", "lemniscate", "smoothconvex", "folium"])
+def test_face_margins_fail_exactly_where_full_margins_fail(name):
+    # the face drops only Gram rows on which every PSD Gram matrix
+    # vanishes, so it loses no certificate: the margin on the face and the
+    # one over the full basis of the untranslated p_f agree in sign
+    pfs, qs = _face_rows(name, 72)
+    face = sos.sos_margins(qs, 2)
+    full = [sol.z[-1] for sol in sos._gram_solve(pfs, 2)[3]]
+    assert all(isinstance(m, float) for m in face)
+    fails = [m < -exactness.FEAS_MARGIN for m in face]
+    assert fails == [m < -exactness.FEAS_MARGIN for m in full]
+    assert any(fails) == (name in ("smoothconvex", "folium"))
+
+
+@pytest.mark.parametrize("name, kept, free", [
+    # the egg's top form is -x1^4: x2^4 and x1^2 x2^2 are zero in every p_f
+    ("egg", [(1, 0), (0, 1), (2, 0)], 1),
+    ("lemniscate", [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)], 4),
+])
+def test_a_row_moved_to_its_contact_loses_the_monomial_1(name, kept, free):
+    _, qs = _face_rows(name, 8)
+    for q in qs:
+        assert q.coeff(0, 0) == q.coeff(1, 0) == q.coeff(0, 1) == 0.0
+    rows = sos._gram_face(2, tuple(np.any([[q.coeff(*s) != 0 for s in monomials_upto(4)]
+                                           for q in qs], axis=0).tolist()))
+    assert [monomials_upto(2)[i] for i in rows] == kept
+    assert sos._gram_problem(2, None, rows)[0].N.shape[1] == free
+
+
+def test_lemniscate_face_margins_leave_the_rounding_floor(lemniscate_verdict):
+    # only the lines touching the curve twice, at 90 and 270 degrees, force a
+    # second Gram kernel vector
+    verdict, _ = lemniscate_verdict
+    low = [round(math.degrees(th), 9) for th, m, _ in verdict.sweep if m < 1e-3]
+    assert low == [90.0, 270.0]
 
 
 def test_concave_fast_path():
@@ -831,12 +882,14 @@ def test_sweep_chunks_stay_within_the_memory_bound(monkeypatch):
     # stacks
     sizes, _ = _counted_stacks(monkeypatch)
     most = sos.margins_per_stack(2)
-    verdict = sweep_exactness(curves.lookup("egg").implicit, n=1200)
+    n = 2400
+    verdict = sweep_exactness(curves.lookup("egg").implicit, n=n)
     assert verdict.verdict == "Exact"
-    assert sum(sizes) == 1200
-    assert max(sizes) == most < 1200 // 4
-    assert sizes[:8] == [2 ** i for i in range(8)]
-    assert sizes[8:-1] == [most] * (len(sizes) - 9)
+    assert sum(sizes) == n
+    assert max(sizes) == most < n // 4
+    doubling = [2 ** i for i in range(most.bit_length()) if 2 ** i < most]
+    assert sizes[:len(doubling)] == doubling
+    assert sizes[len(doubling):-1] == [most] * (len(sizes) - len(doubling) - 1)
 
 
 def test_elimination_alone_finds_the_contacts_of_multiple_resultant_roots(monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quartichull import curves
+from quartichull import curves, sos
 from quartichull.moments import build_moment_matrix, point_moments
 from quartichull.poly import (
     BivarPoly,
@@ -34,6 +34,36 @@ def test_sos_margin_signs():
     assert sos_margin(x1**2 + x2**2 + 1, 1) == pytest.approx(1.0, abs=1e-6)
     # indefinite quartic
     assert sos_margin(x1**2 * x2**2 - x1**2 - x2**2, 2) < -1e-3
+
+
+def _face_rows(q, k=2):
+    """The Gram rows that sos_margin keeps for q, as monomials."""
+    rows = sos._gram_face(k, tuple(q.coeff(*s) != 0 for s in monomials_upto(2 * k)))
+    basis = monomials_upto(k)
+    return basis if rows is None else [basis[i] for i in rows]
+
+
+def test_face_of_a_form_keeps_the_quadratic_rows():
+    # x1^4 + x2^4 has zero coefficients at 1, x1^2 and x2^2, reached only by
+    # the rows 1, x1 and x2; x1^2 x2^2 is zero too, but x1^2 * x2^2 reaches
+    # it besides x1x2 * x1x2
+    q = parse_poly("x1^4 + x2^4")
+    assert _face_rows(q) == [(2, 0), (1, 1), (0, 2)]
+    # Gram [[1, 0, g], [0, -2g, 0], [g, 0, 1]] is best at g = -1/3
+    assert sos_margin(q, 2) == pytest.approx(2 / 3, abs=1e-6)
+    # the zero target keeps every row (a face of none has no margin)
+    assert sos_margin(BivarPoly(), 2) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_face_keeps_a_row_that_alone_reaches_a_nonzero_coefficient():
+    # x2^4 is zero and only x2^2 * x2^2 reaches it, but x1*x2^3 is reached
+    # only by x1x2 * x2^2: the row x2^2 stays, and the failing margin is a
+    # number, not an inconsistent equality system
+    q = parse_poly("x1^4 + x1*x2^3 + x1^2")
+    assert (0, 2) in _face_rows(q)
+    assert (0, 0) not in _face_rows(q) and (0, 1) not in _face_rows(q)
+    m = sos_margin(q, 2)
+    assert np.isfinite(m) and m < -FEAS_MARGIN
 
 
 @given(st.lists(fl, min_size=6, max_size=6))
