@@ -9,11 +9,13 @@ registry curves, `check --poly` on four polynomials (the Fermat quartic, a
 parabola, a non-reduced circle and an isolated point outside a circle, whose
 verdict reads the lines from the point that touch the circle), `check --poly`
 and `singularities --poly` for the bean moved so that its triple point lies
-at (0.25, 0.5), `sos --curve
-egg --line 2,0,-2`, `rational` on folium (text) and bean (json), `minimize
-x1 --curve bean -k 2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this
-tree's src/ in a fresh interpreter with one BLAS thread. Two trees print
-the same bytes for these invocations exactly when their outputs diff clean.
+at (0.25, 0.5) and for the lemniscate moved so that its node does (off the
+origin, the tangency polish sets its seeds onto a node that elimination
+solved in rounded arithmetic), `sos --curve egg --line 2,0,-2`, `rational`
+on folium (text) and bean (json), `minimize x1 --curve bean -k 2..8` and
+`boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this tree's
+src/ in a fresh interpreter with one BLAS thread. Two trees print the same
+bytes for these invocations exactly when their outputs diff clean.
 """
 
 import hashlib
@@ -28,6 +30,7 @@ POLYS = ("1 - x1^4 - x2^4", "x2 - x1^2", "-(x1^2 + x2^2 - 1)^2",
          "-(x1^2 + x2^2)*((x1 - 2)^2 + x2^2 - 1)")
 MOVED_BEAN = ("(x1 - 0.25)*((x1 - 0.25)^2 + (x2 - 0.5)^2) - (x1 - 0.25)^4"
               " - (x1 - 0.25)^2*(x2 - 0.5)^2 - (x2 - 0.5)^4")
+MOVED_LEMNISCATE = "(x1 - 0.25)^2 - (x2 - 0.5)^2 - ((x1 - 0.25)^2 + (x2 - 0.5)^2)^2"
 
 
 def invocations():
@@ -37,8 +40,9 @@ def invocations():
         yield ["singularities", "--curve", name]
     for text in POLYS:
         yield ["check", f"--poly={text}"]  # '=' keeps a leading '-' a value
-    yield ["check", f"--poly={MOVED_BEAN}"]
-    yield ["singularities", f"--poly={MOVED_BEAN}"]
+    for text in (MOVED_BEAN, MOVED_LEMNISCATE):
+        yield ["check", f"--poly={text}"]
+        yield ["singularities", f"--poly={text}"]
     yield ["sos", "--curve", "egg", "--line", "2,0,-2"]
     yield ["rational", "--curve", "folium"]
     yield ["rational", "--curve", "bean", "--format", "json"]

@@ -16,11 +16,15 @@ Tangency, singularity and critical-point systems are solved by resultant
 elimination alone, in stacks (`_solve_pairs`) whose members share each step,
 from the Sylvester determinants to the Gauss-Newton polish, and keep their
 own trimming, shape, fallback and stop rules; one direction is a one-member
-stack. Each support request is one stack, and its caller bounds it: a
-lookahead chunk of the sweep, no longer than one stack of the sweep's Gram
-program (the memory bound of the SDP core), the candidate lines of one
-singular point, or one facet or band read. A facet of the hull is solved
-exactly from the bitangent system (`_bitangent`).
+stack. The certified affine singular points of the curve record are known
+common roots of every tangency pair: the polish stops a seed that reaches
+one and sets it there, since Newton's method crawls toward a singular root
+at linear speed. Each support request is one stack, and its caller bounds
+it: a lookahead chunk of the sweep, no longer than one stack of the sweep's
+Gram program (the memory bound of the SDP core), the candidate lines of one
+singular point, or one facet or band read; the polish takes its seeds in
+batches within the same bound. A facet of the hull is solved exactly from
+the bitangent system (`_bitangent`).
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from .poly import (
     monomials_upto,
     real_roots,
 )
-from .sdp import min_eig
+from .sdp import _STACK_FLOATS, min_eig
 from .sos import (FEAS_MARGIN, IndeterminateResult, margins_per_stack, nonneg_quartic,
                   sos_margin, sos_margins)
 
@@ -70,6 +74,9 @@ _CLASSIFY_TOL = 1e-6
 _FORM_TOL = 1e-6  # relative rounding of the parts of p about a singular point
 # half-width of the box that holds every curve point the solvers look for
 _BOX = 50.0
+# floats that the polish holds a seed at once (traced: 49 on the lemniscate's
+# tangency stacks, 63 on the bean's, 70 on the egg's)
+_SEED_FLOATS = 70
 
 
 @dataclass(frozen=True)
@@ -156,22 +163,29 @@ def curve_is_bounded(p):
 
 
 def _powers(x, d):
-    """x ** 0, ..., x ** d for each row of x, of shape (k, N), as (k, d + 1, N).
-    The exponent is a full array: with one broadcast along the seeds, numpy
-    takes another power loop past 2730 seeds at degree 4, which rounds some
-    powers differently, so a seed's bits would depend on its stack's size."""
-    return x[:, None] ** np.repeat(np.arange(d + 1.0)[:, None], x.shape[1], axis=1)
+    """x ** 0, ..., x ** d for each row of x, of shape (k, N), as (k, d + 1, N),
+    by repeated elementwise products x ** e = x ** (e - 1) * x: each entry is
+    rounded alike whatever the number of seeds."""
+    out = np.empty((x.shape[0], d + 1, x.shape[1]))
+    out[:, 0] = 1.0
+    for e in range(d):
+        np.multiply(out[:, e], x, out=out[:, e + 1])
+    return out
 
 
-def _newton_polish(eqs, seeds, weights=None):
+def _newton_polish(eqs, seeds, weights=None, known=(), far=1e4):
     """Gauss-Newton polish of an (N, 2) array of seeds, all seeds at once;
     returns the (N, 2) polished points. Seed n solves q1 = q2 = 0, with
     q_k = sum_j weights[n, k, j] eqs[j] (by default eqs is the pair): eqs
     and their partials are evaluated once per step for all seeds. Each seed
-    stops on its own: on a non-finite step (left where it was), on a step
-    below 1e-15 (1 + |x|), past |x| > 1e4, or after 80 steps. The step
-    is the least-squares one: Cramer's rule when J has full rank at lstsq's
-    default cutoff, else the minimum-norm step -J^T F / |J|_F^2."""
+    stops on its own: set exactly onto a known common root S of every pair
+    once it is within the _merge_points distance 1e-7 (1 + |S|) of it (at
+    seeding and after every step), on a non-finite step (left where it
+    was), on a step below 1e-15 (1 + |x|), past |x| > far, or after 80
+    steps. Newton converges only linearly to a singular root, so the known
+    roots spare those seeds the crawl. The step is the least-squares one:
+    Cramer's rule when J has full rank at lstsq's default cutoff, else the
+    minimum-norm step -J^T F / |J|_F^2."""
     cols = [list(eqs), [q.diff(1) for q in eqs], [q.diff(2) for q in eqs]]
     polys = list(dict.fromkeys(sum(cols, [])))  # each polynomial once
     rows = np.array([[polys.index(q) for q in col] for col in cols])
@@ -180,7 +194,22 @@ def _newton_polish(eqs, seeds, weights=None):
     x = np.array(seeds, dtype=float).reshape(-1, 2)
     W = np.broadcast_to(np.eye(2), (len(x), 2, 2)) if weights is None else weights
     W = np.moveaxis(W, 0, -1)  # [k, j, seed]
+    S = np.asarray(known, dtype=float).reshape(-1, 2)
+    reach = 1e-7 * (1 + np.hypot(S[:, 0], S[:, 1]))
+
+    def captured(idx):
+        """Set the seeds idx within reach of a known root onto it; the mask
+        of those seeds."""
+        if not len(S):
+            return np.zeros(len(idx), dtype=bool)
+        near = np.hypot(x[idx, None, 0] - S[:, 0], x[idx, None, 1] - S[:, 1]) <= reach
+        hit = near.any(axis=1)
+        if hit.any():
+            x[idx[hit]] = S[near[hit].argmax(axis=1)]
+        return hit
+
     live, eps = np.arange(len(x)), np.finfo(float).eps
+    live = live[~captured(live)]
     for _ in range(80):
         if live.size == 0:
             break
@@ -206,8 +235,8 @@ def _newton_polish(eqs, seeds, weights=None):
         finite = np.isfinite(step).all(axis=0)
         x[live] = xl = xl + np.where(finite, step, 0.0).T
         nx = np.hypot(xl[:, 0], xl[:, 1])
-        done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > 1e4)
-        live = live[~done]
+        done = ~finite | (np.hypot(*step) < 1e-15 * (1 + nx)) | (nx > far)
+        live = live[~(done | captured(live))]
     return x
 
 
@@ -220,12 +249,14 @@ def _merge_points(points):
     return out
 
 
-def _solve_pairs(eqs, weights):
-    """All real common zeros of each pair q_k = sum_j weights[m, k, j] eqs[j]
-    of a stack: per pair its polished zeros, copies not merged, and whether
-    elimination (not the grid fallback) found them. Rounding splits multiple
-    roots of a resultant or a slice off the real axis, so the real parts of
-    all roots inside the box seed, and the residual filter decides."""
+def _solve_pairs(eqs, weights, known=(), box=_BOX):
+    """All real common zeros within the box |x| <= box of each pair q_k =
+    sum_j weights[m, k, j] eqs[j] of a stack: per pair its polished zeros,
+    copies not merged but each known common root (see _newton_polish) once,
+    and whether elimination (not the grid fallback) found them. Rounding
+    splits multiple roots of a resultant or a slice off the real axis, so
+    the real parts of all roots inside the box seed, and the residual filter
+    decides. The polish gives a seed up past 200 box."""
     # the coefficient grids [m, k, a, b] of the pairs, each product and the
     # sum rounded to zero at 1e-14 as in BivarPoly arithmetic
     clean = lambda t: np.where(np.abs(t) > 1e-14, t, 0.0)  # noqa: E731
@@ -245,11 +276,11 @@ def _solve_pairs(eqs, weights):
         width = max((len(rs[i]) for i in ok), default=1)
         z, at = _slice_roots(np.array([np.pad(rs[i], (0, width - len(rs[i]))) / np.abs(rs[i]).max()
                                        for i in ok]).reshape(-1, width))
-        inside = np.abs(z.real) <= _BOX
+        inside = np.abs(z.real) <= box
         i, v = np.unique(np.column_stack([np.array(ok, int)[at[inside]], z.real[inside]]), axis=0).T
         i, v, k = np.repeat(i.astype(int), 2), np.repeat(v, 2), np.tile([0, 1], len(v))
         w, t = _slice_roots(np.einsum("tab,tb->ta", G[i, k], v[:, None] ** np.arange(G.shape[3])))
-        inside = np.abs(w.real) <= _BOX
+        inside = np.abs(w.real) <= box
         w, t = w.real[inside], t[inside]
         seeds.append(np.column_stack([v[t], w] if axis == 2 else [w, v[t]]))
         owner.append(pending[i[t]])
@@ -259,11 +290,22 @@ def _solve_pairs(eqs, weights):
     grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
     seeds = np.concatenate(seeds + [grid] * len(pending))
     owner = np.concatenate(owner + [np.repeat(pending, len(grid))])
-    pts = _newton_polish(eqs, seeds, weights=weights[owner])
+    # the polish holds about _SEED_FLOATS floats a seed at once: it takes
+    # batches of seeds within the SDP core's memory bound (the seeds are
+    # polished independently, so the batches do not change a bit)
+    per = _STACK_FLOATS // _SEED_FLOATS
+    pts = np.concatenate([_newton_polish(eqs, seeds[i:i + per], weights[owner[i:i + per]],
+                                         known, far=200 * box)
+                          for i in range(0, max(len(seeds), 1), per)])
     vals = np.array([q.eval_many(pts[:, 0], pts[:, 1]) for q in eqs])
     res = np.abs(np.einsum("nkj,jn->nk", weights[owner], vals))
     good = (res <= _RESIDUAL_TOL * norm[owner]).all(axis=1)
-    good &= (np.abs(pts).max(axis=1) < _BOX) | ~np.isin(owner, pending)
+    good &= (np.abs(pts).max(axis=1) < box) | ~np.isin(owner, pending)
+    # the seeds that a known root took sit exactly on it: one copy a pair
+    on = (pts[:, None] == np.reshape(known, (1, -1, 2))).all(axis=2).any(axis=1)
+    at = np.flatnonzero(good & on)
+    first = np.unique(np.column_stack([owner[at], pts[at]]), axis=0, return_index=True)[1]
+    good[np.delete(at, first)] = False
     out = [[] for _ in C]
     for m, pt in zip(owner[good], pts[good]):
         out[m].append(tuple(pt))
@@ -411,7 +453,9 @@ def _tangent_supports(p, dirs):
     """tangent_support of a stack of directions, solved together: per
     direction its TangentSupport, with its sweep line, or the exception
     tangent_support raises. The pairs share p, d1 and d2, each weighed with
-    its own direction."""
+    its own direction, and the known roots: the certified affine singular
+    points of the curve record (not the grid fallback's, nor those at
+    infinity)."""
     rec = _curve(p)
     out, live, us = [None] * len(dirs), [], []
     for m, f in enumerate(dirs):
@@ -423,7 +467,9 @@ def _tangent_supports(p, dirs):
             live.append(m)
             us.append(u / n)
     weights = np.array([[[1.0, 0.0, 0.0], [0.0, u1, -u0]] for u0, u1 in us]).reshape(-1, 2, 3)
-    sols = _solve_pairs((p, rec.d1, rec.d2), weights)
+    known = [s.location.to_affine() for s in rec.singular if not s.at_infinity and s.certified]
+    eqs = (p, rec.d1, rec.d2)
+    sols = _solve_pairs(eqs, weights, known) if known else _solve_pairs(eqs, weights)
     for (pts, _), m, u in zip(sols, live, us):
         vals = [u[0] * a + u[1] * b for (a, b) in pts]
         h = max(vals, default=math.inf)
@@ -677,9 +723,10 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         # failing row are no more than the rows before it. A chunk's margins
         # fit one stack of the SDP core (margins_per_stack), whose memory
         # bound thus bounds the chunk: at its 403 rows the stack of 5x5 faces
-        # traces 3.6 MB of the bound's 4 MB, and the tangency stack 9.3 MB
-        # on the lemniscate and 2.3 MB on the egg. Each row keeps its p_f
-        # beside its margin, for its min p_f.
+        # traces 3.6 MB of the bound's 4 MB, and the tangency stack, whose
+        # polish takes its seeds in batches within that bound, 4.1 MB on the
+        # lemniscate, 5.1 MB on the bean and 2.4 MB on the egg. Each row
+        # keeps its p_f beside its margin, for its min p_f.
         ahead, size, most = {}, 1, margins_per_stack(2)
 
         def band_margin(i):
@@ -749,15 +796,21 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
 
 
 def quartic_minimizer(q):
-    """The least value of q over its real critical points within |x| <= 50
-    (grad q = 0 by elimination, as for the singular points) and a point of
-    it, of ties within 1e-12 (1 + |v|) the least (x1, x2); a constant q at
-    the origin, and -inf at (nan, nan) without a critical point. It is the
-    global minimum of a q that attains its infimum, such as a quartic with a
-    positive definite top form: the witness of a failed nonnegativity test."""
+    """The least value of q over its real critical points (grad q = 0 by
+    elimination, as for the singular points) and a point of it, of ties
+    within 1e-12 (1 + |v|) the least (x1, x2); a constant q at the origin,
+    and -inf at (nan, nan) without a critical point. It is the global
+    minimum of a q that attains its infimum, such as a quartic with a
+    positive definite top form: the witness of a failed nonnegativity test.
+    The critical points are sought in a box of q's own scale, the Fujiwara
+    bound 2 max_k (|q_k| / |q_d|)^(1 / (d - k)) over the graded parts q_k
+    of q (largest coefficients), and at least the curve box."""
     if q.degree < 1:
         return (0.0, 0.0), float(q(0.0, 0.0))
-    [(pts, _)] = _solve_pairs((q.diff(1), q.diff(2)), np.eye(2)[None])
+    d = q.degree
+    size = [q.graded_part(k).coeff_norm() for k in range(d + 1)]
+    box = max(_BOX, 2 * max((size[k] / size[d]) ** (1 / (d - k)) for k in range(d)))
+    [(pts, _)] = _solve_pairs((q.diff(1), q.diff(2)), np.eye(2)[None], box=box)
     if not pts:
         return (math.nan, math.nan), -math.inf
     pts = np.array(pts)

@@ -116,6 +116,12 @@ _RAY_THRESHOLD = 1e6
 # which the strict tolerances are out of reach; if some iterate reaches this
 # merit it is returned as Optimal, and the message names the fallback.
 _ACCEPT_TOL = 1e-6
+# A member whose relative primal residual rises past this after it was below
+# _FEAS_TOL stops as diverged: above it neither fallback can take an iterate
+# (the merit of slot 0 is at least the residual, and slot 1 takes only
+# iterates below it), and the solves seen to do this (the bean's supports
+# at k = 5..8) never came back.
+_DIVERGED = 1e-2
 # Stagnation is declared when mu fails to halve over this many iterations;
 # a shorter window stops solves that are slow but still converging.
 _STALL_WINDOW = 80
@@ -164,6 +170,7 @@ _STOPS = (
     ("Optimal", ""),
     ("Infeasible", "primal improving ray found"),
     ("Unbounded", "dual improving ray found"),
+    ("Numerical", "primal residual diverged"),
     ("Numerical", "no progress on the barrier parameter"),
     ("Numerical", "iterate left the cone"),
     ("Numerical", "singular Schur complement"),
@@ -253,7 +260,7 @@ def _ipm(C, A, b, gap_tol):
         ids=np.arange(B), C=C, b=b, X=X0, S=X0.copy(), y=np.zeros((B, m)),
         bnorm=1 + np.sqrt((b * b).sum(axis=1)), Cnorm=1 + np.sqrt((C * C).sum(axis=(1, 2))),
         best=np.full((B, 2), np.inf), best_X=np.zeros((B, 2, n, n)),
-        best_y=np.zeros((B, 2, m)),
+        best_y=np.zeros((B, 2, m)), feasible=np.zeros(B, dtype=bool),
     )
     log = []  # per iteration: the live members and their rows of _ITERATE_KEYS
     out = [None] * B
@@ -298,7 +305,7 @@ def _ipm(C, A, b, gap_tol):
         gap_rel = gap / (1 + np.abs(pobj) + np.abs(dobj))
         merit_lmi = np.maximum(rd_rel, gap_rel)
         merit = np.array([np.maximum(rp_rel, merit_lmi),
-                          np.where(rp_rel < 1e-2, merit_lmi, np.inf)]).T
+                          np.where(rp_rel < _DIVERGED, merit_lmi, np.inf)]).T
         better = merit < st.best
         np.copyto(st.best, merit, where=better)
         np.copyto(st.best_X, X[:, None], where=better[..., None, None])
@@ -314,7 +321,9 @@ def _ipm(C, A, b, gap_tol):
                 np.sqrt((ax * ax).sum(axis=1)), 1e-16 * np.sqrt((X * X).sum(axis=(1, 2))))),
             (dobj > 0) & (dobj > _RAY_THRESHOLD * np.maximum(
                 np.sqrt((ray * ray).sum(axis=(1, 2))), 1e-16 * np.sqrt((y * y).sum(axis=1)))),
+            st.feasible & (rp_rel > _DIVERGED),
         ]
+        st.feasible |= rp_rel < _FEAS_TOL
         w = _STALL_WINDOW
         if it >= w:
             ids, rows = log[it + 1 - w]  # ids is sorted and holds every live member
@@ -388,9 +397,9 @@ def _ipm(C, A, b, gap_tol):
         dX, dy, dS = solve_direction(R @ (rhs / denom) @ RT)
         ap, ad = _step(s, Rinv @ dX @ RinvT), _step(s, RT @ dS @ R)
 
-        stop = np.where(np.minimum(ap, ad) < 1e-10, 7, 0)
-        stop[bad_m] = 6
-        stop[bad_x | bad_s] = 5
+        stop = np.where(np.minimum(ap, ad) < 1e-10, 8, 0)
+        stop[bad_m] = 7
+        stop[bad_x | bad_s] = 6
         if stop.any():
             finish(stop)
             if stop.all():
@@ -400,7 +409,7 @@ def _ipm(C, A, b, gap_tol):
         st.y = st.y + ad[:, None] * dy
         st.S = st.S + ad[:, None, None] * dS
     else:
-        finish(np.full(len(st.ids), 8))
+        finish(np.full(len(st.ids), 9))
     # a member iterates from the first iteration until it stops, so its rows
     # in iteration order are its log
     ids = np.concatenate([i for i, _ in log])

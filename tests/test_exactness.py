@@ -287,6 +287,53 @@ def test_newton_polish_treats_seeds_independently():
     assert exactness._newton_polish(eqs, np.zeros((0, 2))).shape == (0, 2)
 
 
+def _tangency_weights(dirs):
+    return np.array([[[1.0, 0.0, 0.0], [0.0, u1, -u0]] for u0, u1 in dirs])
+
+
+def test_the_polish_stops_at_a_known_singular_root():
+    # the node solves every tangency pair of the lemniscate: each direction
+    # lists it once, at the singular point itself
+    p = curves.lookup("lemniscate").implicit
+    rec = exactness._curve(p)
+    [node] = [s.location.to_affine() for s in rec.singular if not s.at_infinity]
+    assert node == (0.0, 0.0)
+    dirs = _directions(range(0, 360, 7))
+    sols = exactness._solve_pairs((p, rec.d1, rec.d2), _tangency_weights(dirs), [node])
+    for pts, certified in sols:
+        assert certified
+        assert pts.count(node) == 1
+        assert not any(0 < math.hypot(*pt) <= 1e-7 for pt in pts)
+    # a seed 1e-9 off the node ends exactly on it; one far from it does not
+    eqs = _tangency_pair("lemniscate", (0.6, 0.8))
+    got = exactness._newton_polish(eqs, np.array([[1e-9, 0.0], [0.5, 0.5]]), known=[node])
+    assert got[0].tolist() == [0.0, 0.0]
+    assert got[1].tolist() != [0.0, 0.0]
+
+
+def test_a_smooth_tangency_point_near_a_node_is_kept():
+    # (x2 - x1^2)(x2 + x1) has a node at the origin; on its branch x2 = x1^2
+    # the normal (-2t, 1) is met at (t, t^2), here 1e-4 from the node
+    p = parse_poly("(x2 - x1^2)*(x2 + x1)")
+    t = 1e-4
+    u = np.array([-2 * t, 1.0]) / math.hypot(2 * t, 1.0)
+    [(pts, certified)] = exactness._solve_pairs((p, p.diff(1), p.diff(2)),
+                                                _tangency_weights([u]), [(0.0, 0.0)])
+    assert certified
+    assert pts.count((0.0, 0.0)) == 1
+    assert any(math.hypot(a - t, b - t * t) <= 1e-12 for a, b in pts)
+
+
+def test_powers_round_each_seed_alike_in_any_stack():
+    # numpy takes another power loop past 2730 seeds; products do not
+    x = np.random.default_rng(0).uniform(-3.0, 3.0, size=(2, 3000))
+    big = exactness._powers(x, 4)
+    alone = np.concatenate([exactness._powers(x[:, n:n + 1], 4) for n in range(x.shape[1])],
+                           axis=2)
+    assert alone.tobytes() == big.tobytes()
+    assert np.allclose(big, x[:, None] ** np.arange(5.0)[:, None], rtol=1e-15, atol=0)
+
+
 def test_sweep_rows_cover_the_circle(egg_verdict):
     verdict, _ = egg_verdict
     angles = [row[0] for row in verdict.sweep]
@@ -318,6 +365,13 @@ def test_quartic_minimizer_finds_the_lower_well_outside_the_box_of_3():
     x, val = quartic_minimizer(parse_poly("1/16*(x1 - 4)^2*(x1 + 1)^2 - 0.1*x1 + x2^2"))
     assert val == pytest.approx(-0.4016, abs=1e-4)
     assert tuple(x) == pytest.approx((4.03, 0.0), abs=1e-2)
+
+
+def test_quartic_minimizer_finds_a_critical_point_beyond_the_curve_box():
+    # the critical solve's box comes from q's own coefficients, not |x| <= 50
+    x, val = quartic_minimizer(parse_poly("(x1 - 60)^2 + x2^2 - 1"))
+    assert val == pytest.approx(-1.0, rel=0, abs=1e-9)
+    assert tuple(x) == pytest.approx((60.0, 0.0), rel=0, abs=1e-9)
 
 
 def test_quartic_minimizer_of_constant_and_linear_polynomials():

@@ -200,6 +200,29 @@ def test_minimize_linear_reports_no_bound_from_unfinished_solves(monkeypatch):
         assert status.startswith("support solve returned MaxIter"), status
 
 
+def test_a_diverged_support_solve_stops_early(monkeypatch):
+    # the bean's k=8 support solve reaches primal feasibility, then loses
+    # it for good: it stops once its residual passes 1e-2, where no fallback
+    # can accept an iterate; the bounds at k=2..4 do not move
+    from quartichull import relaxation
+
+    solves, original = [], relaxation.solve_stack
+
+    def kept(*args, **kwargs):
+        out = original(*args, **kwargs)
+        solves.extend(out)
+        return out
+
+    monkeypatch.setattr(relaxation, "solve_stack", kept)
+    p = curves.lookup("bean").implicit
+    rows = minimize_linear(p, (1.0, 0.0), [2, 3, 4, 8])
+    assert [b for _, b, _ in rows[:3]] == pytest.approx(
+        [-0.13154426313248932, -0.0291412112925819, -0.005860348001936976], rel=1e-9, abs=0)
+    assert rows[3] == (8, None, "support solve returned Numerical: primal residual diverged")
+    assert solves[3].message == "primal residual diverged"
+    assert len(solves[3].iterates) < 80
+
+
 def test_minimize_egg_x1_value():
     p = curves.lookup("egg").implicit
     rows = minimize_linear(p, (1.0, 0.0), [2])
