@@ -11,11 +11,14 @@ verdict reads the lines from the point that touch the circle), `check --poly`
 and `singularities --poly` for the bean moved so that its triple point lies
 at (0.25, 0.5) and for the lemniscate moved so that its node does (off the
 origin, the tangency polish sets its seeds onto a node that elimination
-solved in rounded arithmetic), `sos --curve egg --line 2,0,-2`, `rational`
-on folium (text) and bean (json), `minimize x1 --curve bean -k 2..8` and
-`boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of this tree's
-src/ in a fresh interpreter with one BLAS thread. Two trees print the same
-bytes for these invocations exactly when their outputs diff clean.
+solved in rounded arithmetic), `sos --curve egg --line 2,0,-2` at the
+default order and at k=4 (a certificate on the boundary of the Gram cone,
+of rank 2), `sos --curve bean --line 3,1,0 -k 4` (one in its interior),
+`rational` on folium (text) and bean (json), `minimize x1 --curve bean
+-k 2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of
+this tree's src/ in a fresh interpreter with one BLAS thread. Two trees
+print the same bytes for these invocations exactly when their outputs diff
+clean.
 """
 
 import hashlib
@@ -44,6 +47,8 @@ def invocations():
         yield ["check", f"--poly={text}"]
         yield ["singularities", f"--poly={text}"]
     yield ["sos", "--curve", "egg", "--line", "2,0,-2"]
+    yield ["sos", "--curve", "egg", "--line", "2,0,-2", "-k", "4"]
+    yield ["sos", "--curve", "bean", "--line", "3,1,0", "-k", "4"]
     yield ["rational", "--curve", "folium"]
     yield ["rational", "--curve", "bean", "--format", "json"]
     yield ["minimize", "x1", "--curve", "bean", "-k", "2..8"]

@@ -64,8 +64,8 @@ def _install(h, count, tally, listing):
     the line of each solve to listing when it is a list."""
     solve_stack = sdp.solve_stack
 
-    def recorded(prob, c, F0, eq_b, gap_tol=1e-8):
-        sols = solve_stack(prob, c, F0, eq_b, gap_tol)
+    def recorded(prob, c, F0, eq_b):
+        sols = solve_stack(prob, c, F0, eq_b)
         n = prob.F.shape[1]
         member = [np.broadcast_to(a, (len(sols),) + a.shape[a.ndim - nd:])
                   for a, nd in ((np.asarray(c), 1), (np.asarray(F0), 2),

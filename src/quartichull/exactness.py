@@ -469,7 +469,7 @@ def _tangent_supports(p, dirs):
     weights = np.array([[[1.0, 0.0, 0.0], [0.0, u1, -u0]] for u0, u1 in us]).reshape(-1, 2, 3)
     known = [s.location.to_affine() for s in rec.singular if not s.at_infinity and s.certified]
     eqs = (p, rec.d1, rec.d2)
-    sols = _solve_pairs(eqs, weights, known) if known else _solve_pairs(eqs, weights)
+    sols = _solve_pairs(eqs, weights, known)
     for (pts, _), m, u in zip(sols, live, us):
         vals = [u[0] * a + u[1] * b for (a, b) in pts]
         h = max(vals, default=math.inf)

@@ -39,11 +39,9 @@ one-member stack. All data is checked for finite entries on entry, the
 structure in SdpProblem and the rest once per stack in solve_stack; inner
 solves skip the check.
 
-solve and solve_stack take one tolerance, gap_tol, the relative duality
-gap at which a feasible iterate is Optimal; Gram solves tighten it so that
-low-rank refinement starts close to the exact certificate. The iteration
-cap and the other tolerances are module constants, each with the reason for
-its value.
+solve and solve_stack take no tolerance: the relative duality gap at which
+a feasible iterate is Optimal, the iteration cap and the other tolerances
+are module constants, each with the reason for its value.
 """
 
 from __future__ import annotations
@@ -106,6 +104,9 @@ class SdpProblem:
 # square root of machine precision, what a double-precision interior-point
 # solve reaches reliably.
 _FEAS_TOL = 1e-8
+# Relative duality gap at which a feasible iterate is Optimal, for the same
+# reason; Gram certificates too, which sos snaps onto exact ones afterwards.
+_GAP_TOL = 1e-8
 # Fraction of the step to the cone boundary that is taken: the iterates stay
 # strictly interior, so the Cholesky factors of X and S exist next iteration.
 _STEP_FRAC = 0.98
@@ -234,7 +235,7 @@ def _factor(M, retries=0):
     return L, bad
 
 
-def _ipm(C, A, b, gap_tol):
+def _ipm(C, A, b):
     """Core primal-dual IPM on a stack of standard-form pairs that share A:
     C of shape (B, n, n), n >= 1, A of shape (m, n, n), m >= 1, and b of
     shape (B, m). The members iterate in lockstep, each with its own step
@@ -316,7 +317,7 @@ def _ipm(C, A, b, gap_tol):
         # multiplied through by the norm of the ray)
         ray = yA + S
         tests = [
-            (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < gap_tol),
+            (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < _GAP_TOL),
             (pobj < 0) & (-pobj > _RAY_THRESHOLD * np.maximum(
                 np.sqrt((ax * ax).sum(axis=1)), 1e-16 * np.sqrt((X * X).sum(axis=(1, 2))))),
             (dobj > 0) & (dobj > _RAY_THRESHOLD * np.maximum(
@@ -358,6 +359,7 @@ def _ipm(C, A, b, gap_tol):
         # of its factor serves both directions and every refinement step
         WA = (W @ At).reshape(-1, n, m, n).transpose(0, 2, 1, 3).reshape(-1, m * n, n)
         M = A2 @ (WA @ W).reshape(-1, m, n * n).transpose(0, 2, 1)
+        del WA  # the largest array of an iteration; only M reads it
         M = 0.5 * (M + M.transpose(0, 2, 1))
         Lm, bad_m = _factor(M, retries=4)
         Li = np.linalg.inv(Lm)
@@ -432,14 +434,14 @@ def _stack_size(prob):
     return max(1, _STACK_FLOATS // ((3 * m + 40) * n * n))
 
 
-def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
+def solve_stack(prob, c, F0, eq_b):
     """Solve a stack of SDPs of the compiled structure prob in lockstep.
 
     c is of shape (m,), F0 of shape (n, n) and eq_b has one entry per row of
     prob.eq_A; each may carry a leading stack axis of B members, and an
     argument without one is shared by every member. Returns one SdpSolution
     per member, each as solve would return it; a feasible member is Optimal
-    once its relative duality gap is below gap_tol. Shapes and finiteness
+    once its relative duality gap is below _GAP_TOL. Shapes and finiteness
     are checked once per stack; the members run in stacks of _stack_size."""
     c, F0, eq_b = (np.asarray(a, dtype=float) for a in (c, F0, eq_b))
     m, n = prob.F.shape[:2]
@@ -489,7 +491,7 @@ def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
     res = []
     for lo in range(0, len(live), size):
         part = live[lo:lo + size]
-        res += _ipm(C[part], prob.A, b[part], gap_tol)
+        res += _ipm(C[part], prob.A, b[part])
     if not res:
         return out
     z = z0[live] + np.array([r["y"] for r in res])[:, None] @ N.T
@@ -509,14 +511,14 @@ def solve_stack(prob, c, F0, eq_b, gap_tol=1e-8):
     return out
 
 
-def solve(prob, c, F0, eq_b, gap_tol=1e-8):
+def solve(prob, c, F0, eq_b):
     """Solve the SDP of the compiled structure prob with objective c, of
     shape (m,), constant matrix F0, of shape (n, n), and right-hand side
     eq_b, one entry per row of prob.eq_A: the one-member stack of
     solve_stack. See the module docstring."""
     if np.ndim(c) != 1 or np.ndim(F0) != 2 or np.ndim(eq_b) != 1:
         raise ValueError("solve takes one problem; solve_stack takes a stack")
-    [sol] = solve_stack(prob, c, F0, eq_b, gap_tol)
+    [sol] = solve_stack(prob, c, F0, eq_b)
     return sol
 
 

@@ -33,10 +33,6 @@ __all__ = [
 
 FEAS_MARGIN = 1e-7
 
-# Gram solves are tightened beyond the generic default so the rank-refinement
-# step starts close enough to the exact low-rank certificate.
-_GRAM_GAP_TOL = 1e-11
-
 
 class IndeterminateResult(RuntimeError):
     """The underlying SDP solve ended with a Numerical status."""
@@ -70,10 +66,13 @@ class SosCertificate:
 
 
 def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
-    """Snap an interior-point Gram onto the nearest exact low-rank certificate.
+    """Snap an interior-point Gram onto an exact certificate of the lowest
+    rank that Gauss-Newton on the factor V of G = V V' reaches from it.
 
-    The interior-point iterate carries O(sqrt(gap)) noise in the zero
-    eigenvalues; Gauss-Newton on the factorized coefficients removes it.
+    The iterate carries O(sqrt(gap)) noise in the zero eigenvalues. A Gram
+    inside the PSD cone (smallest eigenvalue above FEAS_MARGIN) is refined
+    at full rank; one on its boundary from its leading eigenpairs at rank
+    1, 2, ..., keeping the first rank whose Gauss-Newton converges.
     sums is the monomial-product table of M_k (build_moment_matrix); the
     coefficients of s0 are the Gram entries summed by it, and the Jacobian
     in the factor V scatters 2 V[j, l] to sums[i, j]. p_shift holds the
@@ -82,7 +81,6 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
     Returns (G, s1_coeffs) -- refined on success, the inputs otherwise.
     """
     w, V = np.linalg.eigh(0.5 * (G + G.T))
-    wmax = max(w[-1], 1e-12)
     nm, nb = len(target_vec), len(sums)
     factor_rows = np.arange(nb)[:, None]
 
@@ -90,9 +88,7 @@ def _refine_lowrank(G, s1_coeffs, p_shift, target_vec, sums):
         c = np.bincount(sums.ravel(), weights=(Vf @ Vf.T).ravel(), minlength=nm)
         return c + s1 @ p_shift - target_vec
 
-    for rank in range(int(np.sum(w > 1e-3 * wmax)), nb + 1):
-        if rank == 0:
-            continue
+    for rank in range(nb if w[0] > FEAS_MARGIN else 1, nb + 1):
         Vf = V[:, -rank:] * np.sqrt(np.maximum(w[-rank:], 0.0))
         s1 = s1_coeffs.copy()
         seen = []  # the largest residual entry of each step
@@ -166,7 +162,7 @@ def _gram_face(k, support):
     return tuple(kept.tolist()) if 0 < len(kept) < len(sums) else None
 
 
-def _gram_solve(targets, k, p=None, gap_tol=1e-8, face=False):
+def _gram_solve(targets, k, p=None, face=False):
     """Solve the Gram program of _gram_problem for each of targets, as one
     stack, over every Gram row, or with face (p None: the pruning reads the
     target as s0 alone) over the rows that _gram_face keeps for the stack:
@@ -179,20 +175,16 @@ def _gram_solve(targets, k, p=None, gap_tol=1e-8, face=False):
     prob, form = _gram_problem(k, p, rows)
     c = np.zeros(len(prob.F))
     c[-1] = -1.0  # maximize t
-    sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b, gap_tol)
+    sols = solve_stack(prob, c, np.zeros(prob.F.shape[1:]), b)
     return prob, form, b, sols
 
 
 def _certificate(target, k, p=None):
     """Solve the Gram program of _gram_problem and turn a feasible optimum
-    into a low-rank SosCertificate; None when target has no certificate.
-
-    One solve at the tight Gram tolerance. A retry at the generic tolerance
-    would repeat its trajectory (the tolerance enters only the stop test),
-    and an iterate meeting that looser test is already returned as Optimal
-    by the solver's reduced-accuracy fallback.
-    """
-    prob, form, [b], [sol] = _gram_solve([target], k, p, _GRAM_GAP_TOL)
+    into a SosCertificate, snapped onto an exact certificate of low rank by
+    _refine_lowrank; None when target has no certificate. The solve stops
+    at the solver's one duality gap, as every other solve does."""
+    prob, form, [b], [sol] = _gram_solve([target], k, p)
     if sol.status in ("Numerical", "MaxIter"):
         raise IndeterminateResult(f"SDP solve returned {sol.status}: {sol.message}")
     if sol.status != "Optimal" or sol.z[-1] < -FEAS_MARGIN:
@@ -233,7 +225,7 @@ def sos_margin(q, k=2):
     (_gram_face): a q that vanishes to second order at the origin, as a
     comparison quartic moved to its contact does, loses the row of the
     monomial 1, on which every PSD Gram matrix of q vanishes, and the margin
-    is the one on the rest. One solve at the generic tolerance."""
+    is the one on the rest."""
     [margin] = sos_margins([q], k)
     if isinstance(margin, IndeterminateResult):
         raise margin

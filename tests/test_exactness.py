@@ -121,8 +121,8 @@ def test_stacked_special_members(monkeypatch):
     kept = exactness._tangent_supports(egg, dirs)
     original = exactness._solve_pairs
 
-    def drop_second(eqs, weights):
-        sols = original(eqs, weights)
+    def drop_second(eqs, weights, known=()):
+        sols = original(eqs, weights, known)
         sols[1] = ([], True)
         return sols
 
