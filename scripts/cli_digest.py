@@ -15,7 +15,10 @@ solved in rounded arithmetic), `sos --curve egg --line 2,0,-2` at the
 default order and at k=4 (a certificate on the boundary of the Gram cone,
 of rank 2), `sos --curve bean --line 3,1,0 -k 4` (one in its interior),
 `rational` on folium (text) and bean (json), `minimize x1 --curve bean
--k 2..8` and `boundary --curve bean -k 2..3 -n 90`. Each runs the CLI of
+-k 2..8`, `boundary --curve bean -k 2..3 -n 90`, and `minimize x2 --curve
+egg -k 2..4` and `boundary --curve egg -k 2..3 -n 24`, which read the one
+registry relaxation that the facial reduction at infinity changes (the
+egg's). Each runs the CLI of
 this tree's src/ in a fresh interpreter with one BLAS thread. Two trees
 print the same bytes for these invocations exactly when their outputs diff
 clean.
@@ -53,6 +56,8 @@ def invocations():
     yield ["rational", "--curve", "bean", "--format", "json"]
     yield ["minimize", "x1", "--curve", "bean", "-k", "2..8"]
     yield ["boundary", "--curve", "bean", "-k", "2..3", "-n", "90"]
+    yield ["minimize", "x2", "--curve", "egg", "-k", "2..4"]
+    yield ["boundary", "--curve", "egg", "-k", "2..3", "-n", "24"]
 
 
 def main():

@@ -42,6 +42,7 @@ from .poly import (
     BivarPoly,
     ProjPoint,
     SupportLine,
+    _definite_sign,
     _dense,
     _resultant_stack,
     _slice_roots,
@@ -154,12 +155,20 @@ def check_concave(p):
     return det.is_zero() or nonneg_quartic(det)
 
 
+def _oriented(p):
+    """-p when the top-degree form of p is positive definite (decided
+    exactly), else p: then p < 0 far from the origin, as the sweep and the
+    boundedness test assume. p and -p have the same curve and relaxations."""
+    return -p if _definite_sign(p.graded_part(p.degree)) > 0 else p
+
+
 def curve_is_bounded(p):
-    """Numeric boundedness test: the curve is treated as bounded when p is
-    strictly negative at 720 points of the circle of radius 1e3 and of the
-    one of radius 1e6 (read from the curve record). A curve touching a
-    circle without crossing can fool this, hence "numeric"."""
-    return _curve(p).far.shape[0] == 0
+    """Numeric boundedness test: the curve is treated as bounded when p,
+    oriented (_oriented), is strictly negative at 720 points of the circle
+    of radius 1e3 and of the one of radius 1e6 (read from the curve record).
+    A curve touching a circle without crossing can fool this, hence
+    "numeric"."""
+    return _curve(_oriented(p)).far.shape[0] == 0
 
 
 def _powers(x, d):
@@ -655,7 +664,8 @@ def _at_contacts(p, pfs, contacts):
 
 
 def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
-    """Full decision procedure: concavity fast path, boundary smoothness,
+    """Full decision procedure on p oriented so that it is negative far from
+    the origin (_oriented): concavity fast path, boundary smoothness,
     then a supporting-line sweep testing p_f >= 0 at n angles and at the
     hull facets solved between them (see _bitangent), each by the SOS
     margin of p_f moved to its contact, on the face of the Gram rows that
@@ -665,6 +675,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
     singular points and sweep rows computed before."""
     if n < 8:
         raise ValueError("need at least 8 sweep angles")
+    p = _oriented(p)
     evidence = {"resolution": n}
     sing, sweep = [], []
 

@@ -12,16 +12,19 @@ u + v applied to y. A matrix "form" is therefore a table of monomial-sum
 positions plus one linear row per sum. Its coefficient tensor is M_k's 0/1
 tensor or the localizing tensor; on the certificate side, the Gram
 coefficient-matching rows and the s1*p columns are the transposes of the same
-data.
+data. The module also reads, from the curve's forms at infinity, the kernel
+vectors that facial reduction removes from a moment block (_forced_vectors).
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .poly import monomials_upto
+from .poly import _definite_sign, _q, _qgcd, _squarefree, monomials_upto
 
 __all__ = [
     "MomentIndex",
@@ -73,6 +76,101 @@ def _diagonal_face(sums, free, needed=None):
                 break
         else:
             return kept
+
+
+def _outer_edges(p):
+    """(w, h) for each edge of the Newton polygon of p along which a point
+    (t^w1 a, t^w2 b) goes to infinity: w is the edge's primitive outer
+    normal, with a positive entry, and h = w.e >= 0 its weighted degree."""
+    exps = list(p.terms)
+    out = set()
+    for (a1, a2), (b1, b2) in itertools.combinations(exps, 2):
+        g = math.gcd(b1 - a1, b2 - a2)
+        for w in (((b2 - a2) // g, (a1 - b1) // g), ((a2 - b2) // g, (b1 - a1) // g)):
+            h = w[0] * a1 + w[1] * a2
+            if h >= 0 and max(w) > 0 and all(w[0] * e1 + w[1] * e2 <= h for e1, e2 in exps):
+                out.add((w, h))
+    return sorted(out)
+
+
+def _forced_vectors(p, k, kept):
+    """Kernel vectors that every Gram (dual) matrix of the order-k moment
+    LMI has on the kept rows, in closed form from the forms of p at
+    infinity: (d, v) pairs, in kept-row coordinates, each a moment
+    direction d with d00 = d10 = d01 = 0 and zero localizing rows whose
+    M_k(d), on the complement of the vectors before it, is v v^T. Then
+    <X, M_k(d)> = 0 forces X v = 0 (partial facial reduction, Permenter &
+    Parrilo 2018).
+
+    (a) A definite degree-4 form p4 forces nothing. Such a d has d00 = 0,
+    and a PSD matrix with a zero diagonal entry has a zero row, so applying
+    this repeatedly gives d_a = 0 for every |a| <= 2k-1. The localizing rows
+    with |s| = 2k-4 then read L_d(x^s p4) = 0. For small c > 0 the binary
+    form -+p4 - c(x1^2 + x2^2)^2 is nonnegative, so it is a sum of squares
+    g_i^2 (Hilbert), and for every form h of degree k-2,
+    c L_d((x1^2 + x2^2)^2 h^2) = -sum_i L_d(g_i^2 h^2) <= 0. That zeroes
+    L_d((x1^2 h)^2), L_d((x1 x2 h)^2) and L_d((x2^2 h)^2), every diagonal
+    entry of the degree-k block, so d = 0.
+
+    (b) Otherwise, per edge of p's Newton polygon facing away from the
+    origin (_outer_edges), with weights w and edge form e_w: each real
+    nonzero root c of e_w(1, c) (of e_w(c, 1) when w1 is even, so that
+    every real point of the edge's branches has one representative) gives
+    the weighted point z, (1, c) or (c, 1). The roots come from np.roots on
+    the squarefree part of e_w over the Fractions of p's floats, so a
+    multiple root is one root. Down the w-levels D of the kept rows, from
+    the top, d_a = z^a on w.a = 2D and v_u = z^u on w.u = D: every entry of
+    M_k(d) pairs a level above D with one below it, or is v v^T, so with
+    the levels above projected out M_k(d) is v v^T. d is admissible when
+    no pin (w-degree 0, w1 or w2) has w-degree 2D, and every localizing
+    row, L_d(x^s p) = z^s p_[2D - w.s](z) with p_[m] the part of p of
+    w-degree m, vanishes. That is decided exactly: the roots that pass
+    are those of the gcd over the Rationals of e_w's squarefree part and
+    every p_[m] read so far. The walk stops at the first level that fails.
+    A zero root belongs to a coordinate row, which the diagonal pass
+    (_diagonal_face) already drops."""
+    if _definite_sign(p.graded_part(4)):
+        return []
+    rows = np.array(monomials_upto(k))[kept]
+    sigma = np.array(monomials_upto(2 * k - 4))
+    alphas = np.array(monomials_upto(2 * k))
+    out = []
+    for w, h in _outer_edges(p):
+        j = 1 if w[0] % 2 else 0  # the coordinate of z that is the root
+        parts = {}  # p_[m] along the free coordinate of z, low-to-high
+        for e, c in p.terms.items():
+            m = w[0] * e[0] + w[1] * e[1]
+            parts.setdefault(m, [0.0] * 5)[e[j]] += c
+        parts = {m: _q(c) for m, c in parts.items()}
+        e_w = parts[h]
+        g = _squarefree(e_w[next(i for i, c in enumerate(e_w) if c):])
+        levels = rows @ w
+        for D in sorted(set(levels.tolist()), reverse=True):
+            if 2 * D in (0, w[0], w[1]):
+                break
+            for m in set((2 * D - sigma @ w).tolist()) & parts.keys():
+                g = _qgcd(g, parts[m])
+            roots = np.roots([float(c) for c in reversed(g)]) if len(g) > 1 else []
+            roots = [z.real for z in roots if abs(z.imag) <= 1e-9 * (1 + abs(z))]
+            if not roots:
+                break
+            for c in roots:
+                z = np.array([1.0, c] if j else [c, 1.0])
+                d = np.where(alphas @ w == 2 * D, np.prod(z ** alphas, axis=1), 0.0)
+                v = np.where(levels == D, np.prod(z ** rows, axis=1), 0.0)
+                out.append((d, v))
+    return out
+
+
+def _face_at_infinity(p, k, kept):
+    """Basis (columns) of the kept rows' complement of the vectors
+    _forced_vectors finds, or None when there is none."""
+    V = [v / np.linalg.norm(v) for _, v in _forced_vectors(p, k, kept)]
+    if not V:
+        return None
+    V = np.array(V).T
+    w, Q = np.linalg.eigh(V @ V.T)
+    return Q[:, w <= 1e-8 * w[-1]]
 
 
 @dataclass(frozen=True)

@@ -455,6 +455,75 @@ def real_roots(q):
 
 
 # ---------------------------------------------------------------------------
+# exact univariate arithmetic: lists of Fractions, low-to-high, with no
+# trailing zero (the zero polynomial is [])
+
+
+def _q(coeffs):
+    """The rational polynomial with the exact values of the float (or
+    Fraction) coefficients, low-to-high."""
+    out = [Fraction(c) for c in coeffs]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _qdivmod(a, b):
+    """Quotient and remainder of a by the nonzero b."""
+    quot, a = [Fraction(0)] * max(len(a) - len(b) + 1, 0), list(a)
+    while len(a) >= len(b):
+        f, shift = a[-1] / b[-1], len(a) - len(b)
+        quot[shift] = f
+        for i, c in enumerate(b):
+            a[shift + i] -= f * c
+        a = _q(a[:-1])
+    return quot, a
+
+
+def _qderiv(a):
+    return [i * c for i, c in enumerate(a)][1:]
+
+
+def _qgcd(a, b):
+    """Monic greatest common divisor; [] when both are zero."""
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    return [c / a[-1] for c in a]
+
+
+def _squarefree(a):
+    """a over gcd(a, a'): each root of the nonzero a once."""
+    return _qdivmod(a, _qgcd(a, _qderiv(a)))[0]
+
+
+def _real_root_count(a):
+    """Number of distinct real roots of the nonzero a: the sign changes of
+    its Sturm sequence at -inf less those at +inf."""
+    seq = [a, _qderiv(a)]
+    while seq[-1]:
+        seq.append([-c for c in _qdivmod(seq[-2], seq[-1])[1]])
+
+    def changes(signs):
+        signs = [s for s in signs if s]
+        return sum(s != t for s, t in zip(signs, signs[1:]))
+
+    lead = [(f[-1] > 0) - (f[-1] < 0) for f in seq[:-1]]
+    return changes([s * (-1) ** (len(f) - 1) for s, f in zip(lead, seq)]) - changes(lead)
+
+
+def _definite_sign(form):
+    """+1 or -1 when the binary form is positive or negative definite, else
+    0, decided exactly on its float coefficients: a definite form is a
+    nonzero form of even degree d whose restriction to x1 = 1 has degree d
+    and no real root."""
+    d = form.degree
+    t = _q([form.coeff(d - b, b) for b in range(d + 1)])  # form(1, t)
+    if d < 2 or d % 2 or len(t) != d + 1 or _real_root_count(t):
+        return 0
+    return 1 if t[0] > 0 else -1
+
+
+# ---------------------------------------------------------------------------
 # text format: parse and print
 
 

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import (LinearMatrixForm, _diagonal_face, build_localizing_matrix,
-                      build_moment_matrix)
+from .moments import (LinearMatrixForm, _diagonal_face, _face_at_infinity,
+                      build_localizing_matrix, build_moment_matrix)
 from .poly import SupportLine, monomials_upto
 from .sdp import SdpProblem, equality_multipliers, solve, solve_stack
 from .sos import FEAS_MARGIN, IndeterminateResult
@@ -58,11 +58,27 @@ def _reductions(p, k):
     dropped, repeatedly, until none is left. This happens when the curve
     has a real point at infinity: for the egg (top form -x1^4) the rows
     x1*x2^(k-1) and x2^k go. More generally any moment direction d with
-    d00 = d10 = d01 = 0, zero localizing rows and M_k(d) >= 0 forces
-    X M_k(d) = 0 (Permenter & Parrilo's partial facial reduction). After
-    the exact diagonal pass, directions with M_k(d) diagonally dominant
-    are found by a linear program and the range of M_k(d) is projected
-    out; for the egg that range is x2^(k-1) + x1^2*x2^(k-2). d leaves every
+    d00 = d10 = d01 = 0, zero localizing rows and M_k(d) >= 0 on the block
+    forces X M_k(d) = 0 (Permenter & Parrilo's partial facial reduction).
+    After the diagonal pass, such directions are read in closed form from
+    the forms of p at infinity (moments._forced_vectors), and their ranges
+    are projected out:
+    - a definite degree-4 form p4 admits none: d00 = 0 zeroes every moment
+      of degree <= 2k-1 through the zero rows of a PSD matrix, the
+      localizing rows of degree 2k-4 then read L_d(x^s p4) = 0, and since
+      -+p4 - c(x1^2 + x2^2)^2 is a sum of squares for small c > 0, every
+      diagonal entry of the degree-k block is 0, so d = 0;
+    - otherwise, for each edge of the Newton polygon of p facing away from
+      the origin, with weights w, and each real root z of its edge form
+      (squarefree, over the Rationals), the levels D of w-degree of the
+      kept rows are walked from the top: d = z^a on w.a = 2D gives
+      M_k(d) = v v^T with v = z^u on w.u = D once the levels above are
+      projected out, and is admissible when no pin has w-degree 2D and
+      every part of p of w-degree 2D - w.s vanishes at z. The walk stops
+      at the first level that fails.
+    For the egg the one vector is x2^(k-1) + x1^2*x2^(k-2), at the root
+    z = (1, 1) of its (1, 2)-weighted top form -(x2 - x1^2)^2: the curve's
+    point at infinity along the parabola x2 = x1^2. d leaves every
     objective unchanged, so the optimal value is too: adding s*d with s
     large restores M_k on the removed part.
 
@@ -94,7 +110,7 @@ def _reductions(p, k):
     kept = _diagonal_face(moment.sums, ~np.any(E != 0, axis=0))
     form = LinearMatrixForm(moment.sums[np.ix_(kept, kept)], moment.rows)  # M_k on the kept rows
     F = form.coefficients()
-    W = _dd_face(F, E)
+    W = _face_at_infinity(p, k, kept)
 
     basis = W
     if k >= 4 and not p.is_zero():
@@ -145,56 +161,6 @@ def _margin_program(p, k):
     """The margin program of (p, k), memoized: membership and
     separating_line arrive one point at a time."""
     return _program(p, k, True)
-
-
-def _dd_face(F, E):
-    """Basis of the face of the Gram cone left after projecting out the
-    range of every moment direction d with E d = 0 and sum_m d_m F[m]
-    diagonally dominant (hence PSD). Returns None when there is none.
-
-    Each round solves one LP: maximize sum_i min(B_ii, 1) over such d, with
-    B = sum_m d_m W' F[m] W in the current basis W. The DD directions form a
-    convex cone, so the optimum touches every row any of them touches."""
-    W, B = None, F
-    while B.shape[1]:
-        d = _dd_direction(B, E)
-        if d is None:
-            break
-        w, Q = np.linalg.eigh(np.tensordot(d, B, axes=(0, 0)))
-        Q = Q[:, w <= 1e-8 * w[-1]]
-        W = Q if W is None else W @ Q
-        B = np.einsum("pq,iqr,rs->ips", W.T, F, W, optimize=True)
-    return W
-
-
-def _dd_direction(B, E):
-    import scipy.optimize  # on first use: nothing else in the package needs it
-    import scipy.sparse as sp
-    nm, n, _ = B.shape
-    iu = np.triu_indices(n, 1)
-    diag = sp.csr_matrix(B[:, np.arange(n), np.arange(n)].T)   # (n, nm)
-    # off-diagonal entries with the same coefficients share one bound a_g
-    # (in monomial coordinates, one per moment)
-    off, group = np.unique(B[:, iu[0], iu[1]].T, axis=0, return_inverse=True)
-    group = group.ravel()
-    ng = len(off)
-    touch = sp.csr_matrix((np.ones(2 * len(group)), (np.concatenate(iu),
-                          np.tile(group, 2))), shape=(n, ng))
-    off, I = sp.csr_matrix(off), sp.identity(ng, format="csr")
-    # variables (d, a, s): |B_ij| <= a_g, sum_j a_g(i,j) <= B_ii, s_i <= B_ii
-    A_ub = sp.bmat([[off, -I, None],
-                    [-off, -I, None],
-                    [-diag, touch, None],
-                    [-diag, None, sp.identity(n)]], format="csr")
-    A_eq = sp.hstack([sp.csr_matrix(E), sp.csr_matrix((len(E), ng + n))])
-    c = np.concatenate([np.zeros(nm + ng), -np.ones(n)])
-    bounds = [(None, None)] * nm + [(0, None)] * ng + [(0, 1)] * n
-    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
-                                 A_eq=A_eq, b_eq=np.zeros(len(E)),
-                                 bounds=bounds, method="highs")
-    if res.status != 0 or -res.fun <= 1e-6:
-        return None
-    return res.x[:nm]
 
 
 @dataclass

@@ -184,6 +184,23 @@ def test_verdicts_match_registry():
         assert verdict.verdict == record.expected_verdict, record.name
 
 
+@pytest.mark.parametrize("name", [n for n in curves.curve_names() if n != "egg"])
+def test_negated_registry_curves_keep_their_verdicts(name):
+    # a positive definite top form is negated on entry, so that p < 0 far
+    # away; the egg's top form -x1^4 is only semidefinite
+    p = curves.lookup(name).implicit
+    want, got = sweep_exactness(p, n=72), sweep_exactness(-p, n=72)
+    assert got.verdict == want.verdict == curves.lookup(name).expected_verdict
+    assert got.witness == want.witness
+    assert curve_is_bounded(-p)
+
+
+@pytest.mark.parametrize("text", ["x1^2 + x2^2 - 1", "x1^4 + x2^4 - 1"])
+def test_circles_with_a_positive_top_form_are_exact(text):
+    assert curve_is_bounded(parse_poly(text))
+    assert sweep_exactness(parse_poly(text), n=24).verdict == "Exact"
+
+
 def test_nonsmooth_witness_fails_nonnegativity(bean_verdict):
     # a witness line certifies non-exactness: its comparison quartic must
     # take negative values

@@ -17,8 +17,12 @@ from quartichull.poly import (
     hessian,
     monomials_upto,
     parse_poly,
+    _definite_sign,
     _dense,
+    _q,
+    _real_root_count,
     _resultant_stack,
+    _squarefree,
     real_roots,
     resultant,
 )
@@ -190,3 +194,23 @@ def test_resultants_have_the_bezout_degree():
                 assert np.flatnonzero(r).max() <= 12, (record.name, th, axis)
         for axis in (1, 2):
             assert np.flatnonzero(resultant(d1, d2, axis)).max() <= 9, record.name
+
+
+def test_squarefree_parts_and_root_counts_are_exact():
+    # (t - 1)^2 (t + 2) (t^2 + 1), from its float coefficients
+    a = _q(np.polynomial.polynomial.polyfromroots([1, 1, -2, 1j, -1j]).real)
+    assert _squarefree(a) == _q(np.polynomial.polynomial.polyfromroots([1, -2, 1j, -1j]).real)
+    assert _real_root_count(a) == 2
+    assert _real_root_count(_q([1.0, 0.0, 1.0])) == 0
+    assert _real_root_count(_q([3.0])) == 0
+
+
+@pytest.mark.parametrize("text, sign", [
+    ("x1^4 + x2^4", 1), ("-(x1^2 + x2^2)^2", -1), ("x1^2 + x1*x2 + x2^2", 1),
+    ("-x1^4", 0), ("-(x1^2 - x2)^2", 0), ("-(x1 - 2*x2)^2*(x1 + x2)^2", 0),
+    ("x1^4 + x2^4 - 2*x1^2*x2^2", 0), ("x1^4 + x1*x2^3", 0), ("x1^3 + x2^3", 0),
+    ("0", 0),
+])
+def test_definite_sign_of_a_binary_form(text, sign):
+    p = parse_poly(text)
+    assert _definite_sign(p.graded_part(p.degree)) == sign

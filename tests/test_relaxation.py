@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
+import scipy.sparse as sp
 
 from quartichull import curves, exactness
-from quartichull.poly import monomials_upto
+from quartichull.moments import _face_at_infinity, _forced_vectors, build_localizing_matrix
+from quartichull.poly import monomials_upto, parse_poly
 from quartichull.relaxation import (
     BOUNDARY_CSV_HEADER,
     _program,
@@ -16,6 +19,7 @@ from quartichull.relaxation import (
     separating_line,
     support,
 )
+from quartichull.sos import IndeterminateResult
 
 BOUNDED = ("egg", "bean", "lemniscate", "folium", "fermat")
 
@@ -123,6 +127,151 @@ def test_dual_reduction_drops_rows_at_infinity():
                 assert size == len(rows) - kernel, (name, k)
                 assert fixing == 0
     assert len(_program(curves.lookup("egg").implicit, 2, False).F) - 3 == 12
+
+
+# The reference for the closed-form face: Permenter & Parrilo's partial
+# facial reduction by diagonally dominant directions, one HiGHS LP a round.
+def _dd_face(F, E):
+    """Basis of the face of the Gram cone left after projecting out the
+    range of every moment direction d with E d = 0 and sum_m d_m F[m]
+    diagonally dominant (hence PSD). Returns None when there is none.
+
+    Each round solves one LP: maximize sum_i min(B_ii, 1) over such d, with
+    B = sum_m d_m W' F[m] W in the current basis W. The DD directions form a
+    convex cone, so the optimum touches every row any of them touches."""
+    W, B = None, F
+    while B.shape[1]:
+        d = _dd_direction(B, E)
+        if d is None:
+            break
+        w, Q = np.linalg.eigh(np.tensordot(d, B, axes=(0, 0)))
+        Q = Q[:, w <= 1e-8 * w[-1]]
+        W = Q if W is None else W @ Q
+        B = np.einsum("pq,iqr,rs->ips", W.T, F, W, optimize=True)
+    return W
+
+
+def _dd_direction(B, E):
+    nm, n, _ = B.shape
+    iu = np.triu_indices(n, 1)
+    diag = sp.csr_matrix(B[:, np.arange(n), np.arange(n)].T)   # (n, nm)
+    # off-diagonal entries with the same coefficients share one bound a_g
+    # (in monomial coordinates, one per moment)
+    off, group = np.unique(B[:, iu[0], iu[1]].T, axis=0, return_inverse=True)
+    group = group.ravel()
+    ng = len(off)
+    touch = sp.csr_matrix((np.ones(2 * len(group)), (np.concatenate(iu),
+                          np.tile(group, 2))), shape=(n, ng))
+    off, I = sp.csr_matrix(off), sp.identity(ng, format="csr")
+    # variables (d, a, s): |B_ij| <= a_g, sum_j a_g(i,j) <= B_ii, s_i <= B_ii
+    A_ub = sp.bmat([[off, -I, None],
+                    [-off, -I, None],
+                    [-diag, touch, None],
+                    [-diag, None, sp.identity(n)]], format="csr")
+    A_eq = sp.hstack([sp.csr_matrix(E), sp.csr_matrix((len(E), ng + n))])
+    c = np.concatenate([np.zeros(nm + ng), -np.ones(n)])
+    bounds = [(None, None)] * nm + [(0, None)] * ng + [(0, 1)] * n
+    res = scipy.optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(A_ub.shape[0]),
+                                 A_eq=A_eq, b_eq=np.zeros(len(E)),
+                                 bounds=bounds, method="highs")
+    if res.status != 0 or -res.fun <= 1e-6:
+        return None
+    return res.x[:nm]
+
+
+MOVED_EGGS = {
+    "swapped": "1 - 8*x2^2 - (x2^2 - x1)^2",
+    "shifted": "1 - 8*(x1 - 0.3)^2 - ((x1 - 0.3)^2 - (x2 + 0.2))^2",
+}
+# quartics with real branches to infinity, and a double-line top form
+PROBES = {
+    "parabola": "x2 - x1^2",
+    "hyperbola": "x1*x2 - 1",
+    "cusp": "x2^2 - x1^3",
+    "x1^2x2^2 - 1": "x1^2*x2^2 - 1",
+    "double lines": "1 - x1^2 - (x1 - 2*x2)^2*(x1 + x2)^2",
+}
+
+
+def _removed(p, k):
+    """Projectors onto the ranges that the LP oracle and the closed form
+    remove from the kept rows, and (E, M_k on the kept rows)."""
+    kept, form, _, _ = _reductions(p, k)
+    E = np.vstack([np.eye(3, form.nvars), build_localizing_matrix(p, k).rows])
+    F = form.coefficients()
+    n = len(kept)
+    W_lp, W = _dd_face(F, E), _face_at_infinity(p, k, np.array(kept))
+    return [np.zeros((n, n)) if B is None else np.eye(n) - B @ B.T for B in (W_lp, W)], E, F
+
+
+@pytest.mark.parametrize("name", curves.curve_names() + list(MOVED_EGGS))
+def test_closed_form_face_equals_the_lp_face(name):
+    p = curves.lookup(name).implicit if name in curves.curve_names() \
+        else parse_poly(MOVED_EGGS[name])
+    # one vector at every k on the eggs, none on the definite top forms
+    rank = 1 if name == "egg" or name in MOVED_EGGS else 0
+    for k in range(2, 9):
+        (P_lp, P), _, _ = _removed(p, k)
+        assert np.abs(P - P_lp).max() <= 1e-10, (name, k)
+        assert round(np.trace(P)) == rank, (name, k)
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_closed_form_face_contains_the_lp_face_and_is_certified(name):
+    p = parse_poly(PROBES[name])
+    for k in range(2, 7):
+        (P_lp, P), E, F = _removed(p, k)
+        assert np.abs(P @ P_lp - P_lp).max() <= 1e-10, (name, k)
+        # each direction is admissible on the complement of the vectors
+        # before it
+        kept, V = np.array(_reductions(p, k)[0]), []
+        for d, v in _forced_vectors(p, k, kept):
+            d = d / np.abs(d).max()
+            W = np.eye(len(kept))
+            if V:
+                U, sig, _ = np.linalg.svd(np.array(V).T, full_matrices=True)
+                W = U[:, int(np.sum(sig > 1e-9 * sig[0])):]
+            assert np.abs(E @ d).max() <= 1e-12, (name, k)
+            M = W.T @ np.tensordot(d, F, axes=(0, 0)) @ W
+            assert np.linalg.eigvalsh(M)[0] >= -1e-12, (name, k)
+            V.append(v)
+
+
+# inside (+), outside (-), |margin| <= 1e-4 (0) or IndeterminateResult (x)
+# before the closed form, on a 5x5 grid over [-1.5, 1.5]^2 (x1 slow, x2 fast)
+PROBE_MEMBERSHIP = {
+    ("parabola", 2): "--------++--0++---++-----",
+    ("parabola", 3): "--------00--000---00-----",
+    ("parabola", 4): "--------00--000---00-----",
+    ("hyperbola", 2): "+++++++++++++++++++++++++",
+    ("hyperbola", 3): "0000000000000000000000000",
+    ("hyperbola", 4): "0000000000000000000000000",
+    ("cusp", 2): "+++++++++++++++++++++++++",
+    ("cusp", 3): "+++++++++++++++++++++++++",
+    ("cusp", 4): "+++++++++++++++++++++++++",
+    ("x1^2x2^2 - 1", 2): "+++++++++++++++++++++++++",
+    ("x1^2x2^2 - 1", 3): "+++++++++++++++++++++++++",
+    ("x1^2x2^2 - 1", 4): "+++++++++++++++++++++++++",
+    ("double lines", 2): "-------++--+++--++-------",
+    ("double lines", 3): "--xx---++--+++--++-------",
+    ("double lines", 4): "--x----++--+++--++-----x-",
+}
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_probe_memberships_keep_their_answers(name):
+    # every point answers, where the LP's face left some of the double
+    # lines' points undecided, and a decided point keeps its side
+    p = parse_poly(PROBES[name])
+    grid = [(x1, x2) for x1 in np.linspace(-1.5, 1.5, 5) for x2 in np.linspace(-1.5, 1.5, 5)]
+    for k in (2, 3, 4):
+        for point, before in zip(grid, PROBE_MEMBERSHIP[name, k]):
+            try:
+                res = membership(p, k, point)
+            except IndeterminateResult:
+                pytest.fail(f"{name} k={k} {point}")
+            if before in "+-":
+                assert res.inside == (before == "+"), (name, k, point, res.margin)
 
 
 def test_egg_membership_high_orders_match_the_curve():
