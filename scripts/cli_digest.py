@@ -14,14 +14,14 @@ origin, the tangency polish sets its seeds onto a node that elimination
 solved in rounded arithmetic), `sos --curve egg --line 2,0,-2` at the
 default order and at k=4 (a certificate on the boundary of the Gram cone,
 of rank 2), `sos --curve bean --line 3,1,0 -k 4` (one in its interior),
-`rational` on folium (text) and bean (json), `minimize x1 --curve bean
--k 2..8`, `boundary --curve bean -k 2..3 -n 90`, and `minimize x2 --curve
-egg -k 2..4` and `boundary --curve egg -k 2..3 -n 24`, which read the one
-registry relaxation that the facial reduction at infinity changes (the
-egg's). Each runs the CLI of
-this tree's src/ in a fresh interpreter with one BLAS thread. Two trees
-print the same bytes for these invocations exactly when their outputs diff
-clean.
+`rational` on folium (text) and bean (text and json), `minimize x1
+--curve bean -k 2..8`, `boundary --curve bean -k 2..3 -n 90`, `minimize x2
+--curve egg -k 2..4` and `boundary --curve egg -k 2..3 -n 24`, which read
+the one registry relaxation that the facial reduction at infinity changes
+(the egg's), and `check --poly` on x1 inside 1000 parentheses, a parse
+error (exit 64). Each runs the CLI of this tree's src/ in a fresh interpreter
+with one BLAS thread. Two trees print the same bytes for these invocations
+exactly when their outputs diff clean.
 """
 
 import hashlib
@@ -54,10 +54,12 @@ def invocations():
     yield ["sos", "--curve", "bean", "--line", "3,1,0", "-k", "4"]
     yield ["rational", "--curve", "folium"]
     yield ["rational", "--curve", "bean", "--format", "json"]
+    yield ["rational", "--curve", "bean"]
     yield ["minimize", "x1", "--curve", "bean", "-k", "2..8"]
     yield ["boundary", "--curve", "bean", "-k", "2..3", "-n", "90"]
     yield ["minimize", "x2", "--curve", "egg", "-k", "2..4"]
     yield ["boundary", "--curve", "egg", "-k", "2..3", "-n", "24"]
+    yield ["check", "--poly=" + "(" * 1000 + "x1" + ")" * 1000]
 
 
 def main():

@@ -553,12 +553,6 @@ def _real_lines(form, cut):
     return [(a / math.hypot(a, b), b / math.hypot(a, b)) for a, b in dirs]
 
 
-def _shift_poly(p, pt):
-    """p(x1 + a, x2 + b) as a BivarPoly."""
-    x1, x2 = BivarPoly.var(1) + pt[0], BivarPoly.var(2) + pt[1]
-    return sum(((x1 ** i) * (x2 ** j) * c for (i, j), c in p.terms.items()), BivarPoly({}))
-
-
 def classify_boundary(p):
     """Classify each affine singular point against the hull of the curve and
     report smoothness of the hull boundary.
@@ -583,7 +577,8 @@ def classify_boundary(p):
         if s.at_infinity:
             continue
         pt = s.location.to_affine()
-        q2, q3, q4 = parts = [_shift_poly(p, pt).graded_part(k) for k in (2, 3, 4)]
+        [q] = _at_contacts(p, [p], [pt])
+        q2, q3, q4 = parts = [q.graded_part(k) for k in (2, 3, 4)]
         # parts below _FORM_TOL of the largest are rounding (the polish stops
         # about 1e-8 off a triple point); the residual test takes points within
         # rho of pt for curve points, so a support attained there is at pt
@@ -641,17 +636,19 @@ def curve_points(p):
 
 
 def _at_contacts(p, pfs, contacts):
-    """The comparison quartics pfs moved to their contacts: q(x) = p_f(x + P)
-    for each p_f and its contact P, all by one linear map of the
-    coefficients, whose x1^i x2^j coefficient sums C(a, i) P1^(a - i) c_ab
-    C(b, j) P2^(b - j) over the coefficients c_ab of p_f.
+    """The quartics pfs moved to their points: q(x) = p_f(x + P) for each
+    p_f and its point P, all by one linear map of the coefficients, whose
+    x1^i x2^j coefficient sums C(a, i) P1^(a - i) c_ab C(b, j) P2^(b - j)
+    over the coefficients c_ab of p_f.
 
-    The sweep line is built from grad p at P, so q's constant and linear
-    coefficients are p_f(P) = -p(P), which the tangency filter bounds, and
-    grad p_f(P) = 0, up to rounding. Where all three are within that bound
-    they are set to exactly 0: q then vanishes to second order at the
-    origin, every Gram matrix of q vanishes on the row of the monomial 1
-    (m(P) for p_f), and sos_margins drops the row. Elsewhere they stay."""
+    The sweep passes comparison quartics at their contacts. The sweep line
+    is built from grad p at P, so q's constant and linear coefficients are
+    p_f(P) = -p(P), which the tangency filter bounds, and grad p_f(P) = 0,
+    up to rounding. Where all three are within that bound they are set to
+    exactly 0: q then vanishes to second order at the origin, every Gram
+    matrix of q vanishes on the row of the monomial 1 (m(P) for p_f), and
+    sos_margins drops the row. Elsewhere they stay. classify_boundary passes
+    p at a singular point, and reads only q's parts of degree 2 to 4."""
     e = np.arange(5)
     binom = np.array([[math.comb(a, i) for i in e] for a in e], dtype=float)
     powers = _powers(np.asarray(contacts, dtype=float).T, 4)  # (2, 5, B)

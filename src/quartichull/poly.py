@@ -567,6 +567,17 @@ def _tokenize(text):
     return tokens
 
 
+# The package reads curves of degree <= 4 and its tests parse up to degree 6.
+# A product or power of higher degree, or a constant raised above this
+# exponent, is refused before it is expanded: (x1 + x2 + 1)^400 alone takes
+# seconds to expand, and the power loop runs once per unit of the exponent.
+_MAX_PARSE_DEGREE = 32
+
+
+def _degree(t):
+    return max((a + b for a, b in t), default=0)
+
+
 class _Parser:
     """Recursive descent over +, -, *, ^ and parentheses, on term maps
     keyed by the exponent pair (a1, a2).
@@ -608,7 +619,10 @@ class _Parser:
         t = self.factor()
         while self.peek() == "*":
             self.next()
-            t = _tmul(t, self.factor())
+            u = self.factor()
+            if _degree(t) + _degree(u) > _MAX_PARSE_DEGREE:
+                raise PolyParseError(f"product above degree {_MAX_PARSE_DEGREE}")
+            t = _tmul(t, u)
         return t
 
     def factor(self):
@@ -618,6 +632,8 @@ class _Parser:
             kind, val = self.next()
             if kind != "num" or val != int(val) or val < 0:
                 raise PolyParseError("exponent must be a nonnegative integer")
+            if max(1, _degree(t)) * val > _MAX_PARSE_DEGREE:
+                raise PolyParseError(f"power above degree {_MAX_PARSE_DEGREE}")
             t = _tpow(t, int(val))
         return t
 
@@ -639,8 +655,13 @@ class _Parser:
 
 def parse_poly(text):
     """Parse polynomial text in x1, x2 into a BivarPoly. A coefficient that
-    is not finite, as written or after expansion, is a PolyParseError."""
-    terms = _Parser(_tokenize(text)).parse()
+    is not finite, as written or after expansion, is a PolyParseError, and
+    so are nesting deeper than the interpreter's recursion limit and a
+    product or power of degree above _MAX_PARSE_DEGREE."""
+    try:
+        terms = _Parser(_tokenize(text)).parse()
+    except RecursionError:
+        raise PolyParseError("expression nested too deeply") from None
     if not all(map(math.isfinite, terms.values())):
         raise PolyParseError("coefficient overflow")
     return BivarPoly(terms)

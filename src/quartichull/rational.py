@@ -80,21 +80,20 @@ def point_mass_moments(t):
 
 def validate_param(param, p):
     """True iff substituting the parametrization into the homogenized curve
-    polynomial gives the zero polynomial in t (symbolic expansion)."""
+    polynomial gives the zero polynomial in t, expanded exactly: the
+    Fractions of the parametrization against the Fractions of p's floats."""
     if p.degree != 4:
         raise ValueError("curve polynomial must have degree 4")
-    comps = [np.array([float(c) for c in row]) for row in param.rows]
-    total = np.zeros(17)
-    scale = 0.0
+    comps = [np.array(row, dtype=object) for row in param.rows]
+    total = np.zeros(17, dtype=object)
     for (a1, a2), c in p.terms.items():
-        a0 = 4 - a1 - a2  # exponent of x0 in the homogenized term
-        term = np.array([c])
-        for comp, e in ((comps[0], a0), (comps[1], a1), (comps[2], a2)):
+        term = np.array([Fraction(c)], dtype=object)
+        # x0 carries the exponent that homogenizes the term to degree 4
+        for comp, e in zip(comps, (4 - a1 - a2, a1, a2)):
             for _ in range(e):
                 term = np.polynomial.polynomial.polymul(term, comp)
-        scale = max(scale, np.max(np.abs(term)))
         total[: len(term)] += term
-    return bool(np.max(np.abs(total)) <= 1e-9 * max(1.0, scale))
+    return not total.any()
 
 
 def _fmt_coeff(c):

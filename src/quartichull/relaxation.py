@@ -41,7 +41,6 @@ __all__ = [
 BOUNDARY_CSV_HEADER = "angle,radians;f1;f2;support;x1;x2;status"
 
 
-@functools.lru_cache(maxsize=64)
 def _reductions(p, k):
     """Facial reduction of the order-k moment LMI: (kept rows, M_k on the
     kept rows, basis, zero rows).
@@ -61,21 +60,9 @@ def _reductions(p, k):
     d00 = d10 = d01 = 0, zero localizing rows and M_k(d) >= 0 on the block
     forces X M_k(d) = 0 (Permenter & Parrilo's partial facial reduction).
     After the diagonal pass, such directions are read in closed form from
-    the forms of p at infinity (moments._forced_vectors), and their ranges
-    are projected out:
-    - a definite degree-4 form p4 admits none: d00 = 0 zeroes every moment
-      of degree <= 2k-1 through the zero rows of a PSD matrix, the
-      localizing rows of degree 2k-4 then read L_d(x^s p4) = 0, and since
-      -+p4 - c(x1^2 + x2^2)^2 is a sum of squares for small c > 0, every
-      diagonal entry of the degree-k block is 0, so d = 0;
-    - otherwise, for each edge of the Newton polygon of p facing away from
-      the origin, with weights w, and each real root z of its edge form
-      (squarefree, over the Rationals), the levels D of w-degree of the
-      kept rows are walked from the top: d = z^a on w.a = 2D gives
-      M_k(d) = v v^T with v = z^u on w.u = D once the levels above are
-      projected out, and is admissible when no pin has w-degree 2D and
-      every part of p of w-degree 2D - w.s vanishes at z. The walk stops
-      at the first level that fails.
+    the forms of p at infinity, and their ranges are projected out; the
+    rule and the proof that a definite top form admits none are in
+    moments._forced_vectors.
     For the egg the one vector is x2^(k-1) + x1^2*x2^(k-2), at the root
     z = (1, 1) of its (1, 2)-weighted top form -(x2 - x1^2)^2: the curve's
     point at infinity along the parabola x2 = x1^2. d leaves every
@@ -295,11 +282,7 @@ def minimize_linear(p, objective, orders):
     f1, f2 = float(objective[0]), float(objective[1])
     out = []
     for k in orders:
-        try:
-            res = support(p, k, (-f1, -f2))
-        except IndeterminateResult as exc:
-            out.append((k, None, str(exc)))
-            continue
+        [res] = _support_sweep(p, k, [(-f1, -f2)])
         if res.status == "Unbounded":
             out.append((k, -math.inf, "Unbounded"))
         elif res.status == "Optimal":

@@ -72,6 +72,36 @@ def test_usage_errors(capsys):
     assert code == 64 and "cannot write output file" in err
 
 
+def test_deep_nesting_is_a_parse_error(capsys):
+    # deeper than the interpreter's recursion limit: bad input, not a
+    # RecursionError traceback that exits 1
+    for text in ("(" * 400 + "x1" + ")" * 400, "2*" + "-" * 3000 + "x1"):
+        code, _, err = run(capsys, "check", f"--poly={text}")
+        assert code == 64 and "cannot parse polynomial" in err
+
+
+def test_check_text_names_a_non_isolated_singular_locus_once(capsys):
+    # a non-reduced curve is singular all along; its grid-fallback samples
+    # are not printed one by one
+    code, out, _ = run(capsys, "check", "--poly=-(x1^2 + x2^2 - 1)^2")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines.count("singular locus (affine): not isolated "
+                       "(grid-fallback samples, not certified)") == 1
+    assert not any(ln.startswith("singular point (affine)") for ln in lines)
+
+
+def test_minimize_unbounded(capsys):
+    # the parabola x2 = x1^2 runs off to x2 = +inf, so -x2 has no lower bound
+    argv = ("minimize", "0 - x2", "--poly", "x2 - x1^2", "-k", "2..3")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.splitlines()[1:] == ["2;-inf;Unbounded", "3;-inf;Unbounded"]
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert [r["bound"] for r in json.loads(out)["bounds"]] == ["-inf", "-inf"]
+
+
 def test_minimize_csv(capsys):
     code, out, _ = run(capsys, "minimize", "x2", "--curve", "egg", "-k", "2")
     assert code == 0

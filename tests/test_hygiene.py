@@ -2,7 +2,8 @@
 no module defines a private function or class that nothing in the package
 reads, every name a module lists in __all__ exists, and so does every
 function that the benchmark's tracer wraps; importing the CLI leaves the LP
-solver unloaded."""
+solver unloaded, the package imports nothing but numpy and the standard
+library, and the `rational` command runs without scipy."""
 
 import ast
 import importlib
@@ -144,6 +145,37 @@ def test_lp_solver_is_imported_where_it_runs():
         "assert 'scipy.optimize' not in sys.modules",
         "relaxation.membership(curves.lookup('egg').implicit, 2, (0.0, 0.5))",
         "assert 'scipy.optimize' not in sys.modules",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # every import, nested ones included: numpy is the one runtime dependency
+    foreign = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            foreign += [(path.name, node.lineno, name) for name in names
+                        if name.split(".")[0] != "numpy"
+                        and name.split(".")[0] not in sys.stdlib_module_names]
+    assert foreign == []
+
+
+def test_rational_command_leaves_scipy_unloaded():
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from quartichull import cli",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    assert cli.main(['rational', '--curve', 'folium']) == 0",
+        "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']",
+        "assert loaded == [], loaded",
     ])
     env = dict(os.environ, PYTHONPATH=str(SRC.parent), OPENBLAS_NUM_THREADS="1")
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -71,6 +72,17 @@ def test_parse_errors():
     for bad in ("x3", "x1 +", "2**x1", "(x1", "x1^", "", "x0", "x0 - x0 + x1"):
         with pytest.raises((PolyParseError, ValueError)):
             parse_poly(bad)
+
+
+def test_runaway_power_is_refused_before_expansion():
+    # expanded, the first takes about 10 s, and the power loop would run
+    # 10^9 times on the second; the degree bound refuses both first
+    for text in ("(x1 + x2 + 1)^400", "2^1000000000"):
+        t0 = time.perf_counter()
+        with pytest.raises(PolyParseError):
+            parse_poly(text)
+        assert time.perf_counter() - t0 < 0.5
+    assert parse_poly("(x1^2 + x2)^16").degree == 32
 
 
 def test_parse_powers_and_products():

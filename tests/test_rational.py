@@ -24,6 +24,15 @@ def test_param_validation_against_implicit():
     assert not validate_param(folium.param, bean.implicit)
 
 
+def test_param_validation_is_exact():
+    # moving p0's constant by 1e-12 leaves the parametrization off the
+    # curve, which a float expansion with a relative tolerance accepts
+    folium = curves.lookup("folium")
+    p0 = (folium.param.p0[0] + Fraction(1e-12),) + folium.param.p0[1:]
+    moved = RationalParam(p0, folium.param.p1, folium.param.p2)
+    assert not validate_param(moved, folium.implicit)
+
+
 def test_param_points_lie_on_curve():
     for name in ("bean", "folium"):
         record = curves.lookup(name)
