@@ -2,7 +2,7 @@
 """Run a fixed set of CLI invocations and print, for each, its exit code,
 the SHA-256 of its stdout and its argv, one line per invocation.
 
-Usage: python3 scripts/cli_digest.py > OUT.txt
+Usage: python3 scripts/cli_digest.py [--rss] > OUT.txt
 
 The invocations: `check` (text and json) and `singularities` for the seven
 registry curves, `check --poly` on four polynomials (the Fermat quartic, a
@@ -16,12 +16,16 @@ default order and at k=4 (a certificate on the boundary of the Gram cone,
 of rank 2), `sos --curve bean --line 3,1,0 -k 4` (one in its interior),
 `rational` on folium (text) and bean (text and json), `minimize x1
 --curve bean -k 2..8`, `boundary --curve bean -k 2..3 -n 90`, `minimize x2
---curve egg -k 2..4` and `boundary --curve egg -k 2..3 -n 24`, which read
+--curve egg -k 2..4`, `minimize x1 --curve egg -k 2..8` (the egg's
+high-order compiles) and `boundary --curve egg -k 2..3 -n 24`, which read
 the one registry relaxation that the facial reduction at infinity changes
 (the egg's), and `check --poly` on x1 inside 1000 parentheses, a parse
 error (exit 64). Each runs the CLI of this tree's src/ in a fresh interpreter
 with one BLAS thread. Two trees print the same bytes for these invocations
 exactly when their outputs diff clean.
+
+With --rss, each line ends with the peak resident set size of its
+interpreter (its ru_maxrss, read with os.wait4), in MB.
 """
 
 import hashlib
@@ -58,20 +62,31 @@ def invocations():
     yield ["minimize", "x1", "--curve", "bean", "-k", "2..8"]
     yield ["boundary", "--curve", "bean", "-k", "2..3", "-n", "90"]
     yield ["minimize", "x2", "--curve", "egg", "-k", "2..4"]
+    yield ["minimize", "x1", "--curve", "egg", "-k", "2..8"]
     yield ["boundary", "--curve", "egg", "-k", "2..3", "-n", "24"]
     yield ["check", "--poly=" + "(" * 1000 + "x1" + ")" * 1000]
 
 
+def run(argv, env):
+    """The exit code, the stdout and the peak RSS in MB of one invocation."""
+    proc = subprocess.Popen([sys.executable, "-m", "quartichull.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    with proc.stdout:
+        out = proc.stdout.read()
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, not by proc
+    return proc.returncode, out, usage.ru_maxrss / 1024  # ru_maxrss is in KiB
+
+
 def main():
-    if len(sys.argv) != 1:
+    if sys.argv[1:] not in ([], ["--rss"]):
         raise SystemExit(__doc__)
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"),
                OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     for argv in invocations():
-        run = subprocess.run([sys.executable, "-m", "quartichull.cli", *argv],
-                             env=env, capture_output=True, check=False)
-        digest = hashlib.sha256(run.stdout).hexdigest()
-        print(f"{run.returncode:3d}  {digest}  {shlex.join(argv)}", flush=True)
+        code, out, rss = run(argv, env)
+        line = f"{code:3d}  {hashlib.sha256(out).hexdigest()}  {shlex.join(argv)}"
+        print(line + (f"  {rss:.1f} MB" if sys.argv[1:] else ""), flush=True)
 
 
 if __name__ == "__main__":

@@ -164,13 +164,31 @@ def _build_parser():
     return parser
 
 
+# grid samples of a curve of singular points: their number and their last
+# digits follow rounding, so the locus is one record, with no coordinates
+_LOCUS = {"locus": "not isolated", "certified": False, "at_infinity": False}
+
+
+def _singular_records(sing):
+    """The JSON records of singular points, the grid-fallback samples
+    replaced by one _LOCUS record in their place."""
+    out = []
+    for s in sing:
+        if s.at_infinity or s.certified:
+            out.append(s.to_dict())
+        elif _LOCUS not in out:
+            out.append(_LOCUS)
+    return out
+
+
 def cmd_check(args):
     p, record = _load_poly(args)
     verdict = exactness_mod.sweep_exactness(p, n=args.samples,
                                             feas_tol=args.tol)
     if args.format == "json":
-        _emit(json.dumps(_round12(json.loads(verdict.to_json())), indent=2),
-              args.out)
+        payload = json.loads(verdict.to_json())
+        payload["singular_points"] = _singular_records(verdict.singular_points)
+        _emit(json.dumps(_round12(payload), indent=2), args.out)
     else:
         lines = [f"verdict: {verdict.verdict}"]
         if verdict.witness is not None:
@@ -178,8 +196,7 @@ def cmd_check(args):
             lines.append(f"witness: {format_poly(w.affine_poly())}")
         sing = verdict.singular_points
         if any(not (s.at_infinity or s.certified) for s in sing):
-            # grid samples of a curve of singular points: their number and
-            # their last digits follow rounding, so the locus is one line
+            # the locus is one line (see _LOCUS)
             lines.append("singular locus (affine): not isolated "
                          "(grid-fallback samples, not certified)")
             sing = [s for s in sing if s.at_infinity]
@@ -364,8 +381,7 @@ def cmd_sos(args):
 
 def cmd_singularities(args):
     p, record = _load_poly(args)
-    sing = exactness_mod.find_singularities(p)
-    payload = [s.to_dict() for s in sing]
+    payload = _singular_records(exactness_mod.find_singularities(p))
     _emit(json.dumps(_round12(payload), indent=2), args.out)
     return 0
 

@@ -297,26 +297,35 @@ def _solve_pairs(eqs, weights, known=(), box=_BOX):
     # non-generic pencils: grid search fallback, flagged non-certified
     grid = np.linspace(-2.0, 2.0, 41)
     grid = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+    del C, G, rs, z, at, inside, i, v, k, w, t  # the elimination's arrays
     seeds = np.concatenate(seeds + [grid] * len(pending))
     owner = np.concatenate(owner + [np.repeat(pending, len(grid))])
-    # the polish holds about _SEED_FLOATS floats a seed at once: it takes
-    # batches of seeds within the SDP core's memory bound (the seeds are
-    # polished independently, so the batches do not change a bit)
-    per = _STACK_FLOATS // _SEED_FLOATS
-    pts = np.concatenate([_newton_polish(eqs, seeds[i:i + per], weights[owner[i:i + per]],
-                                         known, far=200 * box)
-                          for i in range(0, max(len(seeds), 1), per)])
-    vals = np.array([q.eval_many(pts[:, 0], pts[:, 1]) for q in eqs])
-    res = np.abs(np.einsum("nkj,jn->nk", weights[owner], vals))
-    good = (res <= _RESIDUAL_TOL * norm[owner]).all(axis=1)
-    good &= (np.abs(pts).max(axis=1) < box) | ~np.isin(owner, pending)
+    # A batch of seeds is polished and filtered by the residual on its own:
+    # the polish holds about _SEED_FLOATS floats a seed of the batch at once,
+    # beside the 6 of its pair's weights, and the stack 6 a seed (seed,
+    # owner, polished zero and its owner). The batches take what the SDP
+    # core's memory bound leaves beside the stack, at least half of it (a
+    # larger stack is its caller's to split). The seeds are polished
+    # independently, so the batches do not change a bit.
+    per = max(_STACK_FLOATS - 6 * len(seeds), _STACK_FLOATS // 2) // (_SEED_FLOATS + 6)
+    pts, kept = [np.zeros((0, 2))], [np.zeros(0, int)]
+    for i in range(0, len(seeds), per):
+        o = owner[i:i + per]
+        x = _newton_polish(eqs, seeds[i:i + per], weights[o], known, far=200 * box)
+        vals = np.array([q.eval_many(x[:, 0], x[:, 1]) for q in eqs])
+        res = np.abs(np.einsum("nkj,jn->nk", weights[o], vals))
+        good = (res <= _RESIDUAL_TOL * norm[o]).all(axis=1)
+        good &= (np.abs(x).max(axis=1) < box) | ~np.isin(o, pending)
+        pts.append(x[good])
+        kept.append(o[good])
+    pts, owner = np.concatenate(pts), np.concatenate(kept)
     # the seeds that a known root took sit exactly on it: one copy a pair
     on = (pts[:, None] == np.reshape(known, (1, -1, 2))).all(axis=2).any(axis=1)
-    at = np.flatnonzero(good & on)
+    at = np.flatnonzero(on)
     first = np.unique(np.column_stack([owner[at], pts[at]]), axis=0, return_index=True)[1]
-    good[np.delete(at, first)] = False
-    out = [[] for _ in C]
-    for m, pt in zip(owner[good], pts[good]):
+    copies = np.delete(at, first)
+    out = [[] for _ in weights]
+    for m, pt in zip(np.delete(owner, copies), np.delete(pts, copies, axis=0)):
         out[m].append(tuple(pt))
     return [(o, m not in pending) for m, o in enumerate(out)]
 
@@ -731,10 +740,11 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         # failing row are no more than the rows before it. A chunk's margins
         # fit one stack of the SDP core (margins_per_stack), whose memory
         # bound thus bounds the chunk: at its 403 rows the stack of 5x5 faces
-        # traces 3.6 MB of the bound's 4 MB, and the tangency stack, whose
-        # polish takes its seeds in batches within that bound, 4.1 MB on the
-        # lemniscate, 5.1 MB on the bean and 2.4 MB on the egg. Each row
-        # keeps its p_f beside its margin, for its min p_f.
+        # traces 3.6 MB of the bound's 4.2 MB, and the tangency stack, whose
+        # polish takes its seeds in batches within that bound beside the
+        # stack's own seeds and zeros, 3.5 MB on the lemniscate, 4.2 MB on
+        # the bean and 2.1 MB on the egg. Each row keeps its p_f beside its
+        # margin, for its min p_f.
         ahead, size, most = {}, 1, margins_per_stack(2)
 
         def band_margin(i):

@@ -231,6 +231,22 @@ class LinearMatrixForm:
         sum_m y_m F[m]."""
         return np.take(self.rows.T, self.sums, axis=1)
 
+    def congruence(self, B):
+        """B^T F[m] B for every m, (nvars, cols, cols), for a form whose rows
+        are the identity (M_k, or M_k on some of its rows), without forming F.
+
+        Its F is 0/1, and column r of F[m] holds at most one 1: at the row q
+        with sums[q, r] = m. So H[m, p, r] = (B^T F[m])[p, r] = B[q, p] is a
+        gather of the rows of B, exact, and one product with B finishes. Each
+        entry is the dot product of the two vectors that np.einsum("pq,iqr,
+        rs->ips", B.T, F, B, optimize=True) multiplies in its last step, and
+        comes out bit for bit as that einsum's (the tests compare them). The
+        result is C-contiguous, so the solver reads F as an (m, n*n) view."""
+        q, r = np.indices(self.sums.shape)
+        H = np.zeros((self.nvars, B.shape[1], self.size))
+        H[self.sums, :, r] = B[q]
+        return (H.reshape(-1, self.size) @ B).reshape(self.nvars, B.shape[1], B.shape[1])
+
 
 def monomial_vector(d, x1, x2):
     """Values of all monomials of degree <= d at a point, graded-lex order."""

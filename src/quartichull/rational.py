@@ -160,10 +160,12 @@ class HankelRepresentation:
     @functools.cached_property
     def _program(self):
         """The margin program of rational_membership over (retained
-        liftings, t), compiled once: max t s.t. H(x, y) - t I >= 0. A point
-        enters only through the constant matrix F0."""
-        F = np.concatenate([self._form.coefficients()[3:], -np.eye(3)[None]])
-        return SdpProblem(F, np.zeros((0, len(F))))
+        liftings, t), compiled once: max t s.t. H(x, y) - t I >= 0, beside
+        the coefficient matrices of x0, x1 and x2, from which a point's
+        constant matrix F0 is formed: (those three, program)."""
+        T = self._form.coefficients()
+        F = np.concatenate([T[3:], -np.eye(3)[None]])
+        return T[:3], SdpProblem(F, np.zeros((0, len(F))))
 
     def format_matrix(self):
         out = []
@@ -234,9 +236,8 @@ def rational_membership(rep, point):
     if not (math.isfinite(x1) and math.isfinite(x2)):
         # checked here: inf * 0 in the sum below would give nan
         raise ValueError("point coordinates must be finite")
-    T = rep._form.coefficients()
+    T, prob = rep._program
     F0 = T[0] + x1 * T[1] + x2 * T[2]
-    prob = rep._program
     c = np.zeros(len(prob.F))
     c[-1] = -1.0
     sol = solve(prob, c, F0, np.zeros(0))

@@ -46,7 +46,10 @@ def _reductions(p, k):
     kept rows, basis, zero rows).
 
     Everything is read from the one monomial-product table of
-    build_moment_matrix and build_localizing_matrix.
+    build_moment_matrix and build_localizing_matrix. The reduced block's
+    coefficient tensor, from which the zero rows are read, is gathered from
+    that table in the basis (LinearMatrixForm.congruence): M_k's dense 0/1
+    tensor is formed only for a block that keeps its coordinates.
 
     Dual side. A moment that is in no equality row (pin or localizing
     constraint), has no objective coefficient (objectives touch only y10,
@@ -96,7 +99,6 @@ def _reductions(p, k):
     # kept block
     kept = _diagonal_face(moment.sums, ~np.any(E != 0, axis=0))
     form = LinearMatrixForm(moment.sums[np.ix_(kept, kept)], moment.rows)  # M_k on the kept rows
-    F = form.coefficients()
     W = _face_at_infinity(p, k, kept)
 
     basis = W
@@ -110,9 +112,11 @@ def _reductions(p, k):
 
     fixed = np.zeros((0, nm))
     if len(kept) < moment.size or W is not None:
-        G = F if basis is None else np.einsum("pq,iqr,rs->ips", basis.T, F, basis,
-                                               optimize=True)
-        _, sig, Vt = np.linalg.svd(np.vstack([E, G.reshape(nm, -1).T]))
+        G = form.coefficients() if basis is None else form.congruence(basis)
+        S = np.vstack([E, G.reshape(nm, -1).T])
+        # Vt is all that is read; U is (len(S), len(S)) in full, and full
+        # Vt rows are needed only when S is wide
+        _, sig, Vt = np.linalg.svd(S, full_matrices=len(S) < nm)
         r = int(np.sum(sig > 1e-9 * sig[0]))
         fixed = Vt[r:]
     return tuple(kept.tolist()), form, basis, np.vstack([loc, fixed])
@@ -125,17 +129,16 @@ def _program(p, k, margin):
     facially reduced on both sides (see _reductions). Equality rows: the
     pins first (y00, y10, y01 for the margin program, y00 alone for the
     support program), then the localizing rows, then one row fixing at 0
-    each moment direction that the reduced block no longer sees.
-    _support_sweep compiles the support program once per call and lets it
-    go with the call; _margin_program keeps the margin program."""
+    each moment direction that the reduced block no longer sees. The
+    block's coefficients B^T F[m] B in the reduced basis B are gathered from
+    the product table (LinearMatrixForm.congruence), with no dense F; t's
+    coefficient is -I. _support_sweep compiles the support program once per
+    call and lets it go with the call; _margin_program keeps the margin
+    program."""
     _, form, basis, zero_rows = _reductions(p, k)
-    F = form.coefficients()
+    F = form.coefficients() if basis is None else form.congruence(basis)
     if margin:
-        F = np.concatenate([F, np.zeros((1,) + F.shape[1:])])
-    if basis is not None:
-        F = np.einsum("pq,iqr,rs->ips", basis.T, F, basis, optimize=True)
-    if margin:
-        F[-1] = -np.eye(F.shape[1])
+        F = np.concatenate([F, -np.eye(F.shape[1])[None]])
     pins = 3 if margin else 1  # graded-lex puts (0,0), (1,0), (0,1) first
     eq_A = np.zeros((pins + len(zero_rows), len(F)))
     eq_A[range(pins), range(pins)] = 1.0

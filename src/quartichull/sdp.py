@@ -181,9 +181,12 @@ _STOPS = (
 _FALLBACKS = ("converged to reduced accuracy", "converged on the feasible side only")
 _ITERATE_KEYS = ("pobj", "dobj", "gap", "mu", "rp", "rd")
 # The one bound on the size of a stack: an iteration of _ipm holds at most
-# this many floats at once (see _stack_size). 2^19 is the largest power of
-# two whose stacks do not raise the hierarchy benchmark's peak RSS: its k=3
-# support stack holds 50 members, and at 90 the RSS grows by 2 MB.
+# this many floats at once (see _stack_size). It sets the hierarchy
+# benchmark's peak RSS, whose largest working set is the boundary's k=3
+# support stack of 50 members (the bean's order-8 bound, one member, traces
+# 3.5 MB with its compile). 2^18 lowers that peak by only 0.8 MB (76.3 ->
+# 75.5 MB) and slows that boundary sweep by 5% (k = 2, 3 at 90 angles, 0.35
+# -> 0.37 s; 2 cores, one BLAS thread), so the bound stays at 2^19.
 _STACK_FLOATS = 2 ** 19
 
 

@@ -125,7 +125,8 @@ def _gram_problem(k, p, rows=None):
 
     Coefficient matching, one row per moment position, is the adjoint of
     the moment side: the Gram columns are M_k's 0/1 coefficient tensor at
-    the upper-triangle entries, doubled off the diagonal, and the s1 columns
+    the upper-triangle entries, doubled off the diagonal, gathered from the
+    product table without forming the tensor, and the s1 columns
     are the transposed localizing rows; a position that no kept entry reads
     has a zero row. Returns (program, M_k form on the kept rows).
     """
@@ -135,7 +136,7 @@ def _gram_problem(k, p, rows=None):
     nb = form.size
     iu, ju = np.triu_indices(nb)
     ng = len(iu)
-    columns = [form.coefficients()[:, iu, ju] * np.where(iu == ju, 1.0, 2.0)]
+    columns = [form.rows.T[:, form.sums[iu, ju]] * np.where(iu == ju, 1.0, 2.0)]
     if p is not None:
         columns.append(build_localizing_matrix(p, k).rows.T)
     columns.append(np.zeros((form.nvars, 1)))  # t

@@ -91,6 +91,23 @@ def test_check_text_names_a_non_isolated_singular_locus_once(capsys):
     assert not any(ln.startswith("singular point (affine)") for ln in lines)
 
 
+def test_json_names_a_non_isolated_singular_locus_once(capsys):
+    # the grid-fallback samples become one locus record with no coordinates;
+    # the points at infinity stay
+    locus = {"locus": "not isolated", "certified": False, "at_infinity": False}
+    code, out, _ = run(capsys, "singularities", "--poly=-(x1^2 + x2^2 - 1)^2")
+    assert code == 0
+    assert json.loads(out) == [locus]
+    code, out, _ = run(capsys, "check", "--poly=-(x1^2 + x2^2 - 1)^2", "--format", "json")
+    assert code == 2
+    assert json.loads(out)["singular_points"] == [locus]
+    code, out, _ = run(capsys, "singularities", "--poly=-(x2 - x1^2)^2")
+    data = json.loads(out)
+    assert data[0] == locus
+    assert [s["location"] for s in data[1:]] == [[0.0, 0.0, 1.0]]
+    assert all(s["at_infinity"] for s in data[1:])
+
+
 def test_minimize_unbounded(capsys):
     # the parabola x2 = x1^2 runs off to x2 = +inf, so -x2 has no lower bound
     argv = ("minimize", "0 - x2", "--poly", "x2 - x1^2", "-k", "2..3")

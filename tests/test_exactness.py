@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,23 @@ def test_the_polish_stops_at_a_known_singular_root():
     got = exactness._newton_polish(eqs, np.array([[1e-9, 0.0], [0.5, 0.5]]), known=[node])
     assert got[0].tolist() == [0.0, 0.0]
     assert got[1].tolist() != [0.0, 0.0]
+
+
+def test_a_tangency_stack_keeps_the_memory_bound():
+    # the sweep's largest stack, 403 directions: the polish takes its seeds
+    # in batches beside the stack-wide seeds and zeros (22222 seeds on the
+    # bean), so the stack stays within the SDP core's bound
+    p = curves.lookup("bean").implicit
+    rec = exactness._curve(p)
+    assert rec.singular and not len(rec.far)  # the record's own arrays, warmed
+    dirs = _directions(range(403), n=403)
+    tracemalloc.start()
+    try:
+        exactness._tangent_supports(p, dirs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 8 * exactness._STACK_FLOATS
 
 
 def test_a_smooth_tangency_point_near_a_node_is_kept():
