@@ -7,7 +7,9 @@ Usage: python3 scripts/cli_digest.py [--rss] > OUT.txt
 The invocations: `check` (text and json) and `singularities` for the seven
 registry curves, `check --poly` on four polynomials (the Fermat quartic, a
 parabola, a non-reduced circle and an isolated point outside a circle, whose
-verdict reads the lines from the point that touch the circle), `check --poly`
+verdict reads the lines from the point that touch the circle), `check --poly
+--format json` and `singularities --poly` on the non-reduced circle (its
+singular locus is a whole curve, listed as one record), `check --poly`
 and `singularities --poly` for the bean moved so that its triple point lies
 at (0.25, 0.5) and for the lemniscate moved so that its node does (off the
 origin, the tangency polish sets its seeds onto a node that elimination
@@ -50,6 +52,8 @@ def invocations():
         yield ["singularities", "--curve", name]
     for text in POLYS:
         yield ["check", f"--poly={text}"]  # '=' keeps a leading '-' a value
+    yield ["check", f"--poly={POLYS[2]}", "--format", "json"]
+    yield ["singularities", f"--poly={POLYS[2]}"]
     for text in (MOVED_BEAN, MOVED_LEMNISCATE):
         yield ["check", f"--poly={text}"]
         yield ["singularities", f"--poly={text}"]

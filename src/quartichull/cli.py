@@ -21,7 +21,7 @@ from . import rational as rational_mod
 from . import relaxation as relaxation_mod
 from .poly import SupportLine, format_poly, parse_poly
 from .relaxation import _fmt
-from .sos import FEAS_MARGIN, IndeterminateResult, certify_in_fk
+from .sos import IndeterminateResult, certify_in_fk
 
 __all__ = ["main"]
 
@@ -116,7 +116,7 @@ def _parse_orders(text):
     return orders
 
 
-def _add_flags(sub, order=False, samples=False, tol=False, formats=()):
+def _add_flags(sub, order=False, samples=False, formats=()):
     """The curve source and --out, plus the flags the command reads."""
     sub.add_argument("--curve", help="registry curve name")
     sub.add_argument("--poly", help="curve polynomial text, e.g. '1 - x1^4 - x2^4'")
@@ -127,9 +127,6 @@ def _add_flags(sub, order=False, samples=False, tol=False, formats=()):
     if samples:
         sub.add_argument("-n", "--samples", type=int, default=360,
                          help="number of angles")
-    if tol:
-        sub.add_argument("--tol", type=float, default=FEAS_MARGIN,
-                         help="feasibility tolerance")
     if formats:
         sub.add_argument("--format", choices=formats, default="csv")
     sub.add_argument("--out", help="output path (default stdout)")
@@ -142,7 +139,7 @@ def _build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     s = subs.add_parser("check", help="decide exactness of the first relaxation")
-    _add_flags(s, samples=True, tol=True, formats=("csv", "json"))
+    _add_flags(s, samples=True, formats=("csv", "json"))
 
     s = subs.add_parser("boundary", help="boundary sweep of the relaxed hulls")
     _add_flags(s, order=True, samples=True, formats=("csv", "json", "svg"))
@@ -164,43 +161,21 @@ def _build_parser():
     return parser
 
 
-# grid samples of a curve of singular points: their number and their last
-# digits follow rounding, so the locus is one record, with no coordinates
-_LOCUS = {"locus": "not isolated", "certified": False, "at_infinity": False}
-
-
-def _singular_records(sing):
-    """The JSON records of singular points, the grid-fallback samples
-    replaced by one _LOCUS record in their place."""
-    out = []
-    for s in sing:
-        if s.at_infinity or s.certified:
-            out.append(s.to_dict())
-        elif _LOCUS not in out:
-            out.append(_LOCUS)
-    return out
-
-
 def cmd_check(args):
     p, record = _load_poly(args)
-    verdict = exactness_mod.sweep_exactness(p, n=args.samples,
-                                            feas_tol=args.tol)
+    verdict = exactness_mod.sweep_exactness(p, n=args.samples)
     if args.format == "json":
-        payload = json.loads(verdict.to_json())
-        payload["singular_points"] = _singular_records(verdict.singular_points)
-        _emit(json.dumps(_round12(payload), indent=2), args.out)
+        _emit(json.dumps(_round12(json.loads(verdict.to_json())), indent=2), args.out)
     else:
         lines = [f"verdict: {verdict.verdict}"]
         if verdict.witness is not None:
             w = verdict.witness.normalized()
             lines.append(f"witness: {format_poly(w.affine_poly())}")
-        sing = verdict.singular_points
-        if any(not (s.at_infinity or s.certified) for s in sing):
-            # the locus is one line (see _LOCUS)
-            lines.append("singular locus (affine): not isolated "
-                         "(grid-fallback samples, not certified)")
-            sing = [s for s in sing if s.at_infinity]
-        for s in sing:
+        for s in verdict.singular_points:
+            if not s.certified:  # a curve of singular points (SingularPoint.to_dict)
+                lines.append("singular locus (affine): not isolated "
+                             "(grid-fallback samples, not certified)")
+                continue
             loc = s.location.normalized().coords
             where = "infinity" if s.at_infinity else "affine"
             lines.append(
@@ -366,11 +341,7 @@ def cmd_sos(args):
         line = SupportLine(coeffs)
     except ValueError as exc:
         raise UsageError(f"bad line coefficients: {exc}")
-    try:
-        cert = certify_in_fk(line, p, orders[0])
-    except IndeterminateResult as exc:
-        print(f"indeterminate: {exc}", file=sys.stderr)
-        return EXIT_INCONCLUSIVE
+    cert = certify_in_fk(line, p, orders[0])
     if cert is None:
         _emit(json.dumps({"feasible": False,
                           "line": list(line.coeffs)}, indent=2), args.out)
@@ -381,7 +352,7 @@ def cmd_sos(args):
 
 def cmd_singularities(args):
     p, record = _load_poly(args)
-    payload = _singular_records(exactness_mod.find_singularities(p))
+    payload = [s.to_dict() for s in exactness_mod.find_singularities(p)]
     _emit(json.dumps(_round12(payload), indent=2), args.out)
     return 0
 
@@ -400,9 +371,6 @@ def main(argv=None):
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        tol = getattr(args, "tol", 1.0)
-        if not (math.isfinite(tol) and tol > 0):
-            raise UsageError("tolerance must be finite and positive")
         if getattr(args, "samples", 8) < 8:
             raise UsageError("need at least 8 sample angles")
         return _COMMANDS[args.command](args)

@@ -90,6 +90,10 @@ class SingularPoint:
     certified: bool = True
 
     def to_dict(self):
+        """The JSON record; a non-certified point, a sample of a curve of
+        singular points (_Curve.singular), records the locus, no coordinates."""
+        if not self.certified:
+            return {"locus": "not isolated", "certified": False, "at_infinity": False}
         return {
             "location": list(self.location.normalized().coords),
             "at_infinity": self.at_infinity,
@@ -408,23 +412,22 @@ class _Curve:
         one when the residual test passes at their midpoint, kept at a copy of
         zero residual if any. Without a generic pencil of partials (a multiple
         component, or p in one variable only) _solve_pairs returns grid
-        points, flagged non-certified, samples of a curve merged within 1e-7."""
+        points, samples of a curve of singular points whose number follows
+        rounding: one of them stands for the curve, flagged non-certified."""
         p, p1, p2 = self.p, self.d1, self.d2
         tol = _RESIDUAL_TOL * max(1.0, p.coeff_norm())
         [(cand, certified)] = _solve_pairs((p1, p2), np.eye(2)[None])
         cand = [(a, b, abs(p(a, b)), math.hypot(p1(a, b), p2(a, b))) for a, b in cand]
         cand = np.array([c for c in cand if c[2] <= tol and c[3] <= _RESIDUAL_TOL]).reshape(-1, 4)
+        cand = cand if certified else cand[:1]
         reps = []  # the index in cand of the kept copy of each point
         for n, (a, b, rp, rg) in enumerate(cand):
-            kept, mid = cand[reps, :2], (cand[reps, :2] + (a, b)) / 2
-            if certified:
-                same = (np.abs(p.eval_many(*mid.T)) <= tol) & (np.hypot(
-                    p1.eval_many(*mid.T), p2.eval_many(*mid.T)) <= _RESIDUAL_TOL)
-            else:
-                same = np.hypot(*(kept - (a, b)).T) <= 1e-7 * (1 + math.hypot(a, b))
+            mid = (cand[reps, :2] + (a, b)) / 2
+            same = (np.abs(p.eval_many(*mid.T)) <= tol) & (np.hypot(
+                p1.eval_many(*mid.T), p2.eval_many(*mid.T)) <= _RESIDUAL_TOL)
             if not same.any():
                 reps.append(n)
-            elif certified and rp == rg == 0.0 < cand[reps[np.argmax(same)], 2:].sum():
+            elif rp == rg == 0.0 < cand[reps[np.argmax(same)], 2:].sum():
                 reps[np.argmax(same)] = n
         return tuple(SingularPoint(location=ProjPoint((1.0, a, b)), at_infinity=False,
                                    residual_p=rp, residual_grad=rg, certified=certified)
@@ -473,7 +476,7 @@ def _tangent_supports(p, dirs):
     tangent_support raises. The pairs share p, d1 and d2, each weighed with
     its own direction, and the known roots: the certified affine singular
     points of the curve record (not the grid fallback's, nor those at
-    infinity)."""
+    infinity). A grid-fallback pair holds an IndeterminateResult."""
     rec = _curve(p)
     out, live, us = [None] * len(dirs), [], []
     for m, f in enumerate(dirs):
@@ -488,11 +491,13 @@ def _tangent_supports(p, dirs):
     known = [s.location.to_affine() for s in rec.singular if not s.at_infinity and s.certified]
     eqs = (p, rec.d1, rec.d2)
     sols = _solve_pairs(eqs, weights, known)
-    for (pts, _), m, u in zip(sols, live, us):
+    for (pts, certified), m, u in zip(sols, live, us):
         vals = [u[0] * a + u[1] * b for (a, b) in pts]
         h = max(vals, default=math.inf)
+        if not certified:
+            out[m] = IndeterminateResult("tangency points from the grid fallback (non-certified)")
         # a finite critical value does not bound an unbounded curve
-        if rec.far.shape[0] and (not pts or np.max(rec.far @ u) > h):
+        elif rec.far.shape[0] and (not pts or np.max(rec.far @ u) > h):
             out[m] = TangentSupport(value=math.inf, points=[])
         elif not pts:
             out[m] = IndeterminateResult("no tangency point found on a bounded curve")
@@ -575,8 +580,11 @@ def classify_boundary(p):
     at a normal of such a line is attained at it. The witness goes through
     it, with the supporting cone normal of smallest (margin, angle), else
     the middle of the arc of supporting normals. Returns (singular points,
-    smooth, witness), labelled copies of the record's unlabelled points."""
+    smooth, witness), labelled copies of the record's unlabelled points,
+    unlabelled and with smooth None when one is not certified."""
     sing = find_singularities(p)
+    if not all(s.certified for s in sing):
+        return sing, None, None
     if all(s.at_infinity for s in sing):
         return sing, True, None
     if not curve_is_bounded(p):
@@ -669,16 +677,17 @@ def _at_contacts(p, pfs, contacts):
     return [BivarPoly({(i, j): c[i, j] for i, j in monomials_upto(4)}) for c in q]
 
 
-def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
+def sweep_exactness(p, n=360):
     """Full decision procedure on p oriented so that it is negative far from
     the origin (_oriented): concavity fast path, boundary smoothness,
     then a supporting-line sweep testing p_f >= 0 at n angles and at the
     hull facets solved between them (see _bitangent), each by the SOS
     margin of p_f moved to its contact, on the face of the Gram rows that
-    the contact forces to zero (_at_contacts). Every phase reads the
-    support function of the curve record over the inward-normal angle. When
-    a solve cannot decide, the verdict is Inconclusive and keeps the
-    singular points and sweep rows computed before."""
+    the contact forces to zero (_at_contacts), failing below -FEAS_MARGIN
+    as every SOS test does. Every phase reads the support function of the
+    curve record over the inward-normal angle. When a solve cannot decide,
+    the verdict is Inconclusive and keeps the singular points and sweep
+    rows computed before."""
     if n < 8:
         raise ValueError("need at least 8 sweep angles")
     p = _oriented(p)
@@ -693,7 +702,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
         sing = find_singularities(p)
         if evidence["concave"]:
             return verdict("Exact")
-        if not all(s.certified for s in sing if not s.at_infinity):
+        if not all(s.certified for s in sing):
             # the partials share a component, so the singular locus may be a
             # whole curve, which no finite set of points classifies
             evidence["reason"] = "singular points from the grid fallback (non-certified)"
@@ -731,7 +740,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                 theta = math.atan2(g2, g1) % (2 * math.pi)
                 line = SupportLine((-(g1 * a + g2 * b), g1, g2))
                 # its normal must lie between the two sample angles
-                if (theta - lo) % (2 * math.pi) <= step and margin_of(line, (a, b)) < -feas_tol:
+                if (theta - lo) % (2 * math.pi) <= step and margin_of(line, (a, b)) < -FEAS_MARGIN:
                     return theta, line
 
         # margins on the contact face (_at_contacts) solved ahead, by row, in
@@ -781,7 +790,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
             if isinstance(m, IndeterminateResult):
                 raise m
             # a passing row's p_f >= 0 vanishes at the contact: its minimum
-            fails = m < -feas_tol
+            fails = m < -FEAS_MARGIN
             pf_min = quartic_minimizer(pf)[1] if fails else float(pf(*sample(j).point))
             sweep.append((th, m, pf_min))
             if fails:
@@ -796,7 +805,7 @@ def sweep_exactness(p, n=360, feas_tol=FEAS_MARGIN):
                             evidence["facet_angle"], line = facet
                         if facet or i >= j:
                             break
-                    elif i >= j and band_margin(i + 1) >= -feas_tol:
+                    elif i >= j and band_margin(i + 1) >= -FEAS_MARGIN:
                         break
                 return verdict("NotExact", line.normalized())
 

@@ -227,3 +227,55 @@ def test_poly_file_input(capsys, tmp_path):
     path.write_text("1/0 - x1^2 - x2^2\n")
     code, _, err = run(capsys, "check", "--poly-file", str(path))
     assert code == 64 and "cannot parse polynomial" in err
+
+
+def test_check_has_no_tolerance_flag(capsys):
+    # the sweep's margin test is the package's own (-FEAS_MARGIN); check
+    # takes no tolerance
+    code, _, err = run(capsys, "check", "--curve", "egg", "--tol", "1e-7")
+    assert code == 64 and "unrecognized arguments: --tol" in err
+
+
+def test_check_text_lists_a_classified_singular_point(capsys):
+    code, out, _ = run(capsys, "check", "--curve", "bean")
+    assert code == 1
+    assert out.splitlines() == ["verdict: NotExact", "witness: x1",
+                                "singular point (affine): (1, 0, 0) [on_boundary]"]
+
+
+def test_boundary_json(capsys):
+    code, out, _ = run(capsys, "boundary", "--curve", "egg", "-k", "2..3", "-n", "8",
+                       "--format", "json")
+    assert code == 0
+    orders = json.loads(out)["orders"]
+    assert list(orders) == ["2", "3"]
+    for rows in orders.values():
+        assert len(rows) == 8
+        assert all(list(r) == ["angle", "f1", "f2", "support", "x1", "x2", "status"]
+                   for r in rows)
+        # the support is attained at the boundary point of its row
+        assert all(r["f1"] * r["x1"] + r["f2"] * r["x2"] == pytest.approx(r["support"], abs=1e-9)
+                   for r in rows)
+
+
+def test_rational_json(capsys):
+    code, out, _ = run(capsys, "rational", "--curve", "bean", "--format", "json")
+    assert code == 0
+    data = json.loads(out)
+    checked = data["agreement"]["checked"]
+    assert 0 < checked <= 200 and data["agreement"]["agree"] == checked
+    assert data["retained"]
+
+
+def test_an_undecided_certificate_exits_inconclusive(capsys, monkeypatch):
+    # the IndeterminateResult of any command ends in main: exit 2, the
+    # reason on stderr, nothing on stdout
+    from quartichull import cli
+    from quartichull.sos import IndeterminateResult
+
+    def undecided(line, p, k):
+        raise IndeterminateResult("stubbed solve")
+
+    monkeypatch.setattr(cli, "certify_in_fk", undecided)
+    code, out, err = run(capsys, "sos", "--curve", "egg", "--line", "2,0,-2")
+    assert (code, out, err) == (2, "", "indeterminate: stubbed solve\n")

@@ -1047,3 +1047,38 @@ def test_one_direction_support_is_its_stacked_member(name):
     dirs = _directions(range(0, 360, 7))
     for f, got in zip(dirs, exactness._tangent_supports(p, dirs)):
         assert repr(got) == repr(tangent_support(p, f))
+
+
+def test_a_curve_of_singular_points_is_one_non_certified_record():
+    # every point of the doubled circle is singular: the grid fallback's
+    # samples are one point, flagged non-certified, whose JSON record is the
+    # locus; nothing is classified from it, and the verdict records it once
+    import json
+
+    doubled = parse_poly("-(x1^2 + x2^2 - 1)^2")
+    found = find_singularities(doubled)
+    assert len(found) == 1
+    assert not found[0].at_infinity and not found[0].certified
+    locus = {"locus": "not isolated", "certified": False, "at_infinity": False}
+    assert found[0].to_dict() == locus
+    t0 = time.perf_counter()
+    sing, smooth, witness = exactness.classify_boundary(doubled)
+    assert time.perf_counter() - t0 < 1.0
+    assert (smooth, witness) == (None, None)
+    assert [s.classification for s in sing] == ["unknown"]
+    verdict = sweep_exactness(doubled, n=8)
+    assert json.loads(verdict.to_json())["singular_points"] == [locus]
+
+
+def test_a_grid_fallback_tangency_pair_is_indeterminate():
+    # on the doubled circle the tangency pair shares the circle with p:
+    # elimination fails, and the grid fallback's points are no support
+    doubled = parse_poly("-(x1^2 + x2^2 - 1)^2")
+    with pytest.raises(IndeterminateResult, match="grid fallback"):
+        tangent_support(doubled, (0.3, 0.2))
+    [(_, certified)] = exactness._solve_pairs(
+        (doubled, doubled.diff(1), doubled.diff(2)), np.array([[[1.0, 0, 0], [0, 0.2, -0.3]]]))
+    assert not certified
+    # q is constant along a curve of its critical points, so the minimizer
+    # still reads the grid samples
+    assert quartic_minimizer(-doubled)[1] == pytest.approx(0.0, abs=1e-12)

@@ -177,3 +177,28 @@ def test_format_affine():
     assert format_affine({"x0": Fraction(1), "y0": Fraction(-2)}) == "x0 - 2*y0"
     assert format_affine({}) == "0"
     assert format_affine({"x1": Fraction(1, 2)}) == "1/2*x1"
+
+
+def test_membership_reads_the_solve_status(monkeypatch):
+    # an unbounded margin program is inside with an infinite margin; any
+    # other status but Optimal cannot decide
+    import math
+
+    from quartichull import rational
+    from quartichull.sdp import SdpSolution
+    from quartichull.sos import IndeterminateResult
+
+    rep = hankel_representation(curves.lookup("folium").param)
+    status = {}
+
+    def stub(prob, c, F0, eq_b):
+        return SdpSolution(status=status["now"], z=None, duals=None,
+                           violation=math.inf, message="stubbed")
+
+    monkeypatch.setattr(rational, "solve", stub)
+    status["now"] = "Unbounded"
+    res = rational_membership(rep, (0.1, 0.1))
+    assert (res.inside, res.margin, res.liftings) == (True, math.inf, None)
+    status["now"] = "Numerical"
+    with pytest.raises(IndeterminateResult, match="returned Numerical: stubbed"):
+        rational_membership(rep, (0.1, 0.1))

@@ -517,3 +517,22 @@ def test_each_family_compiles_once(monkeypatch):
     rep = rational.hankel_representation(curves.lookup("folium").param)
     assert programs([lambda x=x: rational.rational_membership(rep, x)
                      for x in points]) == (5, 1)
+
+
+def test_membership_and_support_raise_on_an_undecided_solve(monkeypatch):
+    # a solve that ends neither Optimal nor, for a support, Inaccurate or
+    # Unbounded cannot decide: membership and support raise
+    from quartichull import relaxation
+    from quartichull.sdp import SdpSolution
+
+    def failed(*args):
+        return SdpSolution(status="Infeasible", z=None, duals=None,
+                           violation=math.inf, message="stubbed")
+
+    monkeypatch.setattr(relaxation, "solve", failed)
+    monkeypatch.setattr(relaxation, "solve_stack", lambda prob, c, *args: [failed()] * len(c))
+    egg = curves.lookup("egg").implicit
+    with pytest.raises(IndeterminateResult, match="membership solve returned Infeasible: stubbed"):
+        membership(egg, 2, (0.0, 0.0))
+    with pytest.raises(IndeterminateResult, match="support solve returned Infeasible: stubbed"):
+        support(egg, 2, (1.0, 0.0))

@@ -299,3 +299,31 @@ def test_stack_arguments(monkeypatch):
     F0[1, 0, 0] = np.nan
     with pytest.raises(ValueError, match="problem data must be finite"):
         solve_stack(prob, c, F0, eq_b)
+
+
+def test_a_member_that_stops_on_a_step_test_leaves_its_stack(monkeypatch):
+    # member 1's primal step collapses at iteration 2 (its corrector step
+    # length is set to 0): it stops there and leaves the stack, and the
+    # others iterate on, each its one-member solve bit for bit
+    prob, c, F0, eq_b = _stack_family(4)
+    alone = [solve(prob, c[j], F0[j], eq_b[j]) for j in range(4)]
+    calls, step = [], sdp._step
+
+    def collapsing(s, Dh):
+        out = step(s, Dh)
+        calls.append(len(out))
+        if len(calls) == 4 * 2 + 3:  # predictor (ap, ad), then corrector (ap, ad)
+            out[1] = 0.0
+        return out
+
+    monkeypatch.setattr(sdp, "_step", collapsing)
+    stack = solve_stack(prob, c, F0, eq_b)
+    assert calls[4 * 2 + 2] == 4  # the whole stack was live at that step
+    assert (stack[1].status, stack[1].message) == ("Numerical", "step length collapsed")
+    assert len(stack[1].iterates) == 3
+    assert [sol.status for sol in alone] == ["Optimal"] * 4
+    for j in (0, 2, 3):
+        assert (stack[j].status, stack[j].message) == (alone[j].status, alone[j].message)
+        assert list(stack[j].iterates) == list(alone[j].iterates)
+        assert len(stack[j].iterates) > 3
+        assert stack[j].z.tobytes() == alone[j].z.tobytes()
