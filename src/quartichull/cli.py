@@ -9,6 +9,7 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -50,10 +51,6 @@ def _round12(obj):
         return {k: _round12(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_round12(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return _round12(float(obj))
-    if isinstance(obj, np.ndarray):
-        return _round12(obj.tolist())
     return obj
 
 
@@ -240,17 +237,8 @@ def cmd_boundary(args):
             chunks.append(relaxation_mod.boundary_csv(results[k]).rstrip("\n"))
         _emit("\n".join(chunks) + "\n", args.out)
     elif args.format == "json":
-        payload = {
-            "orders": {
-                str(k): [
-                    {"angle": r.angle, "f1": r.f1, "f2": r.f2,
-                     "support": r.support, "x1": r.x1, "x2": r.x2,
-                     "status": r.status}
-                    for r in results[k]
-                ]
-                for k in orders
-            }
-        }
+        payload = {"orders": {str(k): [dataclasses.asdict(r) for r in results[k]]
+                              for k in orders}}
         _emit(json.dumps(_round12(payload), indent=2), args.out)
     else:
         layers = [(f"k={k}", [(r.x1, r.x2) for r in results[k]])

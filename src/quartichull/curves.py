@@ -6,10 +6,9 @@ reports; nothing here recomputes them.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
-from .poly import BivarPoly, ProjPoint, format_poly, parse_poly
+from .poly import BivarPoly, ProjPoint, parse_poly
 from .rational import RationalParam
 
 __all__ = ["CurveRecord", "registry", "lookup", "curve_names"]
@@ -24,23 +23,6 @@ class CurveRecord:
     expected_verdict: str  # Exact | NotExact
     param: RationalParam | None = None
     notes: str = ""
-
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "implicit": format_poly(self.implicit),
-            "genus": self.genus,
-            "singularities": [
-                {"point": list(pt.normalized().coords), "note": note}
-                for pt, note in self.singularities
-            ],
-            "expected_verdict": self.expected_verdict,
-            "param": None if self.param is None else self.param.to_dict(),
-            "notes": self.notes,
-        }
-
-    def to_json(self):
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _records():
@@ -105,13 +87,10 @@ def _records():
     )
 
 
-_REGISTRY = None
+_REGISTRY = _records()
 
 
 def registry():
-    global _REGISTRY
-    if _REGISTRY is None:
-        _REGISTRY = _records()
     return list(_REGISTRY)
 
 

@@ -144,8 +144,6 @@ def check_concave(p):
         raise ValueError("degree must be <= 4")
     H = hessian(p)
     neg_tr = -(H[0][0] + H[1][1])
-    if neg_tr.degree > 2:
-        raise ValueError("trace of the Hessian has unexpected degree")
     # a quadratic has a unique Gram matrix over (1, x1, x2)
     G = np.array([
         [neg_tr.coeff(0, 0), neg_tr.coeff(1, 0) / 2, neg_tr.coeff(0, 1) / 2],
@@ -347,8 +345,6 @@ def find_singularities(p):
 
 def _infinity_singularities(p):
     d = p.degree
-    if d < 1:
-        return []
     pd, pdm1 = p.graded_part(d), p.graded_part(d - 1)
     g1, g2 = gradient(pd)
     scale = max(1.0, p.coeff_norm())

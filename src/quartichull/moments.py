@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .poly import _definite_sign, _q, _qgcd, _squarefree, monomials_upto
 
 __all__ = [
-    "MomentIndex",
-    "MomentVector",
     "LinearMatrixForm",
     "build_moment_matrix",
     "build_localizing_matrix",
@@ -173,36 +170,6 @@ def _face_at_infinity(p, k, kept):
     return Q[:, w <= 1e-8 * w[-1]]
 
 
-@dataclass(frozen=True)
-class MomentIndex:
-    """Graded-lex index of moments y_{ab}, a + b <= 2k."""
-
-    k: int
-    pairs: tuple = field(init=False)
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("order must be >= 1")
-        object.__setattr__(self, "pairs", tuple(monomials_upto(2 * self.k)))
-
-    def __len__(self):
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
-class MomentVector:
-    """Concrete moment values aligned with MomentIndex(k)."""
-
-    k: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if len(v) != (self.k + 1) * (2 * self.k + 1):
-            raise ValueError("moment vector length does not match order")
-        object.__setattr__(self, "values", v)
-
-
 class LinearMatrixForm:
     """Symmetric-matrix-valued linear form in the moment variables.
 
@@ -223,8 +190,7 @@ class LinearMatrixForm:
         return self.rows.shape[1]
 
     def evaluate(self, y):
-        values = y.values if isinstance(y, MomentVector) else np.asarray(y, dtype=float)
-        return (self.rows @ values)[self.sums]
+        return (self.rows @ np.asarray(y, dtype=float))[self.sums]
 
     def coefficients(self):
         """Coefficient tensor F, (nvars, size, size): the form is
@@ -255,7 +221,7 @@ def monomial_vector(d, x1, x2):
 
 def point_moments(k, x1, x2):
     """Moments of the Dirac mass at (x1, x2), up to degree 2k."""
-    return MomentVector(k, monomial_vector(2 * k, x1, x2))
+    return monomial_vector(2 * k, x1, x2)
 
 
 def build_moment_matrix(k):
@@ -271,9 +237,10 @@ def build_localizing_matrix(p, k):
     constant term of p contributes y_{u+v} directly.
 
     Its rows are the localizing rows, one per monomial s of degree
-    <= 2(k-2), holding the coefficients of x^s p over MomentIndex(k). The
-    rows with deg s <= k-4 come first and are the coefficient vectors of
-    x^s p over the monomials of degree <= k, the rows of M_k.
+    <= 2(k-2), holding the coefficients of x^s p over the moments of
+    degree <= 2k. The rows with deg s <= k-4 come first and are the
+    coefficient vectors of x^s p over the monomials of degree <= k, the
+    rows of M_k.
     """
     if k < 2:
         raise ValueError("order below first relaxation")

@@ -53,8 +53,6 @@ class RationalParam:
             object.__setattr__(self, name, c)
         if all(v == 0 for v in self.p0):
             raise ValueError("p0 must be nonzero")
-        if all(v == 0 for row in (self.p0, self.p1, self.p2) for v in row):
-            raise ValueError("parametrization must be nonzero")
 
     @property
     def rows(self):

@@ -317,13 +317,9 @@ def boundary_points(p, k, n):
 
 
 def _fmt(v):
-    """12 significant digits, so identical runs print identical bytes."""
-    v = float(v)
-    if math.isnan(v):
-        return "nan"
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return f"{v:.12g}"
+    """12 significant digits, so identical runs print identical bytes
+    (nan, inf and -inf as such)."""
+    return f"{float(v):.12g}"
 
 
 def boundary_csv(rows):

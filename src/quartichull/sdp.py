@@ -168,6 +168,7 @@ def psd_truncate(M, tol=1e-8):
 # the member iterates on.
 _STOPS = (
     None,
+    ("Numerical", "non-finite iterate"),
     ("Optimal", ""),
     ("Infeasible", "primal improving ray found"),
     ("Unbounded", "dual improving ray found"),
@@ -320,6 +321,7 @@ def _ipm(C, A, b):
         # multiplied through by the norm of the ray)
         ray = yA + S
         tests = [
+            ~np.isfinite(log[-1][1]).all(axis=1),  # overflow, which no test below reads
             (rp_rel < _FEAS_TOL) & (rd_rel < _FEAS_TOL) & (gap_rel < _GAP_TOL),
             (pobj < 0) & (-pobj > _RAY_THRESHOLD * np.maximum(
                 np.sqrt((ax * ax).sum(axis=1)), 1e-16 * np.sqrt((X * X).sum(axis=(1, 2))))),
@@ -402,9 +404,9 @@ def _ipm(C, A, b):
         dX, dy, dS = solve_direction(R @ (rhs / denom) @ RT)
         ap, ad = _step(s, Rinv @ dX @ RinvT), _step(s, RT @ dS @ R)
 
-        stop = np.where(np.minimum(ap, ad) < 1e-10, 8, 0)
-        stop[bad_m] = 7
-        stop[bad_x | bad_s] = 6
+        stop = np.where(np.minimum(ap, ad) < 1e-10, 9, 0)
+        stop[bad_m] = 8
+        stop[bad_x | bad_s] = 7
         if stop.any():
             finish(stop)
             if stop.all():
@@ -414,7 +416,7 @@ def _ipm(C, A, b):
         st.y = st.y + ad[:, None] * dy
         st.S = st.S + ad[:, None, None] * dS
     else:
-        finish(np.full(len(st.ids), 9))
+        finish(np.full(len(st.ids), 10))
     # a member iterates from the first iteration until it stops, so its rows
     # in iteration order are its log
     ids = np.concatenate([i for i, _ in log])

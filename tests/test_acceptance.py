@@ -289,7 +289,7 @@ def test_criterion_9_property_suites():
     for _ in range(1000):
         x1, x2 = rng.uniform(-3, 3, 2)
         y = point_moments(2, x1, x2)
-        M = form.evaluate(y.values)
+        M = form.evaluate(y)
         v = monomial_vector(2, x1, x2)
         assert np.max(np.abs(M - np.outer(v, v))) <= 1e-10 * max(1.0, np.max(np.abs(M)))
 

@@ -279,3 +279,25 @@ def test_an_undecided_certificate_exits_inconclusive(capsys, monkeypatch):
     monkeypatch.setattr(cli, "certify_in_fk", undecided)
     code, out, err = run(capsys, "sos", "--curve", "egg", "--line", "2,0,-2")
     assert (code, out, err) == (2, "", "indeterminate: stubbed solve\n")
+
+
+def test_an_unreadable_poly_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "check", "--poly-file", str(tmp_path / "missing.txt"))
+    assert (code, out) == (64, "")
+    assert err.startswith("error: cannot read polynomial file")
+
+
+def test_an_svg_with_nothing_finite_is_a_usage_error(capsys):
+    # 1 + x1^2 + x2^2 has no real point: no relaxed boundary, no curve cloud
+    code, out, err = run(capsys, "boundary", "--poly", "1 + x1^2 + x2^2", "-n", "8",
+                         "--format", "svg")
+    assert (code, out, err) == (64, "", "error: nothing to draw\n")
+
+
+def test_a_parametrization_off_its_curve_exits_inconclusive(capsys, monkeypatch):
+    from quartichull import rational
+
+    monkeypatch.setattr(rational, "validate_param", lambda param, p: False)
+    code, out, err = run(capsys, "rational", "--curve", "folium")
+    assert (code, out) == (2, "")
+    assert err == "parametrization does not satisfy the implicit equation\n"

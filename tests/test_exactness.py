@@ -1082,3 +1082,99 @@ def test_a_grid_fallback_tangency_pair_is_indeterminate():
     # q is constant along a curve of its critical points, so the minimizer
     # still reads the grid samples
     assert quartic_minimizer(-doubled)[1] == pytest.approx(0.0, abs=1e-12)
+
+
+def test_degenerate_inputs_of_the_curve_record():
+    with pytest.raises(ValueError, match="zero polynomial"):
+        find_singularities(BivarPoly())
+    with pytest.raises(ValueError, match="degree must be <= 4"):
+        check_concave(parse_poly("x1^5 - 1"))
+    # a nonzero constant has no points, so none at infinity: its top form
+    # has no real linear factor
+    assert exactness._infinity_singularities(parse_poly("3")) == []
+    with pytest.raises(ValueError, match="at least 8"):
+        sweep_exactness(curves.lookup("egg").implicit, n=7)
+    # a facet needs both contacts
+    rec = exactness._curve(curves.lookup("bean").implicit)
+    assert exactness._bitangent(rec, None, (0.5, 0.3)) is None
+    assert exactness._bitangent(rec, (0.5, 0.3), None) is None
+
+
+def test_classify_boundary_without_an_affine_question():
+    # without an affine singular point the boundary is smooth, bounded or
+    # not: the egg's one singular point is at infinity, the parabola has none
+    sing, smooth, witness = exactness.classify_boundary(curves.lookup("egg").implicit)
+    assert [s.at_infinity for s in sing] == [True]
+    assert (smooth, witness) == (True, None)
+    assert exactness.classify_boundary(parse_poly("x2 - x1^2")) == ([], True, None)
+    # the nodal cubic's node is certified, but the curve is unbounded, so
+    # there is no hull to classify it against
+    sing, smooth, witness = exactness.classify_boundary(parse_poly("x2^2 - x1^2 - x1^3"))
+    assert [(s.certified, s.at_infinity, s.classification) for s in sing] == \
+        [(True, False, "unknown")]
+    assert (smooth, witness) == (None, None)
+
+
+def test_classify_boundary_labels_only_the_affine_points():
+    # top form -x1^4 and no x2^3 term: a singular point at infinity, at
+    # (0, 1), beside the node at the origin of a bounded curve
+    p = parse_poly("-(x1^2 - x2)^2 + x1^2 - 4*x2^2")
+    sing, smooth, witness = exactness.classify_boundary(p)
+    assert [(s.at_infinity, s.classification) for s in sing] == \
+        [(False, "interior"), (True, "unknown")]
+    assert (smooth, witness) == (True, None)
+
+
+def _fresh_curve_records(monkeypatch):
+    """A curve-record cache of this test's own, so no support is memoized."""
+    monkeypatch.setattr(exactness, "_curve", functools.lru_cache(maxsize=8)(exactness._Curve))
+
+
+def test_a_row_whose_support_raised_ends_its_chunk(monkeypatch):
+    # the egg at n = 36 solves its rows ahead in chunks 0 | 1-2 | 3-6 | ...;
+    # row 5's support raises, so its chunk solves the margins of rows 3 and
+    # 4, the sweep records rows 0..4, and row 5 makes it Inconclusive
+    _fresh_curve_records(monkeypatch)
+    n, row = 36, 5
+    th = row * (2 * math.pi / n)
+    u = (-math.cos(th), -math.sin(th))
+    solve = exactness._tangent_supports
+
+    def failing(p, us):
+        out = solve(p, us)
+        return [IndeterminateResult("stubbed support") if tuple(v) == u else ts
+                for v, ts in zip(us, out)]
+
+    monkeypatch.setattr(exactness, "_tangent_supports", failing)
+    verdict = sweep_exactness(curves.lookup("egg").implicit, n=n)
+    assert verdict.verdict == "Inconclusive"
+    assert verdict.evidence["error"] == "stubbed support"
+    assert len(verdict.sweep) == row
+    assert all(m >= -sos.FEAS_MARGIN for _, m, _ in verdict.sweep)
+
+
+def test_the_band_scan_stops_at_a_passing_margin(monkeypatch):
+    # the egg at n = 36 with row 5's margin set to fail: the contacts of
+    # rows 4, 5 and 6 lie on one arc, and row 6 passes, so the witness is
+    # row 5's line and no row past 6 is read
+    _fresh_curve_records(monkeypatch)
+    n, row, seen = 36, 5, []
+    margins = exactness.sos_margins
+
+    def failing(qs, k):  # the rows' margins arrive in row order
+        out = margins(qs, k)
+        out = [-1.0 if len(seen) + i == row else m for i, m in enumerate(out)]
+        seen.extend(qs)
+        return out
+
+    monkeypatch.setattr(exactness, "sos_margins", failing)
+    egg = curves.lookup("egg").implicit
+    verdict = sweep_exactness(egg, n=n)
+    rec = exactness._curve(egg)
+    step = 2 * math.pi / n
+    assert verdict.verdict == "NotExact"
+    assert verdict.evidence["reason"] == "comparison quartic negative on sweep"
+    assert "facet_angle" not in verdict.evidence
+    assert [m for _, m, _ in verdict.sweep][row] == -1.0
+    assert verdict.witness == rec.support(row * step).line.normalized()
+    assert sorted(rec._supports) == [i * step for i in range(row + 2)]

@@ -5,33 +5,32 @@ from hypothesis import strategies as st
 
 from quartichull import curves
 from quartichull.moments import (
-    MomentIndex,
     build_localizing_matrix,
     build_moment_matrix,
     localizing_constraints,
     monomial_vector,
     point_moments,
 )
-from quartichull.poly import monomials_upto
+from quartichull.poly import monomials_upto, parse_poly
 
 pts = st.floats(-3, 3, allow_nan=False, allow_infinity=False)
 
 
 def test_index_counts():
-    assert len(MomentIndex(2)) == 15
-    assert len(MomentIndex(3)) == 28
-    idx = MomentIndex(2)
+    assert len(monomials_upto(4)) == 15
+    assert len(monomials_upto(6)) == 28
+    pairs = monomials_upto(4)
     # pinned coordinates sit at the front in graded order
-    assert idx.pairs[0] == (0, 0)
-    assert idx.pairs[1] == (1, 0)
-    assert idx.pairs[2] == (0, 1)
+    assert pairs[0] == (0, 0)
+    assert pairs[1] == (1, 0)
+    assert pairs[2] == (0, 1)
 
 
 @given(pts, pts, st.integers(2, 4))
 @settings(max_examples=100, deadline=None)
 def test_point_mass_moment_matrix_is_rank_one(x1, x2, k):
     y = point_moments(k, x1, x2)
-    M = build_moment_matrix(k).evaluate(y.values)
+    M = build_moment_matrix(k).evaluate(y)
     v = monomial_vector(k, x1, x2)
     assert np.max(np.abs(M - np.outer(v, v))) <= 1e-10 * max(1.0, np.max(np.abs(M)))
 
@@ -55,8 +54,8 @@ def test_point_mass_identities_bulk():
                     continue
                 y = point_moments(2, x1, float(r.real))
                 for row in rows:
-                    val = sum(c * y.values[pos] for pos, c in row.items())
-                    assert abs(val) <= 1e-10 * max(1.0, np.max(np.abs(y.values)))
+                    val = sum(c * y[pos] for pos, c in row.items())
+                    assert abs(val) <= 1e-10 * max(1.0, np.max(np.abs(y)))
                 checked += 1
         assert checked >= 50, record.name
 
@@ -72,8 +71,8 @@ def test_localizing_matrix_vanishes_on_curve(x1, x2):
     s = (1.0 / (x1**4 + x2**4)) ** 0.25
     cx, cy = s * x1, s * x2
     y = point_moments(2, cx, cy)
-    L = build_localizing_matrix(p, 2).evaluate(y.values)
-    assert np.max(np.abs(L)) <= 1e-8 * max(1.0, np.max(np.abs(y.values)))
+    L = build_localizing_matrix(p, 2).evaluate(y)
+    assert np.max(np.abs(L)) <= 1e-8 * max(1.0, np.max(np.abs(y)))
 
 
 def test_localizing_constraints_deduplicate():
@@ -92,7 +91,7 @@ def test_localizing_matrix_entries_are_localizing_rows():
     for record in curves.registry():
         p = record.implicit
         for k in (2, 3, 4):
-            y = rng.normal(size=len(MomentIndex(k)))
+            y = rng.normal(size=len(monomials_upto(2 * k)))
             L = build_localizing_matrix(p, k).evaluate(y)
             rows = localizing_constraints(p, k)
             sums = monomials_upto(2 * (k - 2))
@@ -110,3 +109,8 @@ def test_degree_validation():
         build_moment_matrix(0)
     with pytest.raises(ValueError):
         build_localizing_matrix(curves.lookup("egg").implicit, 1)
+
+
+def test_localizing_matrix_rejects_a_quintic():
+    with pytest.raises(ValueError, match="degree <= 4"):
+        build_localizing_matrix(parse_poly("x1^5 - 1"), 3)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from quartichull import curves
+from quartichull.poly import parse_poly
 from quartichull.rational import (
     RationalParam,
     fermat_block_membership,
@@ -202,3 +203,16 @@ def test_membership_reads_the_solve_status(monkeypatch):
     status["now"] = "Numerical"
     with pytest.raises(IndeterminateResult, match="returned Numerical: stubbed"):
         rational_membership(rep, (0.1, 0.1))
+
+
+def test_point_where_p0_vanishes():
+    param = RationalParam((-1, 0, 1), (0, 1), (0, 0, 1))  # p0 = t^2 - 1
+    assert param.point(2.0) == pytest.approx((2 / 3, 4 / 3))
+    with pytest.raises(ZeroDivisionError, match="p0 vanishes"):
+        param.point(1.0)
+
+
+def test_validate_param_needs_a_quartic():
+    folium = curves.lookup("folium")
+    with pytest.raises(ValueError, match="degree 4"):
+        validate_param(folium.param, parse_poly("x1^3 - x2^2"))

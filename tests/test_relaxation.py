@@ -11,6 +11,7 @@ from quartichull.moments import _face_at_infinity, _forced_vectors, build_locali
 from quartichull.poly import monomials_upto, parse_poly
 from quartichull.relaxation import (
     BOUNDARY_CSV_HEADER,
+    _fmt,
     _program,
     _reductions,
     boundary_csv,
@@ -536,3 +537,12 @@ def test_membership_and_support_raise_on_an_undecided_solve(monkeypatch):
         membership(egg, 2, (0.0, 0.0))
     with pytest.raises(IndeterminateResult, match="support solve returned Infeasible: stubbed"):
         support(egg, 2, (1.0, 0.0))
+
+
+def test_an_inside_point_has_no_separating_line():
+    line, res = separating_line(curves.lookup("egg").implicit, 2, (0.0, 0.0))
+    assert line is None and res.inside
+
+
+def test_fmt_prints_non_finite_values():
+    assert [_fmt(v) for v in (math.nan, math.inf, -math.inf)] == ["nan", "inf", "-inf"]

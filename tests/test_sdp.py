@@ -327,3 +327,41 @@ def test_a_member_that_stops_on_a_step_test_leaves_its_stack(monkeypatch):
         assert list(stack[j].iterates) == list(alone[j].iterates)
         assert len(stack[j].iterates) > 3
         assert stack[j].z.tobytes() == alone[j].z.tobytes()
+
+
+def test_an_overflowing_solve_ends_numerical():
+    # with c scaled by 1e160 and more, _ipm's set-up overflows (b * b, then
+    # a gap of n * scale^2): the member stops on its first, non-finite
+    # record, where eigvalsh in _step raised before; at 1e150 it still
+    # ends on the dual ray test
+    prob, c, F0, eq_b = _stack_family(4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for e in (160, 180, 200, 250, 300):
+            sol = solve(prob, c[2] * 10.0**e, F0[2], eq_b[2])
+            assert (sol.status, sol.message) == ("Numerical", "non-finite iterate")
+            assert len(sol.iterates) == 1
+        sol = solve(prob, c[2] * 1e150, F0[2], eq_b[2])
+    assert (sol.status, sol.message) == ("Unbounded", "dual improving ray found")
+
+
+def test_a_stack_of_inconsistent_equalities_runs_no_iteration(monkeypatch):
+    # z1 = b1 and z1 = b2 with b1 != b2 in every member: each is Infeasible
+    # from its equalities alone, and no member reaches the cone phase
+    def no_solve(*args):
+        raise AssertionError("iterated a member without a solution of E z = d")
+
+    monkeypatch.setattr(sdp, "_ipm", no_solve)
+    prob = SdpProblem(np.array([np.diag([1.0, -1.0]), np.eye(2)]),
+                      np.array([[1.0, 0.0], [1.0, 0.0]]))
+    sols = solve_stack(prob, np.array([0.0, 1.0]), np.eye(2), np.array([[0.0, 1.0], [2.0, 3.0]]))
+    assert [(s.status, s.message, s.z) for s in sols] == \
+        [("Infeasible", "inconsistent equality system", None)] * 2
+
+
+def test_equality_multipliers_need_a_dual_matrix():
+    # a program fixed by its equalities is solved without the cone phase
+    prob, c, F0, eq_b = _lmi(np.eye(2), [np.eye(2)], [1.0], eq_A=[[1.0]], eq_b=[0.5])
+    sol = solve(prob, c, F0, eq_b)
+    assert (sol.status, sol.duals) == ("Optimal", None)
+    with pytest.raises(ValueError, match="no dual matrix"):
+        equality_multipliers(prob, c, sol)

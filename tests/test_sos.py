@@ -14,6 +14,7 @@ from quartichull.poly import (
 )
 from quartichull.sos import (
     FEAS_MARGIN,
+    IndeterminateResult,
     certify_in_fk,
     nonneg_quartic,
     sos_decompose,
@@ -129,7 +130,7 @@ def test_certificates_pair_with_the_moment_matrix():
         for cert, p in certs:
             assert cert is not None
             for x1, x2 in rng.uniform(-1, 1, (5, 2)):
-                M = build_moment_matrix(k).evaluate(point_moments(k, x1, x2).values)
+                M = build_moment_matrix(k).evaluate(point_moments(k, x1, x2))
                 value = np.sum(cert.gram * M) + cert.multiplier(x1, x2) * p(x1, x2)
                 assert value == pytest.approx(cert.target(x1, x2), abs=1e-6)
 
@@ -171,3 +172,35 @@ def test_comparison_quartic_margin_tracks_exactness():
     assert pf(-1.0, 0.0) == pytest.approx(0.0, abs=1e-12)
     # the same line at unit scaling dips negative: the scaling matters
     assert not nonneg_quartic(comparison_quartic(SupportLine((1.0, 1.0, 0.0)), p))
+
+
+def test_refine_hands_back_a_gram_it_cannot_snap():
+    # no V V' has a negative constant coefficient, so Gauss-Newton levels
+    # off at every rank and the interior-point Gram comes back unchanged,
+    # as for certify_in_fk((2, 0, -2), egg, 6)
+    G, s1 = np.eye(3), np.zeros(0)
+    target = np.array([-1.0, 0.0, 0.0, 1.0, 0.0, 1.0])
+    out = sos._refine_lowrank(G, s1, np.zeros((0, 6)), target, build_moment_matrix(1).sums)
+    assert out[0] is G and out[1] is s1
+
+
+def test_an_undecided_gram_solve_raises(monkeypatch):
+    from quartichull.sdp import SdpSolution
+
+    def undecided(prob, c, F0, b):
+        return [SdpSolution("Numerical", None, None, float("inf"), message="stub")] * len(b)
+
+    monkeypatch.setattr(sos, "solve_stack", undecided)
+    q = parse_poly("1 + x1^2 + x2^2")
+    with pytest.raises(IndeterminateResult, match="Numerical: stub"):
+        sos_decompose(q, 2)
+    with pytest.raises(IndeterminateResult, match="Numerical: stub"):
+        sos_margin(q, 2)
+
+
+def test_margins_and_the_quartic_test_check_degrees():
+    quintic = parse_poly("x1^5")
+    with pytest.raises(ValueError, match="exceeds 2k"):
+        sos.sos_margins([quintic], 2)
+    with pytest.raises(ValueError, match="degree must be <= 4"):
+        nonneg_quartic(quintic)
